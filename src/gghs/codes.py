@@ -16,6 +16,7 @@ from .qstate import (
     DENSE_MATRIX_CAP,
     LocalOperator,
     StateVector,
+    _apply_site,
     circuit_unitary,
     graph_state,
 )
@@ -102,16 +103,11 @@ def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:
     return [((a, b), xs[a] @ zs[b]) for a in range(d) for b in range(d)]
 
 
-def _apply_site_ops(V: np.ndarray, n: int, d: int, sites, ops) -> np.ndarray:
+def _apply_site_ops(V: np.ndarray, d: int, sites, ops) -> np.ndarray:
     """Apply single-site operators to every column of V (shape d**n x K)."""
-    K = V.shape[1]
-    out = V
     for site, op in zip(sites, ops):
-        pre = d**site
-        post = d ** (n - site - 1)
-        T = out.reshape(pre, d, post * K)
-        out = np.einsum("ab,ibj->iaj", op, T).reshape(d**n, K)
-    return out
+        V = _apply_site(op, site, d, V)
+    return V
 
 
 def _error_iter(n: int, d: int, weight: int, nontrivial):
@@ -143,7 +139,7 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBound
     nontrivial = [(ab, op) for ab, op in weyl_operators(d) if ab != (0, 0)]
     for w in range(1, max_weight + 1):
         for sites, ops in _error_iter(n, d, w, nontrivial):
-            EV = _apply_site_ops(V, n, d, sites, ops)
+            EV = _apply_site_ops(V, d, sites, ops)
             M = V.conj().T @ EV
             if K == 1:
                 if abs(M[0, 0]) > KL_TOL:
@@ -178,7 +174,7 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
         a_sum = 0.0
         b_sum = 0.0
         for sites, ops in _error_iter(n, d, j, nontrivial):
-            M = V.conj().T @ _apply_site_ops(V, n, d, sites, ops)
+            M = V.conj().T @ _apply_site_ops(V, d, sites, ops)
             a_sum += abs(np.trace(M)) ** 2
             b_sum += float(np.sum(np.abs(M) ** 2))
         A[j] = a_sum / K**2
@@ -208,12 +204,9 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     if not (0 <= E.site < n):
         raise errors.SiteOutOfRange(f"site {E.site} out of range for n={n}")
     U = circuit_unitary(G, H)
-    N = d**n
+    M = U.conj().T @ _apply_site(E.matrix, E.site, d, U)
     pre = d**E.site
     post = d ** (n - E.site - 1)
-    T = U.reshape(pre, d, post, N)
-    EU = np.einsum("ab,pbqc->paqc", np.asarray(E.matrix, dtype=np.complex128), T)
-    M = U.conj().T @ EU.reshape(N, N)
     Mt = M.reshape(pre, d, post, pre, d, post)
     S = np.einsum("paqpbq->ab", Mt) / (pre * post)
     approx = np.kron(np.kron(np.eye(pre), S), np.eye(post))

@@ -65,12 +65,34 @@ def _check_cap(n: int, d: int):
         raise errors.TooLarge(f"d**n = {d**n} exceeds the dense cap {DENSE_AMP_CAP}")
 
 
-def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
+def _check_digits(n: int, d: int, digits: Sequence[int]):
     if len(digits) != n:
         raise errors.DigitOutOfRange(f"expected {n} digits, got {len(digits)}")
     for x in digits:
         if not (0 <= int(x) < d):
             raise errors.DigitOutOfRange(f"digit {x} out of range for d={d}")
+
+
+def _edge_phases(H: HadamardMatrix, edges, T: np.ndarray) -> None:
+    """Multiply T (axis k is site k) in place by h[i_a, i_b] for each edge, in sorted order."""
+    for a, b in sorted(edges):
+        shape = [1] * T.ndim
+        shape[a] = shape[b] = H.d
+        T *= (H.entries if a < b else H.entries.T).reshape(shape)
+
+
+def _apply_site(op: np.ndarray, site: int, d: int, A: np.ndarray) -> np.ndarray:
+    """op on one site of A, whose leading axis is the big-endian register.
+
+    Trailing axes of A are independent columns and ride along.
+    """
+    T = A.reshape(d**site, d, -1)
+    out = np.einsum("ab,ibj->iaj", np.asarray(op, dtype=np.complex128), T)
+    return out.reshape(A.shape)
+
+
+def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
+    _check_digits(n, d, digits)
     _check_cap(n, d)
     amps = np.zeros(d**n, dtype=np.complex128)
     amps[digits_to_index(d, digits)] = 1.0
@@ -82,12 +104,7 @@ def apply_local(U: LocalOperator, s: StateVector) -> StateVector:
         raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.d}")
     if not (0 <= U.site < s.n):
         raise errors.SiteOutOfRange(f"site {U.site} out of range for n={s.n}")
-    d = s.d
-    pre = d**U.site
-    post = d ** (s.n - U.site - 1)
-    T = s.amps.reshape(pre, d, post)
-    out = np.einsum("ab,ibj->iaj", np.asarray(U.matrix, dtype=np.complex128), T)
-    return StateVector(n=s.n, d=s.d, amps=out.reshape(-1))
+    return StateVector(n=s.n, d=s.d, amps=_apply_site(U.matrix, U.site, s.d, s.amps))
 
 
 def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
@@ -101,36 +118,34 @@ def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
     for site in (i, j):
         if not (0 <= site < s.n):
             raise errors.SiteOutOfRange(f"site {site} out of range for n={s.n}")
-    d = s.d
-    lo, hi = min(i, j), max(i, j)
-    w = H.entries if i < j else H.entries.T
-    shape = [1] * s.n
-    shape[lo] = d
-    shape[hi] = d
-    T = s.tensor() * w.reshape(shape)
+    T = s.tensor().astype(np.complex128)
+    _edge_phases(H, [(i, j)], T)
     return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
 
 
 def graph_state(
     G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
 ) -> StateVector:
-    """Apply (H/sqrt(d)) on every site of a basis state, then the edge gates.
+    """The graph state of G over H with input digits c (default all zeros).
 
-    All edge gates are diagonal, so their order is irrelevant; they are applied
-    in sorted edge order for bitwise reproducibility.
+    With u = H/sqrt(d), the amplitude at digits i is the closed form
+    psi(i) = prod_k u[i_k, c_k] * prod_{(a,b) in E} h[i_a, i_b]: every site
+    carries column c_k of u and every edge gate multiplies in h[i_a, i_b].
+    The result is divided by its norm, which absorbs the small deviation
+    from unitarity that validation admits.
     """
     if not H.symmetric:
         raise errors.NotSymmetric("graph states need a symmetric matrix")
     n, d = G.n, H.d
     digits = tuple(input_digits) if input_digits is not None else (0,) * n
-    s = basis_state(n, d, digits)
+    _check_digits(n, d, digits)
+    _check_cap(n, d)
     u = H.entries / math.sqrt(d)
-    for site in range(n):
-        s = apply_local(LocalOperator(d=d, site=site, matrix=u), s)
-    for u_, v_ in G.edges:
-        s = apply_ch(H, s, u_, v_)
-    nrm = s.norm()
-    return StateVector(n=n, d=d, amps=s.amps / nrm)
+    T = reduce(np.multiply.outer, [u[:, int(c)] for c in digits], np.ones((), np.complex128))
+    _edge_phases(H, G.edges, T)
+    psi = T.reshape(-1)
+    psi /= np.linalg.norm(psi)
+    return StateVector(n=n, d=d, amps=psi)
 
 
 def ghz(n: int, d: int) -> StateVector:
@@ -161,16 +176,6 @@ def reorder_qudits(s: StateVector, perm: Sequence[int]) -> StateVector:
     return StateVector(n=s.n, d=s.d, amps=np.ascontiguousarray(T).reshape(-1))
 
 
-def _all_digit_grid(n: int, d: int) -> np.ndarray:
-    """(d**n, n) integer array; row k holds the big-endian digits of k."""
-    N = d**n
-    k = np.arange(N)
-    cols = []
-    for site in range(n):
-        cols.append((k // d ** (n - 1 - site)) % d)
-    return np.stack(cols, axis=1)
-
-
 def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     """Dense matrix of the full encoding circuit.
 
@@ -181,12 +186,11 @@ def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     if d**n > DENSE_MATRIX_CAP:
         raise errors.TooLarge(f"d**n = {d**n} exceeds the dense operator cap")
     u = H.entries / math.sqrt(d)
-    U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1)
-    dig = _all_digit_grid(n, d)
-    phases = np.ones(d**n, dtype=np.complex128)
-    for a, b in G.edges:
-        phases *= H.entries[dig[:, a], dig[:, b]]
-    return phases[:, None] * U
+    U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
+    phases = np.ones((d,) * n, dtype=np.complex128)
+    _edge_phases(H, G.edges, phases)
+    U *= phases.reshape(-1, 1)
+    return U
 
 
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
@@ -198,8 +202,7 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     """
     n, d = G.n, H.d
     U = circuit_unitary(G, H)
-    dig = _all_digit_grid(n, d)
-    n_zero = (dig == 0).sum(axis=1).astype(np.float64)
+    n_zero = (np.indices((d,) * n) == 0).sum(axis=0).reshape(-1).astype(np.float64)
     Hmat = -(U * n_zero[None, :]) @ U.conj().T
     w, v = np.linalg.eigh(Hmat)
     ground_dim = int(np.sum(w < w[0] + 1e-6))

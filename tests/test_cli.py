@@ -223,6 +223,18 @@ def test_code_distance_bound_exceeded(tmp_path, capsys):
     assert obj["distance_exceeds"] == 1
 
 
+def test_code_non_digit_word_is_malformed(tmp_path, capsys):
+    words = tmp_path / "bad.txt"
+    words.write_text("000\n0a1\n")
+    code, obj = run_json(
+        capsys,
+        "code", "--graph", "triangle", "--hadamard", "fourier:2",
+        "--classical", str(words),
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+
+
 def test_code_enumerators(tmp_path, capsys):
     words = tmp_path / "rep4.txt"
     words.write_text("000\n111\n222\n333\n")
@@ -279,9 +291,10 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_bad_alpha_expression(capsys):
-    code, obj = run_json(capsys, "validate", "h_alpha:sys.exit")
-    assert code == 2
-    assert obj["error"] == "malformed_input"
+    for spec in ("h_alpha:sys.exit", "h_alpha:2**3"):
+        code, obj = run_json(capsys, "validate", spec)
+        assert code == 2, spec
+        assert obj["error"] == "malformed_input"
 
 
 def test_tol_flag_before_and_after_subcommand(capsys):

@@ -11,6 +11,7 @@ from gghs import (
     apply_local,
     basis_state,
     catalog,
+    circuit_unitary,
     digits_to_index,
     errors,
     family,
@@ -24,7 +25,7 @@ from gghs import (
     reorder_qudits,
     validate,
 )
-from helpers import full_catalog
+from helpers import connected_graphs, full_catalog
 
 PI = math.pi
 
@@ -137,7 +138,27 @@ def test_edge_graph_qubit_state():
     np.testing.assert_allclose(s.amps, np.array([1, 1, 1, -1]) / 2, atol=1e-12)
 
 
-def test_triangle_fourier3_amplitudes():
+def _closed_form(G, H, digits):
+    """psi(i) = prod_k u[i_k, c_k] * prod_(a,b) h[i_a, i_b], one index at a time."""
+    n, d = G.n, H.d
+    h = H.entries.tolist()
+    amps = []
+    for k in range(d**n):
+        i = []
+        for _ in range(n):
+            k, r = divmod(k, d)
+            i.insert(0, r)
+        amp = 1.0
+        for site in range(n):
+            amp *= h[i[site]][digits[site]] / math.sqrt(d)
+        for a, b in G.edges:
+            amp *= h[i[a]][i[b]]
+        amps.append(amp)
+    norm = math.sqrt(sum(abs(x) ** 2 for x in amps))
+    return [x / norm for x in amps]
+
+
+def test_graph_state_closed_form_amplitudes():
     w3 = np.exp(2j * PI / 3)
     s = graph_state(family("triangle"), fourier(3))
     for i in range(3):
@@ -146,6 +167,35 @@ def test_triangle_fourier3_amplitudes():
                 expect = w3 ** (i * j + j * k + i * k) / 3**1.5
                 np.testing.assert_allclose(
                     s.amps[digits_to_index(3, (i, j, k))], expect, atol=1e-12
+                )
+    rng = np.random.default_rng(11)
+    for label, H in full_catalog():
+        for gname, G in connected_graphs(4):
+            digits = [int(x) for x in rng.integers(0, H.d, G.n)]
+            s = graph_state(G, H, input_digits=digits)
+            np.testing.assert_allclose(
+                s.amps, _closed_form(G, H, digits), atol=1e-12, err_msg=f"{label} {gname}"
+            )
+
+
+def test_graph_state_digit_checks():
+    with pytest.raises(errors.DigitOutOfRange):
+        graph_state(family("triangle"), fourier(3), input_digits=(0, 1))
+    with pytest.raises(errors.DigitOutOfRange):
+        graph_state(family("triangle"), fourier(3), input_digits=(0, 3, 1))
+
+
+def test_circuit_unitary_columns_are_graph_states():
+    for label, H in full_catalog():
+        for gname, G in connected_graphs(4):
+            d, n = H.d, G.n
+            if d**n > 256:
+                continue
+            U = circuit_unitary(G, H)
+            for c in range(d**n):
+                s = graph_state(G, H, input_digits=index_to_digits(n, d, c))
+                np.testing.assert_allclose(
+                    U[:, c], s.amps, atol=1e-12, err_msg=f"{label} {gname} column {c}"
                 )
 
 
