@@ -7,7 +7,6 @@ are reported as skipped rather than decided.
 """
 
 import argparse
-from dataclasses import dataclass, field
 
 from gghs import find_equivalence
 from gghs.cli import resolve_matrix
@@ -32,11 +31,6 @@ DEFAULT_LABELS = [
 ]
 
 
-@dataclass
-class Config:
-    labels: list = field(default_factory=lambda: list(DEFAULT_LABELS))
-
-
 def verdict(h1, h2, kind) -> str:
     try:
         w = find_equivalence(h1, h2, kind)
@@ -49,8 +43,8 @@ def verdict(h1, h2, kind) -> str:
     return f"yes  p1={list(w.p1.map)} p2={list(w.p2.map)}"
 
 
-def run(cfg: Config) -> None:
-    mats = [(label, resolve_matrix(label)) for label in cfg.labels]
+def run(labels) -> None:
+    mats = [(label, resolve_matrix(label)) for label in labels]
     for i, (la, ha) in enumerate(mats):
         for lb, hb in mats[i + 1 :]:
             if ha.d != hb.d:
@@ -64,7 +58,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("labels", nargs="*", default=None, help="matrix shorthands to scan")
     args = ap.parse_args()
-    run(Config(labels=args.labels) if args.labels else Config())
+    run(args.labels or DEFAULT_LABELS)
 
 
 if __name__ == "__main__":

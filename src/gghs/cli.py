@@ -78,9 +78,12 @@ def _parse_real(expr: str) -> float:
     if not expr or set(expr) - allowed or "**" in expr:
         raise Malformed(f"cannot parse real number {expr!r}")
     try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi, "e": math.e}))
+        value = float(eval(expr, {"__builtins__": {}}, {"pi": math.pi, "e": math.e}))
     except Exception as exc:
         raise Malformed(f"cannot parse real number {expr!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise Malformed(f"real number {expr!r} is not finite")
+    return value
 
 
 def resolve_matrix(spec: str) -> HadamardMatrix:

@@ -17,6 +17,7 @@ from .qstate import (
     LocalOperator,
     StateVector,
     _apply_site,
+    _dense_size,
     circuit_unitary,
     graph_state,
 )
@@ -130,8 +131,7 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBound
     at which some error has nonzero expectation in the code state.
     """
     G, d, n = Q.graph, Q.hadamard.d, Q.graph.n
-    if d**n > DENSE_MATRIX_CAP:
-        raise errors.TooLarge("code space too large for dense operators")
+    _dense_size(n, d, DENSE_MATRIX_CAP)
     if max_weight > n:
         max_weight = n
     V = Q.basis_matrix()
@@ -161,8 +161,7 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
     Both are local-unitary invariants; A_0 = B_0 = 1 and B_j >= A_j >= 0.
     """
     G, d, n = Q.graph, Q.hadamard.d, Q.graph.n
-    if d**n > DENSE_MATRIX_CAP:
-        raise errors.TooLarge("code space too large for dense operators")
+    _dense_size(n, d, DENSE_MATRIX_CAP)
     V = Q.basis_matrix()
     K = Q.K
     A = np.zeros(n + 1)

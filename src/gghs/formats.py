@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .graphs import Graph, build
-from .qstate import StateVector
+from .qstate import DENSE_AMP_CAP, StateVector, _dense_size
 
 
 def _fmt_float(x: float) -> str:
@@ -119,6 +119,6 @@ def state_from_obj(obj) -> StateVector:
     n = int(obj["n"])
     d = int(obj["d"])
     amps = pairs_to_complex(obj["amps"])
-    if amps.shape != (d**n,):
-        raise ValueError(f"amps length {amps.shape} does not match d**n = {d**n}")
+    if n < 0 or d < 1 or amps.shape != (_dense_size(n, d, DENSE_AMP_CAP),):
+        raise ValueError(f"amps shape {amps.shape} does not match n={n}, d={d}")
     return StateVector(n=n, d=d, amps=amps)

@@ -93,6 +93,8 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
     """Check the Hadamard invariants and return the matrix with its flags."""
     a = _as_complex_square(entries)
     d = a.shape[0]
+    if not np.isfinite(a).all():
+        raise errors.NotUnimodular("matrix has a non-finite entry")
     mod_dev = float(np.max(np.abs(np.abs(a) - 1.0)))
     if mod_dev > TOL_ENTRY:
         raise errors.NotUnimodular(f"entry modulus deviates from 1 by {mod_dev:.3e}")
@@ -218,22 +220,103 @@ def _rank1_unimodular_factors(R: np.ndarray, tol: float):
     return a, b
 
 
-def _check_witness_general(H1, H2, w) -> float:
-    lhs = H1.entries
-    rhs = (
-        w.d1.matrix()
-        @ w.p1.matrix()
-        @ H2.entries
-        @ w.p2.matrix()
-        @ w.d2.matrix()
+# Largest d each search accepts, with the name its error message uses.
+_SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8), S_SYMMETRY: ("S-symmetry", 8)}
+
+
+def _witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
+    """Right-hand side of the witness's defining equation with H plugged in."""
+    if w.kind == GENERAL:
+        return w.d1.matrix() @ w.p1.matrix() @ H.entries @ w.p2.matrix() @ w.d2.matrix()
+    if w.kind == P_EQUIV:
+        P = w.p1.matrix()
+        return P @ w.d1.matrix() @ H.entries @ w.d2.matrix() @ P.T
+    if w.kind == S_SYMMETRY:
+        return w.p1.matrix() @ H.entries @ w.d1.matrix()
+    raise errors.UnknownName(f"unknown witness kind {w.kind!r}")
+
+
+def _forced_columns(B: np.ndarray, A2: np.ndarray) -> list:
+    """Column maps q that may pair with the rows B = H1[p, :], in lexicographic order.
+
+    Choosing q(0) = c forces a_i = B[i, c] / H2[i, 0] up to a scalar. Column j
+    of diag(a) H2 must then be parallel to column q(j) of B, and the columns
+    of B are orthogonal, so q(j) is the column of largest overlap. This gives
+    at most one candidate per c; the rank-1 test decides which hold.
+    """
+    d = len(B)
+    a = B / A2[:, :1]  # a[i, c]: the row phases forced by q(0) = c
+    overlap = np.abs(np.einsum("ik,ic,ij->ckj", B.conj(), a, A2))
+    return sorted({tuple(q) for q in np.argmax(overlap, axis=1).tolist() if len(set(q)) == d})
+
+
+def _forced_witness(kind: str, p: tuple, q, B: np.ndarray, A2: np.ndarray):
+    """The witness with row map p and column map q, or None if its forced diagonals fail."""
+    d = len(p)
+    if kind == S_SYMMETRY:
+        # P H D = H forces D = (1/d) H^dagger P^T H, with (P^T H)[i, :] = H[p(i), :].
+        Dm = (A2.conj().T @ B) / d
+        ph = np.diag(Dm).copy()
+        if np.max(np.abs(Dm - np.diag(ph))) > TOL_ENTRY:
+            return None
+        if np.max(np.abs(np.abs(ph) - 1.0)) > TOL_ENTRY:
+            return None
+        return EquivalenceWitness(kind=S_SYMMETRY, p1=Permutation(d, p), d1=DiagonalUnitary(d, ph))
+    cols = list(q)
+    fac = _rank1_unimodular_factors(B[:, cols] / A2, TOL_ENTRY)  # H1[p(i), q(j)] / H2[i, j]
+    if fac is None:
+        return None
+    a, b = fac
+    if kind == P_EQUIV:
+        return EquivalenceWitness(
+            kind=P_EQUIV,
+            p1=Permutation(d, p),
+            d1=DiagonalUnitary(d, a),
+            d2=DiagonalUnitary(d, b),
+        )
+    # H1[p1(i), q(j)] = a_i b_j H2[i, j] rearranges to the defining equation
+    # H1 = D1 P1 H2 P2 D2 with D1 = diag(a) carried through P1, P2 = the
+    # inverse of q, and D2 = diag(b) carried through it.
+    d1 = np.empty(d, dtype=np.complex128)
+    d1[list(p)] = a
+    d2 = np.empty(d, dtype=np.complex128)
+    d2[cols] = b
+    return EquivalenceWitness(
+        kind=GENERAL,
+        p1=Permutation(d, p),
+        d1=DiagonalUnitary(d, d1),
+        p2=Permutation(d, tuple(cols)).inverse(),
+        d2=DiagonalUnitary(d, d2),
     )
-    return float(np.max(np.abs(lhs - rhs)))
 
 
-def _check_witness_p_equiv(H1, H2, w) -> float:
-    P = w.p1.matrix()
-    rhs = P @ w.d1.matrix() @ H2.entries @ w.d2.matrix() @ P.T
-    return float(np.max(np.abs(H1.entries - rhs)))
+def _witnesses(H1: HadamardMatrix, H2: HadamardMatrix, kind: str):
+    """Yield every witness of `kind` between H1 and H2, in lexicographic (P1, P2) order.
+
+    Each relation reads H1[p(i), q(j)] = a_i b_j H2[i, j] for a row map p and
+    a column map q, and fixing both forces the diagonals. The search loops
+    once over p; q is p for PEquiv, the identity for SSymmetry, and one of at
+    most d forced candidates for General.
+    """
+    d = H1.d
+    name, cap = _SEARCH_CAPS[kind]
+    if d > cap:
+        raise errors.SearchLimitExceeded(f"{name} search supports d <= {cap}")
+    A1, A2 = H1.entries, H2.entries
+    for p in itertools.permutations(range(d)):
+        B = A1[list(p), :]  # B[i, j] = H1[p(i), j]
+        if kind == GENERAL:
+            col_maps = _forced_columns(B, A2)
+        else:
+            col_maps = [p if kind == P_EQUIV else range(d)]
+        for q in col_maps:
+            w = _forced_witness(kind, p, q, B, A2)
+            if w is None:
+                continue
+            dev = check_witness(H1, H2, w)
+            if dev > TOL_ENTRY:
+                raise errors.InvalidWitness(f"internal: witness deviates by {dev:.3e}")
+            yield w
 
 
 def find_equivalence(
@@ -241,78 +324,18 @@ def find_equivalence(
 ) -> Optional[EquivalenceWitness]:
     """Search for an equivalence witness between H1 and H2.
 
-    General scans all (P1, P2) pairs; for each pair the diagonals are forced,
-    so the ratio matrix (P1^T H1 P2^T) / H2 must factor as a_i * b_j. PEquiv
-    scans single permutations with the ratio (P^T H1 P) / H2. The first witness
-    in lexicographic permutation order is returned, or None.
+    For a row permutation P1 and a column permutation P2 the diagonals are
+    forced, so the ratio matrix (P1^T H1 P2^T) / H2 must factor as a_i * b_j.
+    PEquiv tries the d! single permutations P1 = P2^T. General tries each P1
+    with at most d forced column maps, d! * d candidates. The first witness in
+    lexicographic permutation order is returned, or None. General supports
+    d <= 6, PEquiv d <= 8.
     """
     if H1.d != H2.d:
         raise errors.DimensionMismatch(f"d mismatch: {H1.d} vs {H2.d}")
-    d = H1.d
-    if kind == GENERAL:
-        if d > 6:
-            raise errors.SearchLimitExceeded("General search supports d <= 6")
-    elif kind == P_EQUIV:
-        if d > 8:
-            raise errors.SearchLimitExceeded("PEquiv search supports d <= 8")
-    else:
+    if kind not in (GENERAL, P_EQUIV):
         raise errors.UnknownName(f"unknown equivalence kind {kind!r}")
-
-    A1 = H1.entries
-    A2 = H2.entries
-    perms = list(itertools.permutations(range(d)))
-
-    if kind == P_EQUIV:
-        for p in perms:
-            idx = list(p)
-            # (P^T H1 P)[i, j] = H1[p(i), p(j)]
-            R = A1[np.ix_(idx, idx)] / A2
-            fac = _rank1_unimodular_factors(R, TOL_ENTRY)
-            if fac is None:
-                continue
-            a, b = fac
-            w = EquivalenceWitness(
-                kind=P_EQUIV,
-                p1=Permutation(d, tuple(p)),
-                d1=DiagonalUnitary(d, a),
-                d2=DiagonalUnitary(d, b),
-            )
-            dev = _check_witness_p_equiv(H1, H2, w)
-            if dev > TOL_ENTRY:
-                raise errors.InvalidWitness(f"internal: witness deviates by {dev:.3e}")
-            return w
-        return None
-
-    for p1 in perms:
-        rows = list(p1)
-        B = A1[rows, :]  # B[i, j] = H1[p1(i), j]
-        for p2 in perms:
-            cols = list(p2)
-            R = B[:, cols] / A2  # R[i, j] = H1[p1(i), p2(j)] / H2[i, j]
-            fac = _rank1_unimodular_factors(R, TOL_ENTRY)
-            if fac is None:
-                continue
-            a, b = fac
-            # H1[p1(i), p2(j)] = a_i b_j H2[i, j] rearranges to the defining
-            # equation H1 = D1 P1 H2 P2 D2 with D1 = diag(a) carried through
-            # P1, P2 = the inverse of the scanned column permutation, and
-            # D2 = diag(b) carried through it.
-            d1 = np.empty(d, dtype=np.complex128)
-            d1[rows] = a
-            d2 = np.empty(d, dtype=np.complex128)
-            d2[cols] = b
-            w = EquivalenceWitness(
-                kind=GENERAL,
-                p1=Permutation(d, tuple(p1)),
-                d1=DiagonalUnitary(d, d1),
-                p2=Permutation(d, tuple(p2)).inverse(),
-                d2=DiagonalUnitary(d, d2),
-            )
-            dev = _check_witness_general(H1, H2, w)
-            if dev > TOL_ENTRY:
-                raise errors.InvalidWitness(f"internal: witness deviates by {dev:.3e}")
-            return w
-    return None
+    return next(_witnesses(H1, H2, kind), None)
 
 
 def s_symmetries(H: HadamardMatrix) -> list:
@@ -320,32 +343,9 @@ def s_symmetries(H: HadamardMatrix) -> list:
 
     D is forced by P: from P H D = H, D = (1/d) H^dagger P^T H. The pair is
     kept iff that matrix is diagonal with unimodular diagonal. The identity
-    pair is always present.
+    pair is always present. All d! permutations are tried; d <= 8.
     """
-    d = H.d
-    if d > 8:
-        raise errors.SearchLimitExceeded("S-symmetry search supports d <= 8")
-    A = H.entries
-    out = []
-    for p in itertools.permutations(range(d)):
-        # (P^T H)[i, :] = H[p(i), :]
-        Dm = (A.conj().T @ A[list(p), :]) / d
-        off = Dm - np.diag(np.diag(Dm))
-        if np.max(np.abs(off)) > TOL_ENTRY:
-            continue
-        ph = np.diag(Dm).copy()
-        if np.max(np.abs(np.abs(ph) - 1.0)) > TOL_ENTRY:
-            continue
-        w = EquivalenceWitness(
-            kind=S_SYMMETRY,
-            p1=Permutation(d, tuple(p)),
-            d1=DiagonalUnitary(d, ph),
-        )
-        dev = np.max(np.abs(w.p1.matrix() @ A @ np.diag(ph) - A))
-        if dev > TOL_ENTRY:
-            raise errors.InvalidWitness(f"internal: symmetry deviates by {dev:.3e}")
-        out.append(w)
-    return out
+    return list(_witnesses(H, H, S_SYMMETRY))
 
 
 def apply_witness(H: HadamardMatrix, w: EquivalenceWitness) -> HadamardMatrix:
@@ -354,23 +354,12 @@ def apply_witness(H: HadamardMatrix, w: EquivalenceWitness) -> HadamardMatrix:
     For a witness found by find_equivalence(H1, H2, kind), apply_witness(H2, w)
     reconstructs H1.
     """
-    if w.kind == GENERAL:
-        m = w.d1.matrix() @ w.p1.matrix() @ H.entries @ w.p2.matrix() @ w.d2.matrix()
-    elif w.kind == P_EQUIV:
-        P = w.p1.matrix()
-        m = P @ w.d1.matrix() @ H.entries @ w.d2.matrix() @ P.T
-    else:
-        raise errors.UnknownName(f"apply_witness does not handle kind {w.kind!r}")
-    return validate(m)
+    return validate(_witness_rhs(H, w))
 
 
 def check_witness(H1: HadamardMatrix, H2: HadamardMatrix, w: EquivalenceWitness) -> float:
-    """Max entrywise deviation of the witness's defining equation."""
-    if w.kind == GENERAL:
-        return _check_witness_general(H1, H2, w)
-    if w.kind == P_EQUIV:
-        return _check_witness_p_equiv(H1, H2, w)
-    if w.kind == S_SYMMETRY:
-        rhs = w.p1.matrix() @ H1.entries @ w.d1.matrix()
-        return float(np.max(np.abs(rhs - H1.entries)))
-    raise errors.UnknownName(f"unknown witness kind {w.kind!r}")
+    """Max entrywise deviation of H1 from the witness's right-hand side at H2.
+
+    An S-symmetry relates H to itself, so it is checked with H1 = H2 = H.
+    """
+    return float(np.max(np.abs(H1.entries - _witness_rhs(H2, w))))

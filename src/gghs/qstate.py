@@ -60,9 +60,18 @@ def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _check_cap(n: int, d: int):
-    if d**n > DENSE_AMP_CAP:
-        raise errors.TooLarge(f"d**n = {d**n} exceeds the dense cap {DENSE_AMP_CAP}")
+def _dense_size(n: int, d: int, cap: int) -> int:
+    """d**n for n >= 0 and d >= 1, or TooLarge as soon as the running product passes cap.
+
+    The product stops at the first factor past cap, so a huge n never builds a
+    huge integer.
+    """
+    size = 1
+    for _ in range(n if d > 1 else 0):
+        size *= d
+        if size > cap:
+            raise errors.TooLarge(f"d**n with n={n}, d={d} exceeds the cap {cap}")
+    return size
 
 
 def _check_digits(n: int, d: int, digits: Sequence[int]):
@@ -93,8 +102,7 @@ def _apply_site(op: np.ndarray, site: int, d: int, A: np.ndarray) -> np.ndarray:
 
 def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
     _check_digits(n, d, digits)
-    _check_cap(n, d)
-    amps = np.zeros(d**n, dtype=np.complex128)
+    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
     amps[digits_to_index(d, digits)] = 1.0
     return StateVector(n=n, d=d, amps=amps)
 
@@ -139,7 +147,7 @@ def graph_state(
     n, d = G.n, H.d
     digits = tuple(input_digits) if input_digits is not None else (0,) * n
     _check_digits(n, d, digits)
-    _check_cap(n, d)
+    _dense_size(n, d, DENSE_AMP_CAP)
     u = H.entries / math.sqrt(d)
     T = reduce(np.multiply.outer, [u[:, int(c)] for c in digits], np.ones((), np.complex128))
     _edge_phases(H, G.edges, T)
@@ -151,8 +159,7 @@ def graph_state(
 def ghz(n: int, d: int) -> StateVector:
     if n < 1 or d < 2:
         raise errors.BadSize("ghz needs n >= 1 and d >= 2")
-    _check_cap(n, d)
-    amps = np.zeros(d**n, dtype=np.complex128)
+    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
     for i in range(d):
         amps[digits_to_index(d, (i,) * n)] = 1.0 / math.sqrt(d)
     return StateVector(n=n, d=d, amps=amps)
@@ -183,8 +190,7 @@ def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     H/sqrt(d) with each row scaled by the product of edge entries.
     """
     n, d = G.n, H.d
-    if d**n > DENSE_MATRIX_CAP:
-        raise errors.TooLarge(f"d**n = {d**n} exceeds the dense operator cap")
+    _dense_size(n, d, DENSE_MATRIX_CAP)
     u = H.entries / math.sqrt(d)
     U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
     phases = np.ones((d,) * n, dtype=np.complex128)

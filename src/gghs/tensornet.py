@@ -14,7 +14,7 @@ import numpy as np
 from . import errors
 from .graphs import Graph
 from .hadamard import HadamardMatrix
-from .qstate import DENSE_AMP_CAP, StateVector
+from .qstate import DENSE_AMP_CAP, StateVector, _dense_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +36,7 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     factor. The result is normalized.
     """
     n, d = G.n, H.d
-    if d**n > DENSE_AMP_CAP:
-        raise errors.TooLarge(f"d**n = {d**n} exceeds the dense cap")
+    _dense_size(n, d, DENSE_AMP_CAP)
     operands = []
     subscripts = []
     for u, v in G.edges:

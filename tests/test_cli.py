@@ -38,6 +38,10 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert code == 0
     assert obj["valid"] is False
     assert "reason" in obj
+    p.write_text(json.dumps({"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [float("nan"), 0]]]}))
+    code, obj = run_json(capsys, "validate", str(p))
+    assert code == 0
+    assert obj["valid"] is False
 
 
 def test_validate_missing_file_is_malformed(capsys):
@@ -113,6 +117,16 @@ def test_state_digit_count_checked(capsys):
     )
     assert code == 2
     assert obj["error"] == "malformed_input"
+
+
+def test_huge_register_is_too_large(capsys):
+    for argv in (
+        ("invariant", "--state", "ghz:20000:2"),
+        ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
+    ):
+        code, obj = run_json(capsys, *argv)
+        assert code == 1, argv
+        assert obj["error"] == "too_large"
 
 
 # ----------------------------------------------------------------- invariant
@@ -291,7 +305,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_bad_alpha_expression(capsys):
-    for spec in ("h_alpha:sys.exit", "h_alpha:2**3"):
+    for spec in ("h_alpha:sys.exit", "h_alpha:2**3", "h_alpha:1e999"):
         code, obj = run_json(capsys, "validate", spec)
         assert code == 2, spec
         assert obj["error"] == "malformed_input"

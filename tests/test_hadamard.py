@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,10 @@ def test_validate_fourier2_flags():
 def test_validate_rejects_zero_entries():
     with pytest.raises(errors.NotUnimodular):
         validate([[1, 0], [0, 1]])
+    # NaN compares False against every tolerance, so it needs its own check
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(errors.NotUnimodular):
+            validate([[1, 1], [1, bad]])
 
 
 def test_validate_rejects_non_hadamard():
@@ -171,7 +176,7 @@ def test_general_search_limit():
 
 @settings(max_examples=20)
 @given(
-    d=st.integers(min_value=2, max_value=3),
+    d=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_scrambled_fourier_is_recovered(d, seed):
@@ -190,6 +195,84 @@ def test_scrambled_fourier_is_recovered(d, seed):
     w = find_equivalence(scrambled, fourier(d), GENERAL)
     assert w is not None
     assert check_witness(scrambled, fourier(d), w) <= 1e-9
+
+
+def test_fourier6_not_equivalent_to_h_d6():
+    assert find_equivalence(fourier(6), catalog("h_d6"), GENERAL) is None
+    assert find_equivalence(catalog("h_d6"), fourier(6), GENERAL) is None
+
+
+def _reference_witness(H1, H2, kind):
+    """Exhaustive scan: the lex-first (p1, p2) with H1[p1(i), p2(j)] = a_i b_j H2[i, j].
+
+    General tries all d!^2 pairs, PEquiv the d! pairs p2 = p1. Returns the
+    maps and phases in the witness's conventions, or None.
+    """
+    d = H1.d
+    perms = list(itertools.permutations(range(d)))
+    pairs = ((p, p) for p in perms) if kind == P_EQUIV else itertools.product(perms, perms)
+    for p1, p2 in pairs:
+        R = H1.entries[np.ix_(p1, p2)] / H2.entries
+        a, b = R[:, 0], R[0, :] / R[0, 0]
+        if np.max(np.abs(R - np.outer(a, b))) > 1e-9:
+            continue
+        if kind == P_EQUIV:
+            return p1, a, None, b
+        d1 = np.empty(d, dtype=np.complex128)
+        d1[list(p1)] = a
+        d2 = np.empty(d, dtype=np.complex128)
+        d2[list(p2)] = b
+        return p1, d1, tuple(int(k) for k in np.argsort(p2)), d2
+    return None
+
+
+def _assert_matches_reference(H1, H2, kind):
+    ref = _reference_witness(H1, H2, kind)
+    w = find_equivalence(H1, H2, kind)
+    if ref is None:
+        assert w is None
+        return
+    p1, d1, p2, d2 = ref
+    assert w is not None and w.p1.map == p1
+    assert (w.p2.map if w.p2 is not None else None) == p2
+    np.testing.assert_allclose(w.d1.phases, d1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.d2.phases, d2, rtol=0, atol=1e-12)
+
+
+_SMALL = [(label, H) for label, H in full_catalog() if H.d <= 4]
+
+
+@pytest.mark.parametrize("kind", [GENERAL, P_EQUIV])
+def test_search_matches_exhaustive_scan_on_catalog_pairs(kind):
+    for l1, H1 in _SMALL:
+        for l2, H2 in _SMALL:
+            if H1.d == H2.d:
+                _assert_matches_reference(H1, H2, kind)
+
+
+@settings(max_examples=40)
+@given(
+    i=st.integers(min_value=0, max_value=len(_SMALL) - 1),
+    j=st.integers(min_value=0, max_value=len(_SMALL) - 1),
+    p_type=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_search_matches_exhaustive_scan_on_conjugates(i, j, p_type, seed):
+    """D1 P1 H P2 D2 (or P D1 H D2 P^T) with complex phases, against another catalog matrix."""
+    H, target = _SMALL[i][1], _SMALL[j][1]
+    if H.d != target.d:
+        target = H
+    d = H.d
+    rng = np.random.default_rng(seed)
+    P1 = np.eye(d)[rng.permutation(d)]
+    P2 = P1.T if p_type else np.eye(d)[rng.permutation(d)]
+    D1, D2 = (np.diag(np.exp(2j * PI * rng.random(d))) for _ in range(2))
+    if p_type:
+        conj = validate(P1 @ D1 @ H.entries @ D2 @ P2)
+    else:
+        conj = validate(D1 @ P1 @ H.entries @ P2 @ D2)
+    for kind in (GENERAL, P_EQUIV):
+        _assert_matches_reference(conj, target, kind)
 
 
 # --------------------------------------------------------------- s-symmetry
