@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import errors
-from .graphs import Graph
+from .graphs import Graph, build
 from .hadamard import HadamardMatrix, dephase
 from .qstate import (
     DENSE_MATRIX_CAP,
@@ -130,7 +130,7 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBound
     standard convention applies instead: the distance is the smallest weight
     at which some error has nonzero expectation in the code state.
     """
-    G, d, n = Q.graph, Q.hadamard.d, Q.graph.n
+    d, n = Q.hadamard.d, Q.graph.n
     _dense_size(n, d, DENSE_MATRIX_CAP)
     if max_weight > n:
         max_weight = n
@@ -160,7 +160,7 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
     B_j = (1/K)   sum_{wt(E)=j} Tr(P E P E^dagger), P the code projector.
     Both are local-unitary invariants; A_0 = B_0 = 1 and B_j >= A_j >= 0.
     """
-    G, d, n = Q.graph, Q.hadamard.d, Q.graph.n
+    d, n = Q.hadamard.d, Q.graph.n
     _dense_size(n, d, DENSE_MATRIX_CAP)
     V = Q.basis_matrix()
     K = Q.K
@@ -183,7 +183,6 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DecodedError:
-    full: np.ndarray                     # the conjugated operator on all n sites
     factorizes: bool
     site_operator: Optional[np.ndarray]  # present when the residual is small
     residual: float
@@ -192,27 +191,43 @@ class DecodedError:
 def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError:
     """Conjugate a single-site error by the encoding circuit.
 
-    Computes M = U^dagger E_site U densely and tries to factor M as a
-    single-site operator on E's own site tensored with identity. Diagonal E
-    commutes with every edge gate, so the factorization succeeds with site
-    operator (H/sqrt(d))^dagger E (H/sqrt(d)).
+    Computes M = U^dagger E_k U and tries to factor M as a single-site
+    operator on E's own site k tensored with identity. Diagonal E commutes
+    with every edge gate, so the factorization succeeds with site operator
+    (H/sqrt(d))^dagger E (H/sqrt(d)).
+
+    M is computed on the closed neighbourhood N[k] = {k} + neighbours(k)
+    only. U = D u^(x n) with u = H/sqrt(d) and D the diagonal edge phases:
+    edge gates not incident to k commute with E_k and cancel, and every site
+    outside N[k] sees u^dagger u = I, so M = M_loc (x) I_rest, where M_loc
+    is the same conjugation by the circuit of the graph on N[k] (its
+    vertices in their original order, so h[i_a, i_b] keeps its orientation
+    for a non-symmetric H) with only the edges incident to k. Site
+    operator, factorization and residual are then read off M_loc. This is
+    exact when u is unitary and the edge entries are unimodular; a matrix
+    that `validate` admits within ~1e-9 can move the residual by that order.
+    The d**n cap on the whole register is kept.
     """
     n, d = G.n, H.d
     if E.d != d:
         raise errors.DimensionMismatch(f"error d={E.d}, matrix d={d}")
     if not (0 <= E.site < n):
         raise errors.SiteOutOfRange(f"site {E.site} out of range for n={n}")
-    U = circuit_unitary(G, H)
-    M = U.conj().T @ _apply_site(E.matrix, E.site, d, U)
-    pre = d**E.site
-    post = d ** (n - E.site - 1)
+    _dense_size(n, d, DENSE_MATRIX_CAP)
+    nbrs = G.neighbors(E.site)
+    hood = sorted((E.site,) + nbrs)
+    site = hood.index(E.site)
+    local = build(len(hood), [(site, hood.index(v)) for v in nbrs])
+    U = circuit_unitary(local, H)
+    M = U.conj().T @ _apply_site(E.matrix, site, d, U)
+    pre = d**site
+    post = d ** (local.n - site - 1)
     Mt = M.reshape(pre, d, post, pre, d, post)
     S = np.einsum("paqpbq->ab", Mt) / (pre * post)
     approx = np.kron(np.kron(np.eye(pre), S), np.eye(post))
     residual = float(np.max(np.abs(M - approx)))
     ok = residual <= 1e-9
     return DecodedError(
-        full=M,
         factorizes=ok,
         site_operator=S if ok else None,
         residual=residual,

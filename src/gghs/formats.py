@@ -121,4 +121,6 @@ def state_from_obj(obj) -> StateVector:
     amps = pairs_to_complex(obj["amps"])
     if n < 0 or d < 1 or amps.shape != (_dense_size(n, d, DENSE_AMP_CAP),):
         raise ValueError(f"amps shape {amps.shape} does not match n={n}, d={d}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amps hold a non-finite value")
     return StateVector(n=n, d=d, amps=amps)

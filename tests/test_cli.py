@@ -123,6 +123,7 @@ def test_huge_register_is_too_large(capsys):
     for argv in (
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
+        ("decode-error", "--graph", "line:7", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"),
     ):
         code, obj = run_json(capsys, *argv)
         assert code == 1, argv
@@ -174,6 +175,16 @@ def test_invariant_rejects_unnormalized_state(tmp_path, capsys):
     p.write_text(json.dumps({"n": 2, "d": 2, "amps": amps}))
     code, obj = run_json(capsys, "invariant", "--state", str(p), "--i6")
     assert code == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_invariant_rejects_non_finite_state(tmp_path, capsys, bad):
+    p = tmp_path / "non_finite.json"
+    amps = [[0.0, 0.0]] * 7 + [[bad, 0.0]]
+    p.write_text(json.dumps({"n": 3, "d": 2, "amps": amps}))
+    code, obj = run_json(capsys, "invariant", "--state", str(p), "--i6")
+    assert code == 2
+    assert obj["error"] == "malformed_input"
 
 
 # --------------------------------------------------------------- stabilizers

@@ -9,8 +9,10 @@ from gghs import (
     ClassicalCode,
     LocalOperator,
     apply_local,
+    build,
     build_code,
     catalog,
+    circuit_unitary,
     decoded_error,
     encode,
     errors,
@@ -19,9 +21,14 @@ from gghs import (
     graph_state,
     kl_distance,
     overlap,
+    pauli_xz,
+    validate,
     weight_enumerators,
     weyl_operators,
 )
+from gghs.qstate import _apply_site
+
+from helpers import connected_graphs, full_catalog
 
 PI = math.pi
 
@@ -281,3 +288,58 @@ def test_decoded_error_site_range():
         decoded_error(
             family("triangle"), fourier(2), LocalOperator(d=2, site=4, matrix=np.eye(2))
         )
+
+
+def test_decoded_error_cap_is_kept():
+    # The neighbourhood of site 0 is two sites, but the d**n cap still applies.
+    with pytest.raises(errors.TooLarge):
+        decoded_error(
+            family("line", 7), fourier(4), LocalOperator(d=4, site=0, matrix=np.eye(4))
+        )
+
+
+def _whole_register_decoded(U, n, d, E):
+    """Reference: M = U^dagger E U with the dense circuit U on the whole register."""
+    M = U.conj().T @ _apply_site(E.matrix, E.site, d, U)
+    pre = d**E.site
+    post = d ** (n - E.site - 1)
+    S = np.einsum("paqpbq->ab", M.reshape(pre, d, post, pre, d, post)) / (pre * post)
+    residual = float(np.max(np.abs(M - np.kron(np.kron(np.eye(pre), S), np.eye(post)))))
+    return residual <= 1e-9, S, residual
+
+
+def _assert_matches_whole_register(G, H, rng, label):
+    d = H.d
+    X, Z = pauli_xz(d)
+    U = circuit_unitary(G, H)
+    for site in range(G.n):
+        for Emat in (X, Z, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+            E = LocalOperator(d=d, site=site, matrix=Emat)
+            ok, S, residual = _whole_register_decoded(U, G.n, d, E)
+            res = decoded_error(G, H, E)
+            assert res.factorizes == ok, (label, site)
+            assert abs(res.residual - residual) <= 1e-12, (label, site)
+            if ok:
+                assert np.max(np.abs(res.site_operator - S)) <= 1e-12, (label, site)
+
+
+def test_decoded_error_matches_whole_register_on_grid():
+    rng = np.random.default_rng(2015)
+    for hl, H in full_catalog():
+        for gl, G in connected_graphs(4):
+            if H.d**G.n <= 256:
+                _assert_matches_whole_register(G, H, rng, (hl, gl))
+
+
+def test_decoded_error_matches_whole_register_off_grid():
+    rng = np.random.default_rng(7)
+    # Columns of fourier:4 permuted: a non-symmetric matrix, so the edge
+    # orientation h[i_a, i_b] with a < b matters.
+    H = validate(fourier(4).entries[:, [2, 0, 3, 1]])
+    assert not H.symmetric
+    for gl in ("line", "cycle", "star", "complete"):
+        _assert_matches_whole_register(family(gl, 4), H, rng, gl)
+    # Site 0 is isolated, so its neighbourhood is the site alone.
+    G = build(4, [(1, 2), (2, 3)])
+    for H in (fourier(3), catalog("h_alpha", PI / 5)):
+        _assert_matches_whole_register(G, H, rng, "isolated")
