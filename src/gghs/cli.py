@@ -197,6 +197,8 @@ def resolve_operator(spec: str, d: int) -> np.ndarray:
     if not os.path.exists(spec):
         raise Malformed(f"{spec!r} is neither an operator shorthand nor an existing file")
     m = matrix_entries_from_json_path(spec)
+    if not np.isfinite(m).all():
+        raise Malformed(f"{spec!r}: operator entries must be finite")
     if m.shape != (d, d):
         raise errors.DimensionMismatch(f"operator shape {m.shape} does not match d={d}")
     return m
@@ -263,9 +265,12 @@ def cmd_state(args) -> dict:
     digits = _parse_digits(args.digits, G.n, H.d) if args.digits else None
     s = graph_state(G, H, input_digits=digits)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(state_to_obj(s)))
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(render_json(state_to_obj(s)))
+                fh.write("\n")
+        except OSError as exc:
+            raise Malformed(f"cannot write {args.out!r}: {exc}") from exc
         return {"n": s.n, "d": s.d, "norm": s.norm(), "written": args.out}
     obj = state_to_obj(s)
     return {"n": obj["n"], "d": obj["d"], "amps": obj["amps"]}

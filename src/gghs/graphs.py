@@ -8,6 +8,8 @@ from typing import Optional, Tuple
 
 from . import errors
 
+GRAPH_EDGE_CAP = 2**16  # most edges a named family may build
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -54,8 +56,24 @@ def build(n: int, edges) -> Graph:
     return Graph(n=n, edges=tuple(sorted(norm)))
 
 
+# name: (least n, edge count, edge list) of each sized family
+_FAMILIES = {
+    "star": (2, lambda n: n - 1, lambda n: [(0, j) for j in range(1, n)]),
+    "line": (2, lambda n: n - 1, lambda n: [(j, j + 1) for j in range(n - 1)]),
+    "cycle": (3, lambda n: n, lambda n: [(j, j + 1) for j in range(n - 1)] + [(0, n - 1)]),
+    "complete": (
+        1,
+        lambda n: n * (n - 1) // 2,
+        lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    ),
+}
+
+
 def family(name: str, n: Optional[int] = None) -> Graph:
-    """Named graph families: star, line, cycle, triangle, complete."""
+    """Named graph families: star, line, cycle, triangle, complete.
+
+    The edge count is checked against GRAPH_EDGE_CAP before any edge is built.
+    """
     if name == "triangle":
         if n not in (None, 3):
             raise errors.BadSize("triangle has exactly 3 vertices")
@@ -63,23 +81,17 @@ def family(name: str, n: Optional[int] = None) -> Graph:
     if n is None:
         raise errors.BadSize(f"family {name!r} needs a vertex count")
     n = int(n)
-    if name == "star":
-        if n < 2:
-            raise errors.BadSize("star needs n >= 2")
-        return build(n, [(0, j) for j in range(1, n)])
-    if name == "line":
-        if n < 2:
-            raise errors.BadSize("line needs n >= 2")
-        return build(n, [(j, j + 1) for j in range(n - 1)])
-    if name == "cycle":
-        if n < 3:
-            raise errors.BadSize("cycle needs n >= 3")
-        return build(n, [(j, j + 1) for j in range(n - 1)] + [(0, n - 1)])
-    if name == "complete":
-        if n < 1:
-            raise errors.BadSize("complete needs n >= 1")
-        return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    raise errors.UnknownName(f"unknown graph family {name!r}")
+    if name not in _FAMILIES:
+        raise errors.UnknownName(f"unknown graph family {name!r}")
+    least, edge_count, edge_list = _FAMILIES[name]
+    if n < least:
+        raise errors.BadSize(f"{name} needs n >= {least}")
+    n_edges = edge_count(n)
+    if n_edges > GRAPH_EDGE_CAP:
+        raise errors.TooLarge(
+            f"{name} graph with n={n} has {n_edges} edges, past the cap {GRAPH_EDGE_CAP}"
+        )
+    return build(n, edge_list(n))
 
 
 def bipartition(G: Graph) -> Optional[Tuple[frozenset, frozenset]]:

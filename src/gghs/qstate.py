@@ -82,12 +82,13 @@ def _check_digits(n: int, d: int, digits: Sequence[int]):
             raise errors.DigitOutOfRange(f"digit {x} out of range for d={d}")
 
 
-def _edge_phases(H: HadamardMatrix, edges, T: np.ndarray) -> None:
+def _edge_phases(h: np.ndarray, edges, T: np.ndarray) -> None:
     """Multiply T (axis k is site k) in place by h[i_a, i_b] for each edge, in sorted order."""
+    d = h.shape[0]
     for a, b in sorted(edges):
         shape = [1] * T.ndim
-        shape[a] = shape[b] = H.d
-        T *= (H.entries if a < b else H.entries.T).reshape(shape)
+        shape[a] = shape[b] = d
+        T *= (h if a < b else h.T).reshape(shape)
 
 
 def _apply_site(op: np.ndarray, site: int, d: int, A: np.ndarray) -> np.ndarray:
@@ -127,7 +128,7 @@ def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
         if not (0 <= site < s.n):
             raise errors.SiteOutOfRange(f"site {site} out of range for n={s.n}")
     T = s.tensor().astype(np.complex128)
-    _edge_phases(H, [(i, j)], T)
+    _edge_phases(H.entries, [(i, j)], T)
     return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
 
 
@@ -150,7 +151,7 @@ def graph_state(
     _dense_size(n, d, DENSE_AMP_CAP)
     u = H.entries / math.sqrt(d)
     T = reduce(np.multiply.outer, [u[:, int(c)] for c in digits], np.ones((), np.complex128))
-    _edge_phases(H, G.edges, T)
+    _edge_phases(H.entries, G.edges, T)
     psi = T.reshape(-1)
     psi /= np.linalg.norm(psi)
     return StateVector(n=n, d=d, amps=psi)
@@ -194,26 +195,43 @@ def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     u = H.entries / math.sqrt(d)
     U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
     phases = np.ones((d,) * n, dtype=np.complex128)
-    _edge_phases(H, G.edges, phases)
+    _edge_phases(H.entries, G.edges, phases)
     U *= phases.reshape(-1, 1)
     return U
 
 
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
-    """Diagonalize -sum_i U |0_i><0_i| U^dagger densely.
+    """Check the commuting parent Hamiltonian -sum_i U |0_i><0_i| U^dagger.
 
     Returns (gap, ground_dim, fidelity): the spectral gap above the ground
     energy, the ground-space dimension, and the overlap magnitude between the
-    ground space and the circuit's output state.
+    ground space and the graph state.
+
+    U = D u^(x n), with u = H/sqrt(d) and D the diagonal edge phases, is the
+    Hamiltonian's eigenbasis by construction: basis state c has energy
+    -(number of zero digits of c). gap and ground_dim are derived from that
+    diagonal, not computed, which holds because u is unitary within
+    validation's tolerance and the edge entries are unimodular; the ground
+    space is spanned by column 0 of U. The fidelity is computed: the inverse
+    circuit (conjugate edge phases, then u^dagger on every site) maps the
+    graph state psi to U^dagger psi, and fidelity = |(U^dagger psi)_0|.
+    Costs O(n d^(n+1)); neither U nor the Hamiltonian is built.
     """
+    if not H.symmetric:
+        raise errors.NotSymmetric("graph states need a symmetric matrix")
     n, d = G.n, H.d
-    U = circuit_unitary(G, H)
-    n_zero = (np.indices((d,) * n) == 0).sum(axis=0).reshape(-1).astype(np.float64)
-    Hmat = -(U * n_zero[None, :]) @ U.conj().T
-    w, v = np.linalg.eigh(Hmat)
+    # Only d**n amplitudes are allocated, but the operator cap is kept until
+    # the dense caps are revisited together.
+    _dense_size(n, d, DENSE_MATRIX_CAP)
+    T = graph_state(G, H).tensor()
+    _edge_phases(H.entries.conj(), G.edges, T)
+    u_dag = H.entries.conj().T / math.sqrt(d)
+    amps = T.reshape(-1)
+    for site in range(n):
+        amps = _apply_site(u_dag, site, d, amps)
+    fidelity = float(abs(amps[0]))
+    n_zero = (np.indices((d,) * n) == 0).sum(axis=0).reshape(-1)
+    w = np.sort(-n_zero.astype(np.float64))
     ground_dim = int(np.sum(w < w[0] + 1e-6))
     gap = float(w[ground_dim] - w[0]) if ground_dim < len(w) else float("inf")
-    psi = graph_state(G, H)
-    proj = v[:, :ground_dim].conj().T @ psi.amps
-    fidelity = float(np.linalg.norm(proj))
     return gap, ground_dim, fidelity

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ def test_state_digits_and_out_file(tmp_path, capsys):
     assert saved["n"] == 3 and saved["d"] == 3 and len(saved["amps"]) == 27
 
 
+def test_state_unwritable_out_is_malformed(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "state.json"
+    code, obj = run_json(
+        capsys, "state", "--graph", "line:2", "--hadamard", "fourier:2", "--out", str(out)
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+
+
 def test_state_digit_count_checked(capsys):
     code, obj = run_json(
         capsys, "state", "--graph", "triangle", "--hadamard", "fourier:3",
@@ -124,8 +134,12 @@ def test_huge_register_is_too_large(capsys):
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
         ("decode-error", "--graph", "line:7", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"),
+        ("state", "--graph", "line:1000000000", "--hadamard", "fourier:2"),
+        ("state", "--graph", "complete:1000000", "--hadamard", "fourier:2"),
     ):
+        start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
         assert obj["error"] == "too_large"
 
@@ -292,6 +306,19 @@ def test_decode_error_command(capsys):
     assert code == 0
     assert obj["factorizes"] is False
     assert obj["site_operator"] is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_decode_error_rejects_non_finite_op(tmp_path, capsys, bad):
+    p = tmp_path / "op.json"
+    p.write_text(json.dumps({"d": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]}))
+    code, obj = run_json(
+        capsys,
+        "decode-error", "--graph", "line:3", "--hadamard", "fourier:2",
+        "--site", "0", "--op", str(p),
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
 
 
 # ------------------------------------------------------------------- plumbing

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gghs import bipartition, build, errors, family
+from gghs.graphs import GRAPH_EDGE_CAP
 
 
 def test_build_normalizes_and_dedups():
@@ -55,6 +56,13 @@ def test_family_errors():
         family("triangle", 4)
     with pytest.raises(errors.BadSize):
         family("line")
+
+
+def test_family_edge_cap():
+    assert len(family("line", GRAPH_EDGE_CAP + 1).edges) == GRAPH_EDGE_CAP
+    for name, n in (("line", GRAPH_EDGE_CAP + 2), ("cycle", GRAPH_EDGE_CAP + 1), ("complete", 363)):
+        with pytest.raises(errors.TooLarge, match=f"n={n} has"):
+            family(name, n)
 
 
 def test_bipartition_examples():

@@ -10,6 +10,7 @@ from gghs import (
     apply_ch,
     apply_local,
     basis_state,
+    build,
     catalog,
     circuit_unitary,
     digits_to_index,
@@ -25,6 +26,8 @@ from gghs import (
     reorder_qudits,
     validate,
 )
+from gghs import qstate
+from gghs.qstate import DENSE_MATRIX_CAP
 from helpers import connected_graphs, full_catalog
 
 PI = math.pi
@@ -313,6 +316,59 @@ def test_hamiltonian_ground_check_examples():
     assert dim == 1
     assert abs(gap - 1.0) <= 1e-9
     assert fid >= 1.0 - 1e-9
+
+
+def _dense_ground_check(G, H):
+    """Diagonalize -sum_i U |0_i><0_i| U^dagger densely (oracle, d**n <= 256)."""
+    n, d = G.n, H.d
+    U = circuit_unitary(G, H)
+    n_zero = (np.indices((d,) * n) == 0).sum(axis=0).reshape(-1).astype(np.float64)
+    Hmat = -(U * n_zero[None, :]) @ U.conj().T
+    w, v = np.linalg.eigh(Hmat)
+    ground_dim = int(np.sum(w < w[0] + 1e-6))
+    gap = float(w[ground_dim] - w[0]) if ground_dim < len(w) else float("inf")
+    psi = graph_state(G, H)
+    proj = v[:, :ground_dim].conj().T @ psi.amps
+    fidelity = float(np.linalg.norm(proj))
+    return gap, ground_dim, fidelity
+
+
+def _assert_matches_dense(G, H, msg):
+    gap, dim, fid = hamiltonian_ground_check(G, H)
+    want_gap, want_dim, want_fid = _dense_ground_check(G, H)
+    assert dim == want_dim, msg
+    assert math.isclose(gap, want_gap, rel_tol=0.0, abs_tol=1e-12), (msg, gap, want_gap)
+    assert abs(fid - want_fid) <= 1e-12, (msg, fid, want_fid)
+
+
+def test_hamiltonian_ground_check_matches_dense_eigh_on_grid():
+    for label, H in full_catalog():
+        for gname, G in connected_graphs(5):
+            if H.d**G.n <= 256:
+                _assert_matches_dense(G, H, f"{label} {gname}")
+
+
+def test_hamiltonian_ground_check_edge_cases_match_dense_eigh():
+    gap, dim, fid = hamiltonian_ground_check(family("line", 3), fourier(1))
+    assert (gap, dim) == (float("inf"), 1)
+    _assert_matches_dense(family("line", 3), fourier(1), "fourier:1")
+    _assert_matches_dense(build(3, []), fourier(3), "no edges")
+    _assert_matches_dense(build(4, [(1, 2), (2, 3)]), catalog("h_alpha", PI / 5), "isolated vertex")
+    D = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
+    _assert_matches_dense(family("line", 3), validate(D @ fourier(3).entries @ D), "not dephased")
+
+
+def test_hamiltonian_check_rejects_non_symmetric_before_dense_work(monkeypatch):
+    def dense_work(*args, **kwargs):
+        raise AssertionError("dense work before the symmetry check")
+
+    monkeypatch.setattr(qstate, "circuit_unitary", dense_work)
+    monkeypatch.setattr(qstate, "graph_state", dense_work)
+    rolled = validate(np.roll(fourier(4).entries, 1, axis=0))
+    G = family("line", 6)
+    assert rolled.d**G.n == DENSE_MATRIX_CAP
+    with pytest.raises(errors.NotSymmetric):
+        hamiltonian_ground_check(G, rolled)
 
 
 def test_hamiltonian_check_size_cap():
