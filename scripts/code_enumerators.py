@@ -7,7 +7,6 @@ weight enumerator pairs so the inequivalence is visible at a glance.
 
 import argparse
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,10 @@ from gghs import (
 from gghs.errors import LowerBoundExceeded
 
 
-@dataclass
-class Config:
-    alpha: float = math.pi / 5
-    max_weight: int = 3
-
-
-def report(label, Q, cfg: Config) -> np.ndarray:
+def report(label, Q, max_weight: int) -> np.ndarray:
     V = Q.basis_matrix()
     gram = np.max(np.abs(V.conj().T @ V - np.eye(Q.K)))
-    dist = kl_distance(Q, max_weight=cfg.max_weight)
+    dist = kl_distance(Q, max_weight=max_weight)
     if isinstance(dist, LowerBoundExceeded):
         dist_text = f"> {dist.max_weight}"
     else:
@@ -45,12 +38,12 @@ def report(label, Q, cfg: Config) -> np.ndarray:
     return np.concatenate([A, B])
 
 
-def run(cfg: Config) -> None:
+def run(alpha: float, max_weight: int) -> None:
     C = ClassicalCode(n=3, d=4, words=((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
     G = family("triangle")
-    ea = report(f"h_alpha({cfg.alpha:.6f}) repetition code", build_code(G, catalog("h_alpha", cfg.alpha), C), cfg)
+    ea = report(f"h_alpha({alpha:.6f}) repetition code", build_code(G, catalog("h_alpha", alpha), C), max_weight)
     print()
-    ef = report("fourier(4) repetition code", build_code(G, fourier(4), C), cfg)
+    ef = report("fourier(4) repetition code", build_code(G, fourier(4), C), max_weight)
     print()
     print(f"max enumerator difference {np.max(np.abs(ea - ef)):.7f}")
 
@@ -60,7 +53,7 @@ def main() -> None:
     ap.add_argument("--alpha", type=float, default=math.pi / 5)
     ap.add_argument("--max-weight", type=int, default=3)
     args = ap.parse_args()
-    run(Config(alpha=args.alpha, max_weight=args.max_weight))
+    run(args.alpha, args.max_weight)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ circuit, Knill-Laflamme distance, weight enumerators, and decoded errors."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -104,52 +105,54 @@ def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:
     return [((a, b), xs[a] @ zs[b]) for a in range(d) for b in range(d)]
 
 
-def _apply_site_ops(V: np.ndarray, d: int, sites, ops) -> np.ndarray:
-    """Apply single-site operators to every column of V (shape d**n x K)."""
-    for site, op in zip(sites, ops):
-        V = _apply_site(op, site, d, V)
-    return V
+def _splits(Q: QuantumCode, weights):
+    """Yield (w, M) for each site subset S with |S| = w in weights.
+
+    M is the basis as a (d**w, d**(n-w), K) array over S, the rest and the
+    codeword. d = 1 has no nontrivial error and is refused before any work."""
+    d, n = Q.hadamard.d, Q.graph.n
+    if d < 2:
+        raise errors.BadSize("codes need d >= 2")
+    _dense_size(n, d, DENSE_MATRIX_CAP)
+    T = Q.basis_matrix().reshape((d,) * n + (Q.K,))
+    for w in weights:
+        for S in itertools.combinations(range(n), w):
+            rest = [k for k in range(n) if k not in S]
+            yield w, T.transpose(list(S) + rest + [n]).reshape(d**w, -1, Q.K)
 
 
-def _error_iter(n: int, d: int, weight: int, nontrivial):
-    """Yield (sites, ops) for every weight-`weight` error, lexicographically."""
-    for sites in itertools.combinations(range(n), weight):
-        for choice in itertools.product(nontrivial, repeat=weight):
-            yield sites, [op for _, op in choice]
+def _kl_holds(M: np.ndarray) -> bool:
+    """Whether all blocks R_ij = Tr_rest |psi_i><psi_j| of M equal delta_ij sigma,
+    checked one row i (K d^(2w) entries) at a time beside a conjugated copy of M."""
+    ds, dr, K = M.shape
+    flat = M.reshape(ds, -1)
+    sigma = flat @ flat.conj().T / K if K > 1 else np.eye(ds) / ds
+    right = M.conj().transpose(1, 2, 0).reshape(dr, K * ds)
+    for i in range(K):
+        X = (M[:, :, i] @ right).reshape(ds, K, ds)  # X[s, j, t] = R_ij[s, t]
+        X[:, i, :] -= sigma
+        if np.max(np.abs(X)) > KL_TOL:
+            return False
+    return True
 
 
 def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBoundExceeded]:
     """Smallest error weight violating the Knill-Laflamme condition.
 
-    Errors are tensor products of single-site X^a Z^b over supports of size
-    1..max_weight. Violation means ||PEP - lambda*P||_max > 1e-9 with
-    lambda = Tr(PEP)/K. If no tested weight violates, the LowerBoundExceeded
-    marker carrying max_weight is returned (not raised).
-
-    One-dimensional codes satisfy the condition for every error; for them the
-    standard convention applies instead: the distance is the smallest weight
-    at which some error has nonzero expectation in the code state.
+    Erasure form (Knill & Laflamme 1997): every error on a site set S obeys
+    it iff X_ij = Tr_{S^c}|psi_i><psi_j| - delta_ij sigma_S vanishes, sigma_S
+    the mean of the diagonal blocks (I/d^w for K = 1: a one-dimensional
+    code's distance is the least weight of an error with nonzero expectation).
+    Returns the first w with some |S| = w and max|X_ij| > KL_TOL, else the
+    LowerBoundExceeded marker carrying min(max_weight, n) (not raised). For E
+    on S and delta = V^dagger E V minus its mean diagonal,
+    ||V delta V^dagger||_max <= K d^w max||X_ij||_max and
+    ||X_ij||_max <= d^(w+n) max_E ||V delta V^dagger||_max.
     """
-    d, n = Q.hadamard.d, Q.graph.n
-    _dense_size(n, d, DENSE_MATRIX_CAP)
-    if max_weight > n:
-        max_weight = n
-    V = Q.basis_matrix()
-    K = Q.K
-    nontrivial = [(ab, op) for ab, op in weyl_operators(d) if ab != (0, 0)]
-    for w in range(1, max_weight + 1):
-        for sites, ops in _error_iter(n, d, w, nontrivial):
-            EV = _apply_site_ops(V, d, sites, ops)
-            M = V.conj().T @ EV
-            if K == 1:
-                if abs(M[0, 0]) > KL_TOL:
-                    return w
-                continue
-            lam = np.trace(M) / K
-            delta = M - lam * np.eye(K)
-            dev = np.max(np.abs(V @ delta @ V.conj().T))
-            if dev > KL_TOL:
-                return w
+    max_weight = min(max_weight, Q.graph.n)
+    for w, M in _splits(Q, range(1, max_weight + 1)):
+        if not _kl_holds(M):
+            return w
     return errors.LowerBoundExceeded(max_weight)
 
 
@@ -158,27 +161,23 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
 
     A_j = (1/K^2) sum_{wt(E)=j} |Tr(PE)|^2 and
     B_j = (1/K)   sum_{wt(E)=j} Tr(P E P E^dagger), P the code projector.
-    Both are local-unitary invariants; A_0 = B_0 = 1 and B_j >= A_j >= 0.
+    Both are local-unitary invariants; A_0 = B_0 = 1 and B_j >= A_j >= 0 up
+    to residues of order 1e-15. Rains's identities (Rains 1998) sum the errors
+    within S to d^|S| Tr(P_S^2) for A and d^|S| Tr(P_{S^c}^2) for B; with
+    a_k = d^k sum_{|S|=k} Tr(P_S^2), A_j = sum_{k<=j} (-1)^(j-k) C(n-k, j-k)
+    a_k / K^2, and B_j is the same over b_k = d^k sum_{|S|=n-k} Tr(P_S^2),
+    divided by K. Each of the 2^n purities comes from the smaller Gram side.
     """
-    d, n = Q.hadamard.d, Q.graph.n
-    _dense_size(n, d, DENSE_MATRIX_CAP)
-    V = Q.basis_matrix()
-    K = Q.K
-    A = np.zeros(n + 1)
-    B = np.zeros(n + 1)
-    A[0] = 1.0
-    B[0] = 1.0
-    nontrivial = [(ab, op) for ab, op in weyl_operators(d) if ab != (0, 0)]
-    for j in range(1, n + 1):
-        a_sum = 0.0
-        b_sum = 0.0
-        for sites, ops in _error_iter(n, d, j, nontrivial):
-            M = V.conj().T @ _apply_site_ops(V, d, sites, ops)
-            a_sum += abs(np.trace(M)) ** 2
-            b_sum += float(np.sum(np.abs(M) ** 2))
-        A[j] = a_sum / K**2
-        B[j] = b_sum / K
-    return A, B
+    n, d, K = Q.graph.n, Q.hadamard.d, Q.K
+    p = np.zeros(n + 1)
+    for w, M in _splits(Q, range(n + 1)):
+        flat = M.reshape(d**w, -1)
+        gram = flat @ flat.conj().T if d**w <= flat.shape[1] else flat.conj().T @ flat
+        p[w] += np.sum(np.abs(gram) ** 2)
+    scale = float(d) ** np.arange(n + 1)
+    C = np.array([[(-1) ** (j - k) * math.comb(n - k, j - k) if k <= j else 0
+                   for k in range(n + 1)] for j in range(n + 1)])
+    return C @ (scale * p) / K**2, C @ (scale * p[::-1]) / K
 
 
 @dataclass(frozen=True, eq=False)

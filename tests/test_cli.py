@@ -129,13 +129,19 @@ def test_state_digit_count_checked(capsys):
     assert obj["error"] == "malformed_input"
 
 
-def test_huge_register_is_too_large(capsys):
+def test_huge_register_is_too_large(tmp_path, capsys):
+    # d = 1 has d**n = 1, so only the site cap stops these.
+    one_amp = tmp_path / "d1.json"
+    one_amp.write_text(json.dumps({"n": 100, "d": 1, "amps": [[1.0, 0.0]]}))
     for argv in (
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
         ("decode-error", "--graph", "line:7", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"),
         ("state", "--graph", "line:1000000000", "--hadamard", "fourier:2"),
         ("state", "--graph", "complete:1000000", "--hadamard", "fourier:2"),
+        ("state", "--graph", "line:65", "--hadamard", "fourier:1"),
+        ("peps-check", "--graph", "line:53", "--hadamard", "fourier:1"),
+        ("invariant", "--state", str(one_amp), "--rdm", "0"),
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
@@ -286,6 +292,20 @@ def test_code_enumerators(tmp_path, capsys):
     assert obj["K"] == 4
     np.testing.assert_allclose(obj["A"], [1, 0, 9, 6], atol=1e-6)
     np.testing.assert_allclose(obj["B"], [1, 9, 27, 219], atol=1e-6)
+
+
+def test_code_d1_is_bad_size_before_any_work(tmp_path, capsys):
+    words = tmp_path / "zero.txt"
+    words.write_text("0" * 20 + "\n")
+    start = time.perf_counter()
+    code, obj = run_json(
+        capsys,
+        "code", "--graph", "line:20", "--hadamard", "fourier:1",
+        "--classical", str(words), "--enumerators",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert obj["error"] == "bad_size"
 
 
 def test_decode_error_command(capsys):

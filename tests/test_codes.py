@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gghs import (
     ClassicalCode,
     LocalOperator,
+    QuantumCode,
     apply_local,
     build,
     build_code,
@@ -26,7 +28,8 @@ from gghs import (
     weight_enumerators,
     weyl_operators,
 )
-from gghs.qstate import _apply_site
+from gghs import codes
+from gghs.qstate import _apply_site, index_to_digits
 
 from helpers import connected_graphs, full_catalog
 
@@ -142,6 +145,18 @@ def test_lower_bound_marker():
     assert res.max_weight == 1
 
 
+def test_lower_bound_marker_is_capped_at_n(monkeypatch):
+    # Every code violates the condition on the whole register (R_ij there is
+    # |psi_i><psi_j| itself), so a scan past n always stops at some w <= n.
+    Q = build_code(family("triangle"), fourier(2), ClassicalCode(3, 2, ((0, 0, 0),)))
+    assert kl_distance(Q, max_weight=7) == kl_distance(Q, max_weight=3) == 2
+    # With every subset passing, the marker carries n, not max_weight.
+    monkeypatch.setattr(codes, "_kl_holds", lambda M: True)
+    res = kl_distance(Q, max_weight=7)
+    assert isinstance(res, errors.LowerBoundExceeded)
+    assert res.max_weight == 3
+
+
 def test_repetition_code_distance_regression():
     """Computed value for the (triangle, alpha=pi/5, repetition) code.
 
@@ -216,6 +231,118 @@ def test_enumerators_local_unitary_invariant(seed):
     A2, B2 = weight_enumerators(Q2)
     np.testing.assert_allclose(A, A2, atol=1e-8)
     np.testing.assert_allclose(B, B2, atol=1e-8)
+
+
+# ------------------------------------ reduced operators vs the Weyl-error loop
+
+
+def _weyl_errors(n, d, weight):
+    """Every weight-`weight` Weyl error as (sites, ops), lexicographically."""
+    nontrivial = [op for ab, op in weyl_operators(d) if ab != (0, 0)]
+    for sites in itertools.combinations(range(n), weight):
+        for ops in itertools.product(nontrivial, repeat=weight):
+            yield sites, ops
+
+
+def _apply_error(V, d, sites, ops):
+    for site, op in zip(sites, ops):
+        V = _apply_site(op, site, d, V)
+    return V
+
+
+def _weyl_kl_distance(Q, max_weight):
+    """Reference: ||V delta V^dagger||_max > KL_TOL over every Weyl error.
+
+    delta = V^dagger E V minus its mean diagonal; for K = 1 the first error
+    with a nonzero expectation sets the distance.
+    """
+    d, n, K = Q.hadamard.d, Q.graph.n, Q.K
+    max_weight = min(max_weight, n)
+    V = Q.basis_matrix()
+    for w in range(1, max_weight + 1):
+        for sites, ops in _weyl_errors(n, d, w):
+            M = V.conj().T @ _apply_error(V, d, sites, ops)
+            if K == 1:
+                if abs(M[0, 0]) > codes.KL_TOL:
+                    return w
+                continue
+            delta = M - np.trace(M) / K * np.eye(K)
+            if np.max(np.abs(V @ delta @ V.conj().T)) > codes.KL_TOL:
+                return w
+    return errors.LowerBoundExceeded(max_weight)
+
+
+def _weyl_enumerators(Q):
+    """Reference: the Shor-Laflamme sums taken error by error."""
+    d, n, K = Q.hadamard.d, Q.graph.n, Q.K
+    V = Q.basis_matrix()
+    A = np.ones(n + 1)
+    B = np.ones(n + 1)
+    for j in range(1, n + 1):
+        a_sum = b_sum = 0.0
+        for sites, ops in _weyl_errors(n, d, j):
+            M = V.conj().T @ _apply_error(V, d, sites, ops)
+            a_sum += abs(np.trace(M)) ** 2
+            b_sum += float(np.sum(np.abs(M) ** 2))
+        A[j] = a_sum / K**2
+        B[j] = b_sum / K
+    return A, B
+
+
+def _marker(res):
+    return ("exceeds", res.max_weight) if isinstance(res, errors.LowerBoundExceeded) else res
+
+
+def _assert_matches_weyl(Q, label):
+    n = Q.graph.n
+    for w in range(1, n + 1):
+        assert _marker(kl_distance(Q, w)) == _marker(_weyl_kl_distance(Q, w)), (label, w)
+    for got, want in zip(weight_enumerators(Q), _weyl_enumerators(Q)):
+        assert got.shape == want.shape == (n + 1,), label
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), (label, got, want)
+
+
+def test_codes_match_weyl_loop_on_grid():
+    rng = np.random.default_rng(2015)
+    count = 0
+    for hl, H in full_catalog():
+        if not H.symmetric:
+            continue
+        for gl, G in connected_graphs(4):
+            d, n = H.d, G.n
+            if d**n > 32:
+                continue
+            for K in sorted({1, 2, d}):
+                idx = sorted(rng.choice(d**n, size=K, replace=False))
+                C = ClassicalCode(n, d, tuple(index_to_digits(n, d, int(k)) for k in idx))
+                _assert_matches_weyl(build_code(G, H, C), (hl, gl, K))
+                count += 1
+    assert count == 67
+
+
+def test_codes_match_weyl_loop_off_grid():
+    for H in (fourier(4), catalog("h_alpha", PI / 5)):
+        _assert_matches_weyl(build_code(family("triangle"), H, repetition(3, 4)), H.d)
+    # A code that is no graph code: each site of the basis locally rotated.
+    rng = np.random.default_rng(5)
+    G = family("triangle")
+    C = repetition(3, 3)
+    Q = build_code(G, fourier(3), C)
+    us = [_random_unitary(rng, 3) for _ in range(3)]
+    rotated = []
+    for b in Q.basis:
+        for site, u in enumerate(us):
+            b = apply_local(LocalOperator(d=3, site=site, matrix=u), b)
+        rotated.append(b)
+    _assert_matches_weyl(QuantumCode(G, fourier(3), C, tuple(rotated)), "rotated")
+
+
+def test_codes_refuse_d1():
+    Q = build_code(family("line", 20), fourier(1), ClassicalCode(20, 1, ((0,) * 20,)))
+    with pytest.raises(errors.BadSize):
+        kl_distance(Q, max_weight=20)
+    with pytest.raises(errors.BadSize):
+        weight_enumerators(Q)
 
 
 # ---------------------------------------------------------------- weyl basis
