@@ -23,7 +23,7 @@ from gghs.errors import LowerBoundExceeded
 
 
 def report(label, Q, max_weight: int) -> np.ndarray:
-    V = Q.basis_matrix()
+    V = Q.basis
     gram = np.max(np.abs(V.conj().T @ V - np.eye(Q.K)))
     dist = kl_distance(Q, max_weight=max_weight)
     if isinstance(dist, LowerBoundExceeded):

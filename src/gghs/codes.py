@@ -14,11 +14,13 @@ from . import errors
 from .graphs import Graph, build
 from .hadamard import HadamardMatrix, dephase
 from .qstate import (
+    DENSE_AMP_CAP,
     DENSE_MATRIX_CAP,
     LocalOperator,
     StateVector,
     _apply_site,
     _dense_size,
+    _encode,
     circuit_unitary,
     graph_state,
 )
@@ -34,6 +36,8 @@ class ClassicalCode:
     words: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.words:
+            raise errors.BadSize("no codewords in input")
         seen = set()
         for w in self.words:
             if len(w) != self.n:
@@ -54,9 +58,7 @@ class ClassicalCode:
             if not line:
                 continue
             words.append(tuple(int(ch) for ch in line))
-        if not words:
-            raise errors.BadSize("no codewords in input")
-        return ClassicalCode(n=len(words[0]), d=d, words=tuple(words))
+        return ClassicalCode(n=len(words[0]) if words else 0, d=d, words=tuple(words))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +66,11 @@ class QuantumCode:
     graph: Graph
     hadamard: HadamardMatrix
     classical: ClassicalCode
-    basis: Tuple[StateVector, ...]
+    basis: np.ndarray  # (d**n, K): column j encodes classical.words[j]
 
     @property
     def K(self) -> int:
-        return len(self.basis)
-
-    def basis_matrix(self) -> np.ndarray:
-        return np.stack([b.amps for b in self.basis], axis=1)
+        return self.basis.shape[1]
 
 
 def encode(G: Graph, H: HadamardMatrix, c: Sequence[int]) -> StateVector:
@@ -85,16 +84,34 @@ def encode(G: Graph, H: HadamardMatrix, c: Sequence[int]) -> StateVector:
 
 
 def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
-    if C.n != G.n:
-        raise errors.DimensionMismatch(f"code length {C.n} != vertex count {G.n}")
-    if C.d != H.d:
-        raise errors.DimensionMismatch(f"code alphabet {C.d} != matrix dimension {H.d}")
-    basis = tuple(encode(G, H, w) for w in C.words)
-    V = np.stack([b.amps for b in basis], axis=1)
-    gram_dev = float(np.max(np.abs(V.conj().T @ V - np.eye(len(basis)))))
+    """Encode every word of C in one pass; the basis is read-only.
+
+    Each column is normalized on its own, exactly as encode does it, and the
+    d**n * K amplitudes are capped before any is built.
+    """
+    n, d, K = G.n, H.d, len(C.words)
+    if C.n != n:
+        raise errors.DimensionMismatch(f"code length {C.n} != vertex count {n}")
+    if C.d != d:
+        raise errors.DimensionMismatch(f"code alphabet {C.d} != matrix dimension {d}")
+    hd = H if H.dephased else dephase(H)[2]
+    if not hd.symmetric:
+        raise errors.NotSymmetric("graph states need a symmetric matrix")
+    size = _dense_size(n, d, DENSE_AMP_CAP)
+    if size * K > DENSE_AMP_CAP:
+        raise errors.TooLarge(
+            f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}"
+        )
+    V = _encode(G, hd, C.words).reshape(size, K)
+    for col in V.T:
+        col /= np.linalg.norm(col)
+    gram = V.conj().T @ V
+    gram[np.diag_indices(K)] -= 1.0
+    gram_dev = float(np.max(np.abs(gram)))
     if gram_dev > 1e-9:
         raise errors.GramNotIdentity(f"gram deviates from identity by {gram_dev:.3e}")
-    return QuantumCode(graph=G, hadamard=H, classical=C, basis=basis)
+    V.flags.writeable = False
+    return QuantumCode(graph=G, hadamard=H, classical=C, basis=V)
 
 
 def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:
@@ -114,7 +131,7 @@ def _splits(Q: QuantumCode, weights):
     if d < 2:
         raise errors.BadSize("codes need d >= 2")
     _dense_size(n, d, DENSE_MATRIX_CAP)
-    T = Q.basis_matrix().reshape((d,) * n + (Q.K,))
+    T = Q.basis.reshape((d,) * n + (Q.K,))
     for w in weights:
         for S in itertools.combinations(range(n), w):
             rest = [k for k in range(n) if k not in S]

@@ -91,10 +91,6 @@ def pairs_to_complex(obj) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def matrix_to_obj(d: int, entries: np.ndarray) -> dict:
-    return {"d": d, "entries": complex_pairs(entries)}
-
-
 def matrix_entries_from_obj(obj) -> np.ndarray:
     d = int(obj["d"])
     entries = pairs_to_complex(obj["entries"])

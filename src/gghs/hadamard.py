@@ -56,10 +56,6 @@ class Permutation:
             inv[j] = i
         return Permutation(self.d, tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        # (self o other)|i> = self(other(i))
-        return Permutation(self.d, tuple(self.map[j] for j in other.map))
-
 
 GENERAL = "General"
 P_EQUIV = "PEquiv"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,6 +103,24 @@ def _apply_site(op: np.ndarray, site: int, d: int, A: np.ndarray) -> np.ndarray:
     return out.reshape(A.shape)
 
 
+def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
+    """Columns D u^(x n)|w> of the encoding circuit for the K words w (rows).
+
+    With u = H/sqrt(d), column w has amplitude
+    psi_w(i) = prod_k u[i_k, w_k] * prod_{(a,b) in E} h[i_a, i_b] at digits i:
+    every site carries column w_k of u and every edge gate multiplies in
+    h[i_a, i_b]. Returns the unnormalized (d,)*n + (K,) tensor, the word on
+    the trailing axis. Callers check symmetry, digits and the size cap.
+    """
+    u = H.entries / math.sqrt(H.d)
+    words = np.asarray(words, dtype=np.intp)
+    T = np.ones(len(words), np.complex128)
+    for c in words.T:
+        T = T[..., None, :] * u[:, c]
+    _edge_phases(H.entries, G.edges, T)
+    return T
+
+
 def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
     _check_digits(n, d, digits)
     amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
@@ -140,11 +157,9 @@ def graph_state(
 ) -> StateVector:
     """The graph state of G over H with input digits c (default all zeros).
 
-    With u = H/sqrt(d), the amplitude at digits i is the closed form
-    psi(i) = prod_k u[i_k, c_k] * prod_{(a,b) in E} h[i_a, i_b]: every site
-    carries column c_k of u and every edge gate multiplies in h[i_a, i_b].
-    The result is divided by its norm, which absorbs the small deviation
-    from unitarity that validation admits.
+    This is the encoding circuit's column for word c (see _encode), divided
+    by its norm, which absorbs the small deviation from unitarity that
+    validation admits.
     """
     if not H.symmetric:
         raise errors.NotSymmetric("graph states need a symmetric matrix")
@@ -152,10 +167,7 @@ def graph_state(
     digits = tuple(input_digits) if input_digits is not None else (0,) * n
     _check_digits(n, d, digits)
     _dense_size(n, d, DENSE_AMP_CAP)
-    u = H.entries / math.sqrt(d)
-    T = reduce(np.multiply.outer, [u[:, int(c)] for c in digits], np.ones((), np.complex128))
-    _edge_phases(H.entries, G.edges, T)
-    psi = T.reshape(-1)
+    psi = _encode(G, H, [digits]).reshape(-1)
     psi /= np.linalg.norm(psi)
     return StateVector(n=n, d=d, amps=psi)
 
@@ -190,17 +202,12 @@ def reorder_qudits(s: StateVector, perm: Sequence[int]) -> StateVector:
 def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     """Dense matrix of the full encoding circuit.
 
-    Column c is the circuit applied to basis state c: the Kronecker power of
-    H/sqrt(d) with each row scaled by the product of edge entries.
+    Column c is the circuit applied to basis state c (see _encode).
     """
     n, d = G.n, H.d
-    _dense_size(n, d, DENSE_MATRIX_CAP)
-    u = H.entries / math.sqrt(d)
-    U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
-    phases = np.ones((d,) * n, dtype=np.complex128)
-    _edge_phases(H.entries, G.edges, phases)
-    U *= phases.reshape(-1, 1)
-    return U
+    size = _dense_size(n, d, DENSE_MATRIX_CAP)
+    words = np.indices((d,) * n).reshape(n, size).T
+    return _encode(G, H, words).reshape(size, size)
 
 
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):

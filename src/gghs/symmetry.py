@@ -87,15 +87,34 @@ def _diag_power(phases: np.ndarray, k: int) -> np.ndarray:
     return np.diag(phases.conj() ** (-k))
 
 
-def _verify_lu(G, H1, H2, unitaries) -> None:
-    s1 = graph_state(G, H1)
-    s2 = graph_state(G, H2)
-    built = s1
+def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
+    """Per-site unitaries M @ diag(conj(H1'[:, c]))^deg for (M, c) = factor(site).
+
+    H1' is the dephased form of H1 and H2 = apply_witness(H1, w). Diagonal
+    corrections splice in when either matrix is not dephased. The composite
+    is verified by overlap before it is returned.
+    """
+    H2 = apply_witness(H1, w)
+    if not H2.symmetric or not H1.symmetric:
+        raise errors.NotSymmetric("graph-state witnesses need symmetric matrices")
+    H1d = H1 if H1.dephased else dephase(H1)[2]
+    unitaries = []
+    for u in range(G.n):
+        g = G.degree(u)
+        M, c = factor(u)
+        site = M @ _diag_power(H1d.entries[:, c].conj(), g)
+        if not H1.dephased:
+            site = site @ _diag_power(H1.entries[:, 0].conj(), g + 1)
+        if not H2.dephased:
+            site = _diag_power(H2.entries[:, 0], g + 1) @ site
+        unitaries.append(site)
+    built = graph_state(G, H1)
     for site, u in enumerate(unitaries):
         built = apply_local(LocalOperator(d=H1.d, site=site, matrix=u), built)
-    ov = abs(overlap(built, s2))
+    ov = abs(overlap(built, graph_state(G, H2)))
     if ov < 1 - 1e-9:
         raise errors.InvalidWitness(f"witness maps with |overlap| = {ov:.12f} < 1")
+    return unitaries
 
 
 def lu_witness_p_equiv(
@@ -111,26 +130,9 @@ def lu_witness_p_equiv(
     """
     if w.kind != P_EQUIV:
         raise errors.InvalidWitness("expected a P-equivalence witness")
-    H2 = apply_witness(H1, w)
-    if not H2.symmetric or not H1.symmetric:
-        raise errors.NotSymmetric("graph-state witnesses need symmetric matrices")
-    H1d = H1 if H1.dephased else dephase(H1)[2]
-    H2_entries = H2.entries
-    pi = w.p1
-    c = pi.inverse().map[0]
-    M = pi.matrix().astype(np.complex128)
-    col = H1d.entries[:, c].conj()
-    unitaries = []
-    for u in range(G.n):
-        g = G.degree(u)
-        site = M @ _diag_power(col, g)
-        if not H1.dephased:
-            site = site @ _diag_power(H1.entries[:, 0].conj(), g + 1)
-        if not H2.dephased:
-            site = _diag_power(H2_entries[:, 0], g + 1) @ site
-        unitaries.append(site)
-    _verify_lu(G, H1, H2, unitaries)
-    return unitaries
+    M = w.p1.matrix().astype(np.complex128)
+    c = w.p1.inverse().map[0]
+    return _lu_witness(G, H1, w, lambda u: (M, c))
 
 
 def lu_witness_bipartite(
@@ -152,32 +154,11 @@ def lu_witness_bipartite(
     for a, b in G.edges:
         if not ((a in v1 and b in v2) or (a in v2 and b in v1)):
             raise errors.NotBipartite(f"edge ({a},{b}) stays inside one part")
-    H2 = apply_witness(H1, w)
-    if not H2.symmetric or not H1.symmetric:
-        raise errors.NotSymmetric("graph-state witnesses need symmetric matrices")
-    H1d = H1 if H1.dephased else dephase(H1)[2]
-    pi1 = w.p1
-    rho2 = w.p2
-    c2 = rho2.map[0]
-    c1 = pi1.inverse().map[0]
-    M1 = pi1.matrix().astype(np.complex128)
-    NT = rho2.matrix().astype(np.complex128).T
-    col_v1 = H1d.entries[:, c2].conj()
-    col_v2 = H1d.entries[:, c1].conj()
-    unitaries = []
-    for u in range(G.n):
-        g = G.degree(u)
-        if u in v1:
-            site = M1 @ _diag_power(col_v1, g)
-        else:
-            site = NT @ _diag_power(col_v2, g)
-        if not H1.dephased:
-            site = site @ _diag_power(H1.entries[:, 0].conj(), g + 1)
-        if not H2.dephased:
-            site = _diag_power(H2.entries[:, 0], g + 1) @ site
-        unitaries.append(site)
-    _verify_lu(G, H1, H2, unitaries)
-    return unitaries
+    M1 = w.p1.matrix().astype(np.complex128)
+    NT = w.p2.matrix().astype(np.complex128).T
+    c1 = w.p1.inverse().map[0]
+    c2 = w.p2.map[0]
+    return _lu_witness(G, H1, w, lambda u: (M1, c2) if u in v1 else (NT, c1))
 
 
 def auto_bipartite_parts(G: Graph):

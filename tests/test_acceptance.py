@@ -113,7 +113,7 @@ def test_criterion_03_code_parameters():
     C = ClassicalCode(n=3, d=4, words=((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
     Q = build_code(family("triangle"), catalog("h_alpha", PI / 5), C)
     check(failures, Q.K == 4, f"K = {Q.K} != 4")
-    V = Q.basis_matrix()
+    V = Q.basis
     gram_dev = np.max(np.abs(V.conj().T @ V - np.eye(4)))
     check(failures, gram_dev <= 1e-9, f"gram deviation {gram_dev}")
     dist = kl_distance(Q, max_weight=3)

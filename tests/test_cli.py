@@ -133,6 +133,9 @@ def test_huge_register_is_too_large(tmp_path, capsys):
     # d = 1 has d**n = 1, so only the site cap stops these.
     one_amp = tmp_path / "d1.json"
     one_amp.write_text(json.dumps({"n": 100, "d": 1, "amps": [[1.0, 0.0]]}))
+    # d**n = 4**12 is at the state cap; two words pass it in the basis.
+    two_words = tmp_path / "two.txt"
+    two_words.write_text("0" * 12 + "\n" + "1" * 12 + "\n")
     for argv in (
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
@@ -142,6 +145,7 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("state", "--graph", "line:65", "--hadamard", "fourier:1"),
         ("peps-check", "--graph", "line:53", "--hadamard", "fourier:1"),
         ("invariant", "--state", str(one_amp), "--rdm", "0"),
+        ("code", "--graph", "line:12", "--hadamard", "fourier:4", "--classical", str(two_words)),
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)

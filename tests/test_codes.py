@@ -10,6 +10,7 @@ from gghs import (
     ClassicalCode,
     LocalOperator,
     QuantumCode,
+    StateVector,
     apply_local,
     build,
     build_code,
@@ -56,6 +57,8 @@ def test_classical_code_validation():
         ClassicalCode(n=2, d=2, words=((0, 1, 0),))
     with pytest.raises(errors.BadSize):
         ClassicalCode(n=2, d=2, words=((0, 1), (0, 1)))
+    with pytest.raises(errors.BadSize):
+        ClassicalCode(n=2, d=2, words=())
 
 
 def test_classical_code_from_text():
@@ -111,8 +114,30 @@ def test_encode_dephases_internally():
 def test_build_code_family_example():
     Q = build_code(family("triangle"), catalog("h_alpha", PI / 5), repetition(3, 4))
     assert Q.K == 4
-    V = Q.basis_matrix()
+    V = Q.basis
     assert np.max(np.abs(V.conj().T @ V - np.eye(4))) <= 1e-9
+
+
+def test_build_code_columns_are_encoded_words():
+    rng = np.random.default_rng(9)
+    D = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
+    DF3D = validate(D @ fourier(3).entries @ D)
+    assert DF3D.symmetric and not DF3D.dephased
+    cases = [(hl, H, gl, G) for hl, H in full_catalog() if H.symmetric
+             for gl, G in connected_graphs(4) if H.d**G.n <= 256]
+    cases += [("D F3 D", DF3D, gl, G) for gl, G in connected_graphs(4)]
+    count = 0
+    for hl, H, gl, G in cases:
+        d, n = H.d, G.n
+        for K in sorted({1, 2, d}):
+            idx = rng.choice(d**n, size=K, replace=False)
+            C = ClassicalCode(n, d, tuple(index_to_digits(n, d, int(k)) for k in idx))
+            Q = build_code(G, H, C)
+            assert Q.basis.shape == (d**n, K) and not Q.basis.flags.writeable
+            for j, word in enumerate(C.words):
+                assert np.array_equal(Q.basis[:, j], encode(G, H, word).amps), (hl, gl, word)
+            count += 1
+    assert count == 316
 
 
 def test_build_code_shape_mismatches():
@@ -222,12 +247,12 @@ def test_enumerators_local_unitary_invariant(seed):
     A, B = weight_enumerators(Q)
     rotated = []
     us = [_random_unitary(rng, 2) for _ in range(3)]
-    for b in Q.basis:
-        t = b
+    for b in Q.basis.T:
+        t = StateVector(n=3, d=2, amps=b)
         for site, u in enumerate(us):
             t = apply_local(LocalOperator(d=2, site=site, matrix=u), t)
-        rotated.append(t)
-    Q2 = type(Q)(graph=G, hadamard=fourier(2), classical=C, basis=tuple(rotated))
+        rotated.append(t.amps)
+    Q2 = type(Q)(graph=G, hadamard=fourier(2), classical=C, basis=np.stack(rotated, axis=1))
     A2, B2 = weight_enumerators(Q2)
     np.testing.assert_allclose(A, A2, atol=1e-8)
     np.testing.assert_allclose(B, B2, atol=1e-8)
@@ -258,7 +283,7 @@ def _weyl_kl_distance(Q, max_weight):
     """
     d, n, K = Q.hadamard.d, Q.graph.n, Q.K
     max_weight = min(max_weight, n)
-    V = Q.basis_matrix()
+    V = Q.basis
     for w in range(1, max_weight + 1):
         for sites, ops in _weyl_errors(n, d, w):
             M = V.conj().T @ _apply_error(V, d, sites, ops)
@@ -275,7 +300,7 @@ def _weyl_kl_distance(Q, max_weight):
 def _weyl_enumerators(Q):
     """Reference: the Shor-Laflamme sums taken error by error."""
     d, n, K = Q.hadamard.d, Q.graph.n, Q.K
-    V = Q.basis_matrix()
+    V = Q.basis
     A = np.ones(n + 1)
     B = np.ones(n + 1)
     for j in range(1, n + 1):
@@ -330,11 +355,12 @@ def test_codes_match_weyl_loop_off_grid():
     Q = build_code(G, fourier(3), C)
     us = [_random_unitary(rng, 3) for _ in range(3)]
     rotated = []
-    for b in Q.basis:
+    for b in Q.basis.T:
+        b = StateVector(n=3, d=3, amps=b)
         for site, u in enumerate(us):
             b = apply_local(LocalOperator(d=3, site=site, matrix=u), b)
-        rotated.append(b)
-    _assert_matches_weyl(QuantumCode(G, fourier(3), C, tuple(rotated)), "rotated")
+        rotated.append(b.amps)
+    _assert_matches_weyl(QuantumCode(G, fourier(3), C, np.stack(rotated, axis=1)), "rotated")
 
 
 def test_codes_refuse_d1():

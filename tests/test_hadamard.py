@@ -319,7 +319,7 @@ def test_s_symmetries_group_closure(name):
     for w1 in syms:
         for w2 in syms:
             # P1 H D1 = H and P2 H D2 = H give (P1 P2) H (D2 D1) = H
-            pmap = w1.p1.compose(w2.p1).map
+            pmap = tuple(w1.p1.map[j] for j in w2.p1.map)
             assert pmap in by_map
             np.testing.assert_allclose(
                 by_map[pmap].d1.phases, w2.d1.phases * w1.d1.phases, atol=1e-9

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ def test_circuit_unitary_columns_are_graph_states():
                 np.testing.assert_allclose(
                     U[:, c], s.amps, atol=1e-12, err_msg=f"{label} {gname} column {c}"
                 )
+
+
+def _kron_circuit_unitary(G, H):
+    """Reference: the Kronecker power of H/sqrt(d), each row scaled by its edge phases."""
+    n, d = G.n, H.d
+    u = H.entries / math.sqrt(d)
+    U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
+    phases = np.ones((d,) * n, dtype=np.complex128)
+    qstate._edge_phases(H.entries, G.edges, phases)
+    return U * phases.reshape(-1, 1)
+
+
+def test_circuit_unitary_matches_kronecker_power_on_grid():
+    count = 0
+    for label, H in full_catalog():
+        for gname, G in connected_graphs(5) + [("no edges", build(3, []))]:
+            if H.d**G.n > 256:
+                continue
+            got, want = circuit_unitary(G, H), _kron_circuit_unitary(G, H)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14, (label, gname)
+            count += 1
+    assert count == 126
 
 
 @pytest.mark.parametrize("label,H", full_catalog())
