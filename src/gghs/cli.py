@@ -36,7 +36,7 @@ from .formats import (
     state_from_obj,
     state_to_obj,
 )
-from .graphs import Graph, family
+from .graphs import Graph, family, neighbourhood
 from .hadamard import (
     GENERAL,
     P_EQUIV,
@@ -48,7 +48,7 @@ from .hadamard import (
     s_symmetries,
     validate,
 )
-from .qstate import LocalOperator, StateVector, ghz, graph_state, overlap
+from .qstate import LocalOperator, StateVector, _check_graph_state, ghz, graph_state, overlap
 from .symmetry import pauli_xz, stabilizer_from_symmetry, verify_stabilizer
 from .tensornet import peps_contract
 
@@ -282,7 +282,8 @@ def cmd_invariant(args) -> dict:
     else:
         if not (args.graph and args.hadamard):
             raise Malformed("invariant wants either --state or both --graph and --hadamard")
-        s = graph_state(resolve_graph(args.graph), resolve_matrix(args.hadamard))
+        s = (resolve_graph(args.graph), resolve_matrix(args.hadamard))
+        _check_graph_state(*s)  # its errors come before --schmidt is parsed
     if args.schmidt is not None:
         part = _parse_sites(args.schmidt)
         return {"schmidt": schmidt_spectrum(s, part)}
@@ -300,14 +301,17 @@ def cmd_stabilizers(args) -> dict:
         chosen = list(enumerate(syms))
     else:
         chosen = [(1, syms[1])]  # lex-first non-identity; identity sorts first
-    psi = graph_state(G, H)
+    _check_graph_state(G, H)
+    # K_a is P at a and D at a's neighbours: it commutes with every edge gate
+    # not incident to a, so it is checked on the graph state of N[a] alone.
     checked = []
     all_ok = True
     for idx, w in chosen:
         gens = []
         for a in range(G.n):
-            op = stabilizer_from_symmetry(G, H, w, a)
-            ok, dev = verify_stabilizer(op, psi)
+            hood, local = neighbourhood(G, [a])
+            op = stabilizer_from_symmetry(local, H, w, hood.index(a))
+            ok, dev = verify_stabilizer(op, graph_state(local, H))
             ok = bool(ok and dev <= args.tol)
             all_ok = all_ok and ok
             gens.append({"vertex": a, "verified": ok, "deviation": dev})
@@ -466,6 +470,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise Malformed(f"--tol wants a finite value >= 0, got {args.tol}")
         result = args.fn(args)
     except Malformed as exc:
         print(render_json({"error": "malformed_input", "detail": str(exc)}))

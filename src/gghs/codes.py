@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import errors
-from .graphs import Graph, build
+from .graphs import Graph, neighbourhood
 from .hadamard import HadamardMatrix, dephase
 from .qstate import (
     DENSE_AMP_CAP,
@@ -83,6 +83,31 @@ def encode(G: Graph, H: HadamardMatrix, c: Sequence[int]) -> StateVector:
     return graph_state(G, hd, input_digits=c)
 
 
+GRAM_BLOCK = 2**20  # most amplitudes in one temporary of the Gram check
+
+
+def _gram_deviation(V: np.ndarray) -> float:
+    """max |V^dagger V - I|, read off the upper block triangle of the
+    Hermitian Gram.
+
+    Column block j0:j1 of V is paired with columns j0: and summed over row
+    blocks, so no temporary holds more than GRAM_BLOCK entries (K <= d**n
+    keeps cols * K within it).
+    """
+    size, K = V.shape
+    cols = max(1, min(K, GRAM_BLOCK // size))
+    rows = max(1, GRAM_BLOCK // cols)
+    dev = 0.0
+    for j0 in range(0, K, cols):
+        j1 = min(j0 + cols, K)
+        gram = np.zeros((j1 - j0, K - j0), np.complex128)
+        for r0 in range(0, size, rows):
+            gram += V[r0:r0 + rows, j0:j1].conj().T @ V[r0:r0 + rows, j0:]
+        gram[np.diag_indices(j1 - j0)] -= 1.0
+        dev = max(dev, float(np.max(np.abs(gram))))
+    return dev
+
+
 def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     """Encode every word of C in one pass; the basis is read-only.
 
@@ -105,9 +130,7 @@ def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     V = _encode(G, hd, C.words).reshape(size, K)
     for col in V.T:
         col /= np.linalg.norm(col)
-    gram = V.conj().T @ V
-    gram[np.diag_indices(K)] -= 1.0
-    gram_dev = float(np.max(np.abs(gram)))
+    gram_dev = _gram_deviation(V)
     if gram_dev > 1e-9:
         raise errors.GramNotIdentity(f"gram deviates from identity by {gram_dev:.3e}")
     V.flags.writeable = False
@@ -230,10 +253,8 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     if not (0 <= E.site < n):
         raise errors.SiteOutOfRange(f"site {E.site} out of range for n={n}")
     _dense_size(n, d, DENSE_MATRIX_CAP)
-    nbrs = G.neighbors(E.site)
-    hood = sorted((E.site,) + nbrs)
+    hood, local = neighbourhood(G, [E.site])
     site = hood.index(E.site)
-    local = build(len(hood), [(site, hood.index(v)) for v in nbrs])
     U = circuit_unitary(local, H)
     M = U.conj().T @ _apply_site(E.matrix, site, d, U)
     pre = d**site

@@ -1,16 +1,22 @@
 """Reduced density matrices, Schmidt spectra, the degree-6 invariant, and the
-Kraus-commutation obstruction to GHZ equivalence."""
+Kraus-commutation obstruction to GHZ equivalence.
+
+The state-level functions take a StateVector, or a (Graph, HadamardMatrix)
+pair standing for its graph state: the pair's reduced states come from
+graph_reduced_density, and its d**n register is never built.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import errors
+from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
-from .qstate import StateVector
+from .qstate import StateVector, _check_graph_state, _encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,19 +25,80 @@ class DensityMatrix:
     mat: np.ndarray
 
 
-def reduced_density(s: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over the complement of `keep` (a sorted site list)."""
+def _check_keep(keep: Sequence[int], n: int) -> List[int]:
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise errors.EmptyKeep("keep at least one site")
     for k in keep:
-        if not (0 <= k < s.n):
-            raise errors.BadSite(f"site {k} out of range for n={s.n}")
+        if not (0 <= k < n):
+            raise errors.BadSite(f"site {k} out of range for n={n}")
+    return keep
+
+
+State = Union[StateVector, Tuple[Graph, HadamardMatrix]]
+
+
+def _shape(s: State) -> Tuple[int, int]:
+    """(n, d) of s; for a (G, H) pair graph_state's checks run first, so its
+    errors come before any site check."""
+    if isinstance(s, StateVector):
+        return s.n, s.d
+    G, H = s
+    _check_graph_state(G, H)
+    return G.n, H.d
+
+
+def reduced_density(s: State, keep: Sequence[int]) -> DensityMatrix:
+    """Partial trace over the complement of `keep` (a sorted site list).
+
+    A (G, H) pair goes to graph_reduced_density."""
+    if not isinstance(s, StateVector):
+        return graph_reduced_density(*s, keep)
+    keep = _check_keep(keep, s.n)
     rest = [a for a in range(s.n) if a not in keep]
     T = s.tensor()
     rho = np.tensordot(T, T.conj(), axes=(rest, rest))
     dk = s.d ** len(keep)
     return DensityMatrix(dims=tuple(s.d for _ in keep), mat=rho.reshape(dk, dk))
+
+
+def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state of graph_state(G, H) on the sites S = keep, in closed
+    form from the edges at S; the d**n state is never built.
+
+    Edge gates with both ends outside S are unitary on S^c and drop out of
+    the trace, and every site outside S carries |u[i, 0]|^2 = 1/d for
+    u = H/sqrt(d). What is left is phi_S, the encoding column of the graph
+    induced on S, and one factor per boundary vertex v in N(S) - S:
+        rho_S(i, i') = phi_S(i) conj(phi_S(i')) prod_v kappa_v(i, i'),
+        kappa_v(i, i') = (1/d) sum_x prod_{a in S, a~v} h[i_a, x] conj(h[i'_a, x]),
+    divided by its trace as graph_state divides by the norm. This is exact
+    when u is unitary and the entries are unimodular, within validation's
+    tolerance. Memory is d**(2|S|) whatever the graph. graph_state's checks,
+    the d**n cap among them, run before the site checks.
+    """
+    _check_graph_state(G, H)
+    keep = _check_keep(keep, G.n)
+    d, m = H.d, len(keep)
+    hood, local = neighbourhood(G, keep)
+    axis = {hood.index(k): j for j, k in enumerate(keep)}  # local vertex -> axis of phi_S
+    inner = build(m, [(axis[a], axis[b]) for a, b in local.edges if a in axis and b in axis])
+    phi = _encode(inner, H, [[0] * m]).reshape(-1)
+    T = np.multiply.outer(phi, phi.conj()).reshape((d,) * (2 * m))
+    h = H.entries
+    for v in range(local.n):
+        if v in axis:
+            continue
+        P = np.ones(d, np.complex128)  # P[i_a1, ..., i_ar, x] = prod_j h[i_aj, x]
+        shape = [1] * (2 * m)
+        for a in local.neighbors(v):
+            P = P[..., None, :] * (h if a < v else h.T)
+            shape[axis[a]] = shape[m + axis[a]] = d
+        P = P.reshape(-1, d)
+        T *= (P @ P.conj().T / d).reshape(shape)
+    rho = T.reshape(d**m, d**m)
+    rho /= np.trace(rho).real
+    return DensityMatrix(dims=(d,) * m, mat=rho)
 
 
 def partial_transpose(rho: DensityMatrix, slot: int) -> np.ndarray:
@@ -45,31 +112,42 @@ def partial_transpose(rho: DensityMatrix, slot: int) -> np.ndarray:
     return T.reshape(size, size)
 
 
-def i6(s: StateVector) -> float:
+def i6(s: State) -> float:
     """Tr((rho_01^{T_0})^3), the degree-6 local-unitary invariant.
 
     Sites {0, 1} are kept and the transpose acts on slot 0. The trace of an
     odd power of a Hermitian matrix is real; the double-precision imaginary
     residue is asserted, not ignored.
     """
-    if s.n < 3:
+    n, _ = _shape(s)
+    if n < 3:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
-    rho = reduced_density(s, [0, 1])
-    pt = partial_transpose(rho, 0)
+    pt = partial_transpose(reduced_density(s, [0, 1]), 0)
     val = complex(np.trace(pt @ pt @ pt))
     if abs(val.imag) > 1e-9:
         raise errors.GGHSError(f"imaginary residue {val.imag:.3e} too large")
     return float(val.real)
 
 
-def schmidt_spectrum(s: StateVector, part: Sequence[int]) -> List[float]:
-    """Squared Schmidt coefficients across (part | rest), descending."""
+def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
+    """The d**|part| squared Schmidt coefficients across (part | rest),
+    descending, read from the side with fewer sites.
+
+    rho_part and rho_rest share their nonzero spectrum, so when part holds
+    more than half the sites the eigenvalues of rho_rest are padded with
+    exact zeros.
+    """
+    n, d = _shape(s)
     part = sorted(set(int(k) for k in part))
-    if not part or len(part) >= s.n:
+    if not part or len(part) >= n:
         raise errors.BadPartition("part must be a proper nonempty site subset")
-    rho = reduced_density(s, part)
-    herm = (rho.mat + rho.mat.conj().T) / 2.0
+    _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it
+    side = part if 2 * len(part) <= n else [k for k in range(n) if k not in part]
+    rho = reduced_density(s, side).mat
+    herm = (rho + rho.conj().T) / 2.0
     vals = np.linalg.eigvalsh(herm)
+    if len(side) < len(part):
+        vals = np.sort(np.concatenate([vals, np.zeros(d ** len(part) - len(vals))]))
     return [float(x) for x in vals[::-1]]
 
 

@@ -152,6 +152,23 @@ def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
     return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
 
 
+def _check_graph_state(
+    G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
+) -> Tuple[int, ...]:
+    """The checks of graph_state, in its order: symmetry, digits, the d**n cap.
+
+    Returns the input digits, all zeros by default. Kernels that read the
+    state on a few sites run them first, so they refuse what graph_state
+    refuses, with the same error.
+    """
+    if not H.symmetric:
+        raise errors.NotSymmetric("graph states need a symmetric matrix")
+    digits = tuple(input_digits) if input_digits is not None else (0,) * G.n
+    _check_digits(G.n, H.d, digits)
+    _dense_size(G.n, H.d, DENSE_AMP_CAP)
+    return digits
+
+
 def graph_state(
     G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
 ) -> StateVector:
@@ -161,15 +178,10 @@ def graph_state(
     by its norm, which absorbs the small deviation from unitarity that
     validation admits.
     """
-    if not H.symmetric:
-        raise errors.NotSymmetric("graph states need a symmetric matrix")
-    n, d = G.n, H.d
-    digits = tuple(input_digits) if input_digits is not None else (0,) * n
-    _check_digits(n, d, digits)
-    _dense_size(n, d, DENSE_AMP_CAP)
+    digits = _check_graph_state(G, H, input_digits)
     psi = _encode(G, H, [digits]).reshape(-1)
     psi /= np.linalg.norm(psi)
-    return StateVector(n=n, d=d, amps=psi)
+    return StateVector(n=G.n, d=H.d, amps=psi)
 
 
 def ghz(n: int, d: int) -> StateVector:

@@ -40,3 +40,24 @@ def connected_graphs(max_n=5, min_n=2):
         for n in range(4, max_n + 1):
             out.append((f"complete:{n}", family("complete", n)))
     return out
+
+
+def cut_rank(G, part, p):
+    """Rank over Z_p of the adjacency block Gamma[part, rest] of G."""
+    part = sorted(part)
+    rest = [v for v in range(G.n) if v not in part]
+    rows = [[int((min(a, b), max(a, b)) in G.edges) for b in rest] for a in part]
+    rank = 0
+    for c in range(len(rest)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] % p:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

@@ -1,13 +1,27 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from gghs import fourier, ghz
+import gghs
+from gghs import (
+    family,
+    fourier,
+    ghz,
+    graph_state,
+    s_symmetries,
+    stabilizer_from_symmetry,
+    verify_stabilizer,
+)
 from gghs.cli import main
 from gghs.formats import render_json, state_to_obj
+from helpers import connected_graphs, cut_rank, full_catalog
 
 PI = math.pi
 
@@ -185,6 +199,67 @@ def test_invariant_schmidt_and_rdm(capsys):
     np.testing.assert_allclose(rdm, np.eye(3) / 3, atol=1e-9)
 
 
+def test_invariant_schmidt_at_the_state_cap_is_local(capsys):
+    # 3**15 amplitudes; the 4-site cut is cut by two edges, (0, 14) and (3, 4).
+    start = time.perf_counter()
+    code, obj = run_json(
+        capsys, "invariant", "--graph", "cycle:15", "--hadamard", "fourier:3",
+        "--schmidt", "0,1,2,3",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    support = 3 ** cut_rank(family("cycle", 15), [0, 1, 2, 3], 3)
+    assert support == 9
+    expect = np.zeros(81)
+    expect[:support] = 1.0 / support
+    np.testing.assert_allclose(obj["schmidt"], expect, atol=1e-12)
+
+
+def test_invariant_state_schmidt_of_the_larger_part():
+    # rho of the 7-site part would be 4**7 x 4**7 (4.3 GB); the one-site side
+    # is 4 x 4. A child process with a 1 GiB address-space limit runs the
+    # request, so a regression fails with MemoryError instead of taking the
+    # machine's memory.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = os.path.dirname(os.path.dirname(gghs.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = ["invariant", "--state", "ghz:8:4", "--schmidt", "0,1,2,3,4,5,6"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gghs.cli", *argv],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0, proc.stderr[-300:]
+    spec = json.loads(proc.stdout)["schmidt"]
+    assert spec[:4] == pytest.approx([0.25] * 4, abs=1e-12)
+    assert spec[4:] == [0] * (4**7 - 4)
+
+
+def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
+    """Symmetry and the d**n cap are checked before the sites are parsed or
+    checked, as when the whole state was built first."""
+    F = fourier(4).entries[[1, 0, 2, 3]]
+    p = tmp_path / "nonsym.json"
+    p.write_text(json.dumps({"d": 4, "entries": np.stack([F.real, F.imag], -1).tolist()}))
+    for graph, matrix, mode, error in (
+        ("line:3", str(p), ["--schmidt", "x"], "not_symmetric"),
+        ("line:3", str(p), ["--schmidt", "0,1,2"], "not_symmetric"),
+        ("line:2", str(p), ["--i6"], "not_symmetric"),
+        ("cycle:13", "fourier:4", ["--schmidt", "x"], "too_large"),
+        ("cycle:13", "fourier:4", ["--rdm", "99"], "too_large"),
+        ("line:3", "fourier:4", ["--schmidt", "0,1,2"], "bad_partition"),
+        ("line:3", "fourier:4", ["--schmidt", "0,7"], "bad_site"),
+        ("line:3", "fourier:4", ["--rdm", "3"], "bad_site"),
+        ("line:2", "fourier:4", ["--i6"], "too_few_sites"),
+    ):
+        code, obj = run_json(capsys, "invariant", "--graph", graph, "--hadamard", matrix, *mode)
+        assert code == 1, (graph, mode)
+        assert obj["error"] == error, (graph, mode)
+
+
 def test_invariant_state_file_round_trip(tmp_path, capsys):
     p = tmp_path / "ghz.json"
     p.write_text(render_json(state_to_obj(ghz(3, 6))) + "\n")
@@ -233,6 +308,39 @@ def test_stabilizers_all_symmetries(capsys):
     assert code == 0
     assert len(obj["checked"]) == 3
     assert obj["all_verified"] is True
+
+
+def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):
+    """Each generator is checked on the graph state of N[a]; deviations and
+    verdicts agree with verify_stabilizer on the whole register."""
+    for gname, G in connected_graphs(5):
+        for label, H in full_catalog():
+            if not H.symmetric or H.d**G.n > 4096:
+                continue
+            code, obj = run_json(
+                capsys, "stabilizers", "--graph", gname, "--hadamard", label,
+                "--all-symmetries",
+            )
+            assert code == 0
+            psi = graph_state(G, H)
+            syms = s_symmetries(H)
+            assert len(obj["checked"]) == len(syms)
+            for entry, w in zip(obj["checked"], syms):
+                for gen in entry["generators"]:
+                    op = stabilizer_from_symmetry(G, H, w, gen["vertex"])
+                    ok, dev = verify_stabilizer(op, psi)
+                    assert gen["verified"] == ok, (gname, label, gen)
+                    assert gen["deviation"] == pytest.approx(dev, rel=1e-11, abs=1e-14)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_non_negative(capsys, tol):
+    for cmd in ("peps-check", "stabilizers"):
+        code, obj = run_json(
+            capsys, cmd, "--graph", "triangle", "--hadamard", "fourier:3", "--tol", tol
+        )
+        assert code == 2, (cmd, tol)
+        assert obj["error"] == "malformed_input"
 
 
 # ---------------------------------------------------------------- peps / code

@@ -140,6 +140,19 @@ def test_build_code_columns_are_encoded_words():
     assert count == 316
 
 
+def test_gram_check_over_blocks_matches_the_full_gram(monkeypatch):
+    rng = np.random.default_rng(11)
+    V = rng.normal(size=(64, 24)) + 1j * rng.normal(size=(64, 24))
+    full = float(np.max(np.abs(V.conj().T @ V - np.eye(24))))
+    for block in (1, 7, 64, 100, 2**20):
+        monkeypatch.setattr(codes, "GRAM_BLOCK", block)
+        assert codes._gram_deviation(V) == pytest.approx(full, rel=1e-12), block
+    # one basis column block at a time, over row blocks of 3 amplitudes
+    monkeypatch.setattr(codes, "GRAM_BLOCK", 3)
+    Q = build_code(family("line", 3), fourier(3), repetition(3, 3))
+    assert codes._gram_deviation(Q.basis) <= 1e-12
+
+
 def test_build_code_shape_mismatches():
     with pytest.raises(errors.DimensionMismatch):
         build_code(family("triangle"), fourier(4), repetition(4, 4))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from gghs import (
     LocalOperator,
     apply_local,
     basis_state,
+    build,
     catalog,
     errors,
     family,
     fourier,
     ghz,
+    graph_reduced_density,
     graph_state,
     i6,
     kraus_commutation_test,
@@ -23,7 +26,7 @@ from gghs import (
     schmidt_spectrum,
     validate,
 )
-from helpers import connected_graphs, full_catalog
+from helpers import connected_graphs, cut_rank, full_catalog
 
 PI = math.pi
 
@@ -154,6 +157,100 @@ def test_schmidt_partition_errors():
         schmidt_spectrum(s, [])
     with pytest.raises(errors.BadPartition):
         schmidt_spectrum(s, [0, 1, 2])
+
+
+def test_schmidt_larger_part_reads_the_smaller_side():
+    s = graph_state(family("line", 5), catalog("h_alpha", PI / 5))
+    for part in ([0, 1, 2], [0, 2, 3, 4], [1, 2, 3, 4]):
+        rest = [k for k in range(5) if k not in part]
+        spec = schmidt_spectrum(s, part)
+        assert len(spec) == 4 ** len(part)
+        pad = [0.0] * (4 ** len(part) - 4 ** len(rest))
+        assert spec == sorted(schmidt_spectrum(s, rest) + pad, reverse=True)
+        full = np.linalg.eigvalsh(reduced_density(s, part).mat)[::-1]
+        np.testing.assert_allclose(spec, full, atol=1e-14)
+
+
+def test_schmidt_site_checks_before_the_side_is_chosen():
+    s = ghz(3, 2)
+    with pytest.raises(errors.BadSite):
+        schmidt_spectrum(s, [0, 3])  # two of three sites, one out of range
+    with pytest.raises(errors.BadSite):
+        schmidt_spectrum(s, [-1, 0])
+
+
+# ------------------------------------------------ closed-form reduced states
+
+
+def _grid_with_extras():
+    """connected_graphs(5) x the symmetric catalog, a graph with an isolated
+    vertex, and fourier:1."""
+    graphs = connected_graphs(5) + [("line:3+isolated", build(4, [(0, 1), (1, 2)]))]
+    mats = [(lbl, H) for lbl, H in full_catalog() if H.symmetric] + [("fourier:1", fourier(1))]
+    for (gname, G), (label, H) in itertools.product(graphs, mats):
+        if H.d**G.n <= 7776:
+            yield gname, G, label, H
+
+
+def test_graph_reduced_density_matches_dense_on_grid():
+    cases = 0
+    for gname, G, label, H in _grid_with_extras():
+        d = H.d
+        s = graph_state(G, H)
+        for m in range(1, G.n + 1):
+            if d ** (2 * m) > 4096:
+                break
+            for S in itertools.combinations(range(G.n), m):
+                rho = graph_reduced_density(G, H, S)
+                assert rho.dims == (d,) * m
+                dev = np.max(np.abs(rho.mat - reduced_density(s, S).mat))
+                assert dev <= 1e-14, (gname, label, S, dev)
+                cases += 1
+    assert cases > 2000
+
+
+def test_graph_pair_matches_its_state_on_grid():
+    for gname, G, label, H in _grid_with_extras():
+        if G.n < 3 or H.d**G.n > 1024:
+            continue
+        s = graph_state(G, H)
+        assert abs(i6((G, H)) - i6(s)) <= 1e-14, (gname, label)
+        for part in ([0], [1, 2], [0, 2, G.n - 1], list(range(1, G.n))):
+            np.testing.assert_allclose(
+                schmidt_spectrum((G, H), part), schmidt_spectrum(s, part), atol=1e-14
+            )
+
+
+def test_graph_reduced_density_checks_in_graph_state_order():
+    G = family("line", 3)
+    nonsym = validate(fourier(4).entries[[1, 0, 2, 3]])
+    with pytest.raises(errors.NotSymmetric):
+        graph_reduced_density(G, nonsym, [7])
+    with pytest.raises(errors.NotSymmetric):
+        schmidt_spectrum((G, nonsym), [0, 1, 2])
+    with pytest.raises(errors.TooLarge):
+        graph_reduced_density(family("line", 13), fourier(4), [99])
+    with pytest.raises(errors.EmptyKeep):
+        graph_reduced_density(G, fourier(2), [])
+    with pytest.raises(errors.BadSite):
+        graph_reduced_density(G, fourier(2), [0, 3])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_graph_schmidt_spectrum_is_flat_with_cut_rank_support(d):
+    """psi(G, F_d) for prime d is a qudit graph state: across A | A^c its
+    Schmidt spectrum is flat on d**rank(Gamma[A, A^c] mod d) values."""
+    H = fourier(d)
+    for gname, G in connected_graphs(5):
+        s = graph_state(G, H)
+        for m in range(1, G.n):
+            for A in itertools.combinations(range(G.n), m):
+                support = d ** cut_rank(G, A, d)
+                expect = np.zeros(d**m)
+                expect[:support] = 1.0 / support
+                np.testing.assert_allclose(schmidt_spectrum((G, H), A), expect, atol=1e-12)
+                np.testing.assert_allclose(schmidt_spectrum(s, A), expect, atol=1e-12)
+
 
 
 # ---------------------------------------------------- maximal mixedness grid
