@@ -28,7 +28,6 @@ from . import errors
 from .codes import ClassicalCode, build_code, kl_distance, weight_enumerators, decoded_error
 from .entangle import i6, reduced_density, schmidt_spectrum
 from .formats import (
-    complex_pairs,
     graph_from_obj,
     matrix_entries_from_obj,
     render_json,
@@ -208,13 +207,13 @@ def _witness_obj(w) -> dict:
     out: dict = {"kind": w.kind}
     if w.kind == P_EQUIV:
         out["p"] = list(w.p1.map)
-        out["d1"] = complex_pairs(w.d1.phases)
-        out["d2"] = complex_pairs(w.d2.phases)
+        out["d1"] = w.d1.phases
+        out["d2"] = w.d2.phases
     else:
         out["p1"] = list(w.p1.map)
-        out["d1"] = complex_pairs(w.d1.phases)
+        out["d1"] = w.d1.phases
         out["p2"] = list(w.p2.map)
-        out["d2"] = complex_pairs(w.d2.phases)
+        out["d2"] = w.d2.phases
     return out
 
 
@@ -254,7 +253,7 @@ def cmd_symmetries(args) -> dict:
     return {
         "count": len(syms),
         "symmetries": [
-            {"p": list(w.p1.map), "d": complex_pairs(w.d1.phases)} for w in syms
+            {"p": list(w.p1.map), "d": w.d1.phases} for w in syms
         ],
     }
 
@@ -272,8 +271,7 @@ def cmd_state(args) -> dict:
         except OSError as exc:
             raise Malformed(f"cannot write {args.out!r}: {exc}") from exc
         return {"n": s.n, "d": s.d, "norm": s.norm(), "written": args.out}
-    obj = state_to_obj(s)
-    return {"n": obj["n"], "d": obj["d"], "amps": obj["amps"]}
+    return state_to_obj(s)
 
 
 def cmd_invariant(args) -> dict:
@@ -289,7 +287,7 @@ def cmd_invariant(args) -> dict:
         return {"schmidt": schmidt_spectrum(s, part)}
     if args.rdm is not None:
         rho = reduced_density(s, [args.rdm])
-        return {"site": args.rdm, "rdm": complex_pairs(rho.mat)}
+        return {"site": args.rdm, "rdm": rho.mat}
     return {"i6": i6(s)}
 
 
@@ -319,7 +317,7 @@ def cmd_stabilizers(args) -> dict:
             {
                 "symmetry_index": idx,
                 "p": list(w.p1.map),
-                "d": complex_pairs(w.d1.phases),
+                "d": w.d1.phases,
                 "generators": gens,
             }
         )
@@ -369,7 +367,7 @@ def cmd_decode_error(args) -> dict:
     E = resolve_operator(args.op, H.d)
     res = decoded_error(G, H, LocalOperator(d=H.d, site=args.site, matrix=E))
     out: dict = {"factorizes": res.factorizes, "residual": res.residual}
-    out["site_operator"] = complex_pairs(res.site_operator) if res.factorizes else None
+    out["site_operator"] = res.site_operator
     return out
 
 

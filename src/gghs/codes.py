@@ -245,7 +245,8 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     operator, factorization and residual are then read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
-    The d**n cap on the whole register is kept.
+    The d**n cap on the whole register is kept. An operator whose entries
+    overflow float64 in the conjugation raises Overflow.
     """
     n, d = G.n, H.d
     if E.d != d:
@@ -263,6 +264,9 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     S = np.einsum("paqpbq->ab", Mt) / (pre * post)
     approx = np.kron(np.kron(np.eye(pre), S), np.eye(post))
     residual = float(np.max(np.abs(M - approx)))
+    if not math.isfinite(residual):
+        # An inf or NaN anywhere in M or S reaches the residual.
+        raise errors.Overflow(f"the decoded operator overflows float64 (residual {residual})")
     ok = residual <= 1e-9
     return DecodedError(
         factorizes=ok,

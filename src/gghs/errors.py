@@ -105,6 +105,10 @@ class GramNotIdentity(GGHSError):
     code = "gram_not_identity"
 
 
+class Overflow(GGHSError):
+    code = "overflow"
+
+
 class LowerBoundExceeded(GGHSError):
     """kl_distance found no violation up to max_weight; carries the bound."""
 

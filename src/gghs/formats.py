@@ -7,7 +7,14 @@ Classical code text: one digit word per line, '#' starts a comment.
 
 render_json writes floats at 12 significant digits with a fixed key order
 (insertion order of the dicts handed to it), so identical inputs produce
-byte-identical output.
+byte-identical output. A complex number is written as [re, im].
+
+A real or complex ndarray is rendered without nested Python lists: its
+distinct values (`np.unique`) are each formatted once, gathered back into C
+order by the inverse index and joined axis by axis. Graph-state amplitudes
+are products of Hadamard entries and take few distinct values, so a d**n
+array costs a sort and a join, not d**n calls to the formatter. The bytes
+are those of rendering `a.tolist()` element by element.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ def _render(obj: Any, out: list) -> None:
             out.append(": ")
             _render(v, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        out.append(_render_array(obj))
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         out.append("[")
@@ -64,6 +73,33 @@ def _render(obj: Any, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _render_array(a: np.ndarray) -> str:
+    """A real or complex ndarray, formatting each distinct value once."""
+    is_complex = a.dtype.kind == "c"
+    flat = a.astype(np.complex128 if is_complex else np.float64, copy=False).reshape(-1)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        # Raise on the first non-finite value in C order, real part before
+        # imaginary, as the element-by-element walk would. NaN breaks
+        # np.unique's equality, so this check comes first.
+        k = int(np.argmax(bad))
+        for part in (flat.real, flat.imag) if is_complex else (flat,):
+            _fmt_float(float(part[k]))
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    if is_complex:
+        strs = [
+            f"[{_fmt_float(re)}, {_fmt_float(im)}]"
+            for re, im in zip(uniq.real.tolist(), uniq.imag.tolist())
+        ]
+    else:
+        strs = [_fmt_float(x) for x in uniq.tolist()]
+    items = np.array(strs, dtype=object)[inverse].tolist()
+    for k in range(a.ndim - 1, -1, -1):
+        m, rows = a.shape[k], math.prod(a.shape[:k])
+        items = ["[" + ", ".join(items[i * m : (i + 1) * m]) + "]" for i in range(rows)]
+    return items[0]
+
+
 def render_json(obj: Any) -> str:
     out: list = []
     _render(obj, out)
@@ -75,13 +111,6 @@ def render_text(obj: Any) -> str:
     if not isinstance(obj, dict):
         return render_json(obj)
     return "\n".join(f"{k}: {render_json(v)}" for k, v in obj.items())
-
-
-def complex_pairs(arr: np.ndarray):
-    """Nested lists with every complex scalar replaced by [re, im]."""
-    a = np.asarray(arr, dtype=np.complex128)
-    stacked = np.stack([a.real, a.imag], axis=-1)
-    return stacked.tolist()
 
 
 def pairs_to_complex(obj) -> np.ndarray:
@@ -108,7 +137,7 @@ def graph_from_obj(obj) -> Graph:
 
 
 def state_to_obj(s: StateVector) -> dict:
-    return {"n": s.n, "d": s.d, "amps": complex_pairs(s.amps)}
+    return {"n": s.n, "d": s.d, "amps": s.amps}
 
 
 def state_from_obj(obj) -> StateVector:

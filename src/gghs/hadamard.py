@@ -110,9 +110,18 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
 
 
 def fourier(d: int) -> HadamardMatrix:
-    """The d-dimensional discrete Fourier matrix, entries q^(i*j), q = exp(2*pi*i/d)."""
+    """The d-dimensional discrete Fourier matrix, entries q^(i*j), q = exp(2*pi*i/d).
+
+    Raises TooLarge for d > DENSE_MATRIX_CAP before any allocation.
+    """
+    from .qstate import DENSE_MATRIX_CAP  # qstate imports this module
+
     if d < 1:
         raise errors.BadSize("d must be >= 1")
+    # d > DENSE_MATRIX_CAP fits no state of two or more sites, and the d x d
+    # matrix and its O(d**3) validation would come before any other cap.
+    if d > DENSE_MATRIX_CAP:
+        raise errors.TooLarge(f"fourier d={d} exceeds the cap {DENSE_MATRIX_CAP}")
     k = np.arange(d)
     roots = np.exp(2j * np.pi * k / d)
     return validate(roots[np.outer(k, k) % d])

@@ -160,6 +160,11 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("peps-check", "--graph", "line:53", "--hadamard", "fourier:1"),
         ("invariant", "--state", str(one_amp), "--rdm", "0"),
         ("code", "--graph", "line:12", "--hadamard", "fourier:4", "--classical", str(two_words)),
+        # fourier:D past DENSE_MATRIX_CAP is refused before its D x D matrix is built.
+        ("validate", "fourier:20000"),
+        ("validate", "fourier:4097"),
+        ("state", "--graph", "complete:1", "--hadamard", "fourier:5000"),
+        ("equiv", "fourier:4097", "fourier:4097"),
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
@@ -451,6 +456,20 @@ def test_decode_error_rejects_non_finite_op(tmp_path, capsys, bad):
     )
     assert code == 2
     assert obj["error"] == "malformed_input"
+
+
+def test_decode_error_overflow_is_a_named_error(tmp_path, capsys):
+    # Entries of 1e308 overflow U^dagger E U to inf and NaN; 1e154 still fits.
+    p = tmp_path / "op.json"
+    argv = ("decode-error", "--graph", "triangle", "--hadamard", "fourier:3", "--site", "0", "--op", str(p))
+    p.write_text(json.dumps({"d": 3, "entries": [[[1e308, 0.0]] * 3] * 3}))
+    code, obj = run_json(capsys, *argv)
+    assert code == 1
+    assert obj["error"] == "overflow"
+    p.write_text(json.dumps({"d": 3, "entries": [[[1e154, 0.0]] * 3] * 3}))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == '{"factorizes": false, "residual": 1e+154, "site_operator": null}\n'
 
 
 # ------------------------------------------------------------------- plumbing
