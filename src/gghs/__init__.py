@@ -16,7 +16,6 @@ from .codes import (
     encode,
     kl_distance,
     weight_enumerators,
-    weyl_operators,
 )
 from .entangle import (
     DensityMatrix,
@@ -49,15 +48,12 @@ from .hadamard import (
 from .qstate import (
     LocalOperator,
     StateVector,
-    apply_ch,
     apply_local,
-    basis_state,
     circuit_unitary,
     digits_to_index,
     ghz,
     graph_state,
     hamiltonian_ground_check,
-    index_to_digits,
     overlap,
     reorder_qudits,
 )
@@ -70,7 +66,7 @@ from .symmetry import (
     stabilizer_from_symmetry,
     verify_stabilizer,
 )
-from .tensornet import BondState, bond_state, peps_contract
+from .tensornet import peps_contract
 
 __version__ = "0.1.0"
 
@@ -84,7 +80,6 @@ __all__ = [
     "encode",
     "kl_distance",
     "weight_enumerators",
-    "weyl_operators",
     "DensityMatrix",
     "graph_reduced_density",
     "i6",
@@ -115,15 +110,12 @@ __all__ = [
     "validate",
     "LocalOperator",
     "StateVector",
-    "apply_ch",
     "apply_local",
-    "basis_state",
     "circuit_unitary",
     "digits_to_index",
     "ghz",
     "graph_state",
     "hamiltonian_ground_check",
-    "index_to_digits",
     "overlap",
     "reorder_qudits",
     "StabilizerOperator",
@@ -133,8 +125,6 @@ __all__ = [
     "pauli_xz",
     "stabilizer_from_symmetry",
     "verify_stabilizer",
-    "BondState",
-    "bond_state",
     "peps_contract",
     "__version__",
 ]

@@ -5,8 +5,6 @@ precision, so a single entrywise tolerance covers construction checks.
 """
 
 TOL_ENTRY = 1e-9      # entrywise checks on unimodular entries, witnesses, flags
-TOL_NORM = 1e-9       # state vector normalization
-TOL_EXACT = 1e-12     # checks the math makes exact, up to double-precision roundoff
 
 
 def tol_unitary(d: int) -> float:

@@ -221,14 +221,8 @@ def _witness_obj(w) -> dict:
 
 
 def cmd_validate(args) -> dict:
-    if ":" in args.matrix or args.matrix in _CATALOG_NAMES:
-        H = resolve_matrix(args.matrix)
-        return {"valid": True, "symmetric": H.symmetric, "dephased": H.dephased}
-    if not os.path.exists(args.matrix):
-        raise Malformed(f"{args.matrix!r} is neither a catalog name nor an existing file")
-    entries = matrix_entries_from_json_path(args.matrix)
     try:
-        H = validate(entries)
+        H = resolve_matrix(args.matrix)
     except (errors.NotUnimodular, errors.NotHadamard) as exc:
         return {"valid": False, "symmetric": False, "dephased": False, "reason": exc.detail}
     return {"valid": True, "symmetric": H.symmetric, "dephased": H.dephased}
@@ -334,6 +328,8 @@ def cmd_peps_check(args) -> dict:
 
 
 def cmd_code(args) -> dict:
+    if args.distance is not None and args.distance < 1:
+        raise Malformed(f"--distance wants a weight >= 1, got {args.distance}")
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
     try:

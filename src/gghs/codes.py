@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .qstate import (
     circuit_unitary,
     graph_state,
 )
-from .symmetry import pauli_xz
 
 KL_TOL = 1e-9
 
@@ -137,14 +136,6 @@ def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     return QuantumCode(graph=G, hadamard=H, classical=C, basis=V)
 
 
-def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:
-    """All d*d operators X^a Z^b keyed by (a, b), identity first."""
-    X, Z = pauli_xz(d)
-    xs = [np.linalg.matrix_power(X, a) for a in range(d)]
-    zs = [np.linalg.matrix_power(Z, b) for b in range(d)]
-    return [((a, b), xs[a] @ zs[b]) for a in range(d) for b in range(d)]
-
-
 def _splits(Q: QuantumCode, weights):
     """Yield (w, M) for each site subset S with |S| = w in weights.
 
@@ -187,8 +178,11 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBound
     LowerBoundExceeded marker carrying min(max_weight, n) (not raised). For E
     on S and delta = V^dagger E V minus its mean diagonal,
     ||V delta V^dagger||_max <= K d^w max||X_ij||_max and
-    ||X_ij||_max <= d^(w+n) max_E ||V delta V^dagger||_max.
+    ||X_ij||_max <= d^(w+n) max_E ||V delta V^dagger||_max. A max_weight
+    below 1 scans nothing and raises BadSize.
     """
+    if max_weight < 1:
+        raise errors.BadSize(f"max_weight must be >= 1, got {max_weight}")
     max_weight = min(max_weight, Q.graph.n)
     for w, M in _splits(Q, range(1, max_weight + 1)):
         if not _kl_holds(M):

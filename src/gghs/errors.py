@@ -57,10 +57,6 @@ class SiteOutOfRange(GGHSError):
     code = "site_out_of_range"
 
 
-class SameSite(GGHSError):
-    code = "same_site"
-
-
 class BadPermutation(GGHSError):
     code = "bad_permutation"
 

@@ -5,6 +5,10 @@ Graph JSON:   {"n": n, "edges": [[u, v], ...]}
 State JSON:   {"n": n, "d": d, "amps": [[re, im], ...]}  (length d**n)
 Classical code text: one digit word per line, '#' starts a comment.
 
+The integer fields (n, d and the edge endpoints) must be JSON integers:
+true, false and floats, 3.0 included, raise ValueError rather than being
+truncated or read as 0 and 1.
+
 render_json writes floats at 12 significant digits with a fixed key order
 (insertion order of the dicts handed to it), so identical inputs produce
 byte-identical output. A complex number is written as [re, im].
@@ -120,20 +124,25 @@ def pairs_to_complex(obj) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
+def _json_int(value, what: str) -> int:
+    """value as an int if it is a JSON integer; bools and floats raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def matrix_entries_from_obj(obj) -> np.ndarray:
-    d = int(obj["d"])
+    d = _json_int(obj["d"], "d")
     entries = pairs_to_complex(obj["entries"])
     if entries.shape != (d, d):
         raise ValueError(f"entries shape {entries.shape} does not match d={d}")
     return entries
 
 
-def graph_to_obj(G: Graph) -> dict:
-    return {"n": G.n, "edges": [list(e) for e in G.edges]}
-
-
 def graph_from_obj(obj) -> Graph:
-    return build(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+    n = _json_int(obj["n"], "n")
+    return build(n, [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
+                     for u, v in obj["edges"]])
 
 
 def state_to_obj(s: StateVector) -> dict:
@@ -141,8 +150,8 @@ def state_to_obj(s: StateVector) -> dict:
 
 
 def state_from_obj(obj) -> StateVector:
-    n = int(obj["n"])
-    d = int(obj["d"])
+    n = _json_int(obj["n"], "n")
+    d = _json_int(obj["d"], "d")
     amps = pairs_to_complex(obj["amps"])
     if n < 0 or d < 1 or amps.shape != (_dense_size(n, d, DENSE_AMP_CAP),):
         raise ValueError(f"amps shape {amps.shape} does not match n={n}, d={d}")

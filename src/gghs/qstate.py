@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from ._tol import TOL_NORM
 from .graphs import Graph
 from .hadamard import HadamardMatrix
 
@@ -50,14 +49,6 @@ def digits_to_index(d: int, digits: Sequence[int]) -> int:
     for x in digits:
         k = k * d + int(x)
     return k
-
-
-def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(k % d)
-        k //= d
-    return tuple(reversed(out))
 
 
 def _dense_size(n: int, d: int, cap: int) -> int:
@@ -121,35 +112,12 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     return T
 
 
-def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
-    _check_digits(n, d, digits)
-    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
-    amps[digits_to_index(d, digits)] = 1.0
-    return StateVector(n=n, d=d, amps=amps)
-
-
 def apply_local(U: LocalOperator, s: StateVector) -> StateVector:
     if U.d != s.d:
         raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.d}")
     if not (0 <= U.site < s.n):
         raise errors.SiteOutOfRange(f"site {U.site} out of range for n={s.n}")
     return StateVector(n=s.n, d=s.d, amps=_apply_site(U.matrix, U.site, s.d, s.amps))
-
-
-def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
-    """Diagonal two-qudit gate: amplitude at (.., a_i, .., a_j, ..) times h[a_i, a_j]."""
-    if i == j:
-        raise errors.SameSite("the gate acts on two distinct sites")
-    if H.d != s.d:
-        raise errors.DimensionMismatch(f"matrix d={H.d}, state d={s.d}")
-    if not H.symmetric:
-        raise errors.NotSymmetric("the gate requires a symmetric matrix")
-    for site in (i, j):
-        if not (0 <= site < s.n):
-            raise errors.SiteOutOfRange(f"site {site} out of range for n={s.n}")
-    T = s.tensor().astype(np.complex128)
-    _edge_phases(H.entries, [(i, j)], T)
-    return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
 
 
 def _check_graph_state(

@@ -7,24 +7,12 @@ the circuit construction up to normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
 from .graphs import Graph
 from .hadamard import HadamardMatrix
 from .qstate import DENSE_AMP_CAP, StateVector, _dense_size
-
-
-@dataclass(frozen=True, eq=False)
-class BondState:
-    d: int
-    amps: np.ndarray  # (d*d,), amps[i*d + j] = h_ij, unnormalized
-
-
-def bond_state(H: HadamardMatrix) -> BondState:
-    return BondState(d=H.d, amps=H.entries.reshape(-1).copy())
 
 
 def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:

@@ -1,8 +1,19 @@
-"""Shared inventories for the test grid: catalog matrices and small graphs."""
+"""Shared inventories, fixtures and oracles for the tests.
 
+The test grid (catalog matrices and small graphs), state fixtures that the
+package itself does not need, and independent oracles the tests check the
+package against.
+"""
+
+import itertools
 import math
+from typing import List, Sequence, Tuple
 
-from gghs import catalog, family, fourier
+import numpy as np
+
+from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz
+from gghs.hadamard import HadamardMatrix
+from gghs.qstate import DENSE_AMP_CAP, _check_digits, _dense_size, _edge_phases
 
 PI = math.pi
 
@@ -61,3 +72,81 @@ def cut_rank(G, part, p):
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
+    out = []
+    for _ in range(n):
+        out.append(k % d)
+        k //= d
+    return tuple(reversed(out))
+
+
+def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
+    _check_digits(n, d, digits)
+    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
+    amps[digits_to_index(d, digits)] = 1.0
+    return StateVector(n=n, d=d, amps=amps)
+
+
+def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
+    """Diagonal two-qudit gate: amplitude at (.., a_i, .., a_j, ..) times h[a_i, a_j]."""
+    if i == j:
+        raise ValueError("the gate acts on two distinct sites")
+    if H.d != s.d:
+        raise errors.DimensionMismatch(f"matrix d={H.d}, state d={s.d}")
+    if not H.symmetric:
+        raise errors.NotSymmetric("the gate requires a symmetric matrix")
+    for site in (i, j):
+        if not (0 <= site < s.n):
+            raise errors.SiteOutOfRange(f"site {site} out of range for n={s.n}")
+    T = s.tensor().astype(np.complex128)
+    _edge_phases(H.entries, [(i, j)], T)
+    return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
+
+
+def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:
+    """All d*d operators X^a Z^b keyed by (a, b), identity first."""
+    X, Z = pauli_xz(d)
+    xs = [np.linalg.matrix_power(X, a) for a in range(d)]
+    zs = [np.linalg.matrix_power(Z, b) for b in range(d)]
+    return [((a, b), xs[a] @ zs[b]) for a in range(d) for b in range(d)]
+
+
+def fourier_code_distance(G, d, words, max_weight):
+    """Distance of the graph code of G over F_d with codewords `words`, by the
+    stabilizer rule; None when no error of weight <= max_weight violates.
+
+    For H = F_d, u|c> = Z^c|+>, so psi_c = Z^c|G>, the qudit graph code of
+    Schlingemann & Werner (PRA 65, 012308, 2001). With pauli_xz's
+    convention, X^a Z^b sends psi_c to q^(a.c) times a phase free of c times
+    psi_(c+v), v = b + Gamma a mod d. The distance is the least weight
+    |supp a u supp b| of a nonzero (a, b) with v in (C - C) minus {0}, or with
+    v = 0 and a.c not constant on C; for K = 1 any v = 0 counts.
+
+    On a support S with a fixed, b ranges over every v_S while v off S is
+    (Gamma a) there, so only a is enumerated: sum_w C(n, w) d^w cases and K^2
+    differences each, no d^n anywhere. Errors with a trivial site in S are
+    scanned again, harmlessly: their own smaller weight came first.
+    """
+    n = G.n
+    gamma = np.zeros((n, n), dtype=np.int64)
+    for u, v in G.edges:
+        gamma[u, v] = gamma[v, u] = 1
+    C = np.array(words, dtype=np.int64)
+    diffs = (C[:, None, :] - C[None, :, :]).reshape(-1, n) % d
+    diffs = diffs[diffs.any(axis=1)]
+    for w in range(1, min(max_weight, n) + 1):
+        for S in itertools.combinations(range(n), w):
+            rest = [k for k in range(n) if k not in S]
+            for a_S in itertools.product(range(d), repeat=w):
+                a = np.zeros(n, dtype=np.int64)
+                a[list(S)] = a_S
+                v_rest = gamma[rest] @ a % d
+                if (diffs[:, rest] == v_rest).all(axis=1).any():
+                    return w
+                if any(a_S) and not v_rest.any():
+                    dots = C @ a % d
+                    if len(C) == 1 or (dots != dots[0]).any():
+                        return w
+    return None

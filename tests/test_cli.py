@@ -74,6 +74,36 @@ def test_validate_accepts_matrix_file(tmp_path, capsys):
     assert code == 0 and out["valid"] is True
 
 
+F2_PAIRS = [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "kind,obj",
+    [
+        ("graph", {"n": 3.7, "edges": [[0, 1], [1, 2]]}),
+        ("graph", {"n": 3.0, "edges": [[0, 1], [1, 2]]}),
+        ("graph", {"n": 2, "edges": [[True, False]]}),
+        ("graph", {"n": 2, "edges": [[0, 1.0]]}),
+        ("state", {"n": 1.9, "d": 2.0, "amps": [[1, 0], [0, 0]]}),
+        ("state", {"n": 1, "d": True, "amps": [[1, 0]]}),
+        ("matrix", {"d": 2.6, "entries": F2_PAIRS}),
+        ("matrix", {"d": True, "entries": [[[1, 0]]]}),
+    ],
+)
+def test_integer_fields_must_be_json_integers(tmp_path, capsys, kind, obj):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(obj))
+    argv = {
+        "graph": ("state", "--graph", str(p), "--hadamard", "fourier:2"),
+        "state": ("invariant", "--state", str(p), "--rdm", "0"),
+        "matrix": ("validate", str(p)),
+    }[kind]
+    code, out = run_json(capsys, *argv)
+    assert code == 2, out
+    assert out["error"] == "malformed_input"
+    assert "must be a JSON integer" in out["detail"]
+
+
 # --------------------------------------------------------------- equivalence
 
 
@@ -383,6 +413,19 @@ def test_code_distance_bound_exceeded(tmp_path, capsys):
     assert code == 0
     assert obj["distance"] is None
     assert obj["distance_exceeds"] == 1
+
+
+@pytest.mark.parametrize("weight", ["0", "-5"])
+def test_code_distance_below_one_is_malformed(tmp_path, capsys, weight):
+    words = tmp_path / "rep.txt"
+    words.write_text("000\n111\n")
+    code, obj = run_json(
+        capsys,
+        "code", "--graph", "triangle", "--hadamard", "fourier:2",
+        "--classical", str(words), "--distance", weight,
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
 
 
 def test_code_non_digit_word_is_malformed(tmp_path, capsys):

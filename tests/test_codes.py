@@ -27,12 +27,11 @@ from gghs import (
     pauli_xz,
     validate,
     weight_enumerators,
-    weyl_operators,
 )
 from gghs import codes
-from gghs.qstate import _apply_site, index_to_digits
+from gghs.qstate import _apply_site
 
-from helpers import connected_graphs, full_catalog
+from helpers import connected_graphs, fourier_code_distance, full_catalog, index_to_digits, weyl_operators
 
 PI = math.pi
 
@@ -193,6 +192,13 @@ def test_lower_bound_marker_is_capped_at_n(monkeypatch):
     res = kl_distance(Q, max_weight=7)
     assert isinstance(res, errors.LowerBoundExceeded)
     assert res.max_weight == 3
+
+
+@pytest.mark.parametrize("max_weight", [0, -5])
+def test_distance_scan_below_weight_one_is_bad_size(max_weight):
+    Q = build_code(family("triangle"), fourier(2), repetition(3, 2))
+    with pytest.raises(errors.BadSize):
+        kl_distance(Q, max_weight)
 
 
 def test_repetition_code_distance_regression():
@@ -382,6 +388,48 @@ def test_codes_refuse_d1():
         kl_distance(Q, max_weight=20)
     with pytest.raises(errors.BadSize):
         weight_enumerators(Q)
+
+
+# ---------------------------------------- the F_d stabilizer oracle for codes
+
+
+def _additive_code(rng, n, d, gens):
+    """The span over Z_d of `gens` random words, deduplicated."""
+    g = rng.integers(0, d, size=(gens, n))
+    span = {tuple(int(x) for x in np.asarray(coef) @ g % d)
+            for coef in itertools.product(range(d), repeat=gens)}
+    return ClassicalCode(n, d, tuple(sorted(span)))
+
+
+def test_kl_distance_matches_stabilizer_oracle_for_fourier():
+    rng = np.random.default_rng(2001)
+    count = 0
+    for gl, G in connected_graphs(5):
+        n = G.n
+        for d in range(2, 7):
+            if d**n > 4096:
+                continue
+            cases = []
+            for K in (1, 2, d):
+                idx = rng.choice(d**n, size=K, replace=False)
+                cases.append(ClassicalCode(n, d, tuple(index_to_digits(n, d, int(k)) for k in idx)))
+            cases += [_additive_code(rng, n, d, gens) for gens in (1, 1, 1, 2, 2, 2)]
+            for C in cases:
+                got = kl_distance(build_code(G, fourier(d), C), n)
+                assert got == fourier_code_distance(G, d, C.words, n), (gl, d, C.words)
+                count += 1
+    assert count == 504
+    for d in range(2, 6):
+        G = family("cycle", 5)
+        assert kl_distance(build_code(G, fourier(d), repetition(5, d)), 5) == 3
+        assert fourier_code_distance(G, d, repetition(5, d).words, 5) == 3
+
+
+def test_stabilizer_oracle_past_the_dense_cap():
+    # cycle:12 at fourier:3 is past the cap of kl_distance; the oracle stays at w <= 3.
+    G = family("cycle", 12)
+    assert fourier_code_distance(G, 3, repetition(12, 3).words, 2) is None
+    assert fourier_code_distance(G, 3, repetition(12, 3).words, 3) == 3
 
 
 # ---------------------------------------------------------------- weyl basis

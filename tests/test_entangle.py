@@ -10,7 +10,6 @@ from gghs import (
     DensityMatrix,
     LocalOperator,
     apply_local,
-    basis_state,
     build,
     catalog,
     errors,
@@ -26,7 +25,7 @@ from gghs import (
     schmidt_spectrum,
     validate,
 )
-from helpers import connected_graphs, cut_rank, full_catalog
+from helpers import basis_state, connected_graphs, cut_rank, full_catalog
 
 PI = math.pi
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from gghs import (
     LocalOperator,
-    apply_ch,
     apply_local,
-    basis_state,
     build,
     catalog,
     circuit_unitary,
@@ -21,7 +19,6 @@ from gghs import (
     ghz,
     graph_state,
     hamiltonian_ground_check,
-    index_to_digits,
     overlap,
     pauli_xz,
     reorder_qudits,
@@ -29,7 +26,7 @@ from gghs import (
 )
 from gghs import qstate
 from gghs.qstate import DENSE_MATRIX_CAP
-from helpers import connected_graphs, full_catalog
+from helpers import apply_ch, basis_state, connected_graphs, full_catalog, index_to_digits
 
 PI = math.pi
 
@@ -125,7 +122,7 @@ def test_apply_ch_squared_relation():
 
 
 def test_apply_ch_errors():
-    with pytest.raises(errors.SameSite):
+    with pytest.raises(ValueError):
         apply_ch(fourier(2), ghz(2, 2), 0, 0)
     with pytest.raises(errors.DimensionMismatch):
         apply_ch(fourier(3), ghz(2, 2), 0, 1)

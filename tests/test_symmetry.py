@@ -13,7 +13,6 @@ from gghs import (
     StabilizerOperator,
     apply_witness,
     auto_bipartite_parts,
-    basis_state,
     catalog,
     errors,
     family,
@@ -28,7 +27,7 @@ from gghs import (
     stabilizer_from_symmetry,
     verify_stabilizer,
 )
-from helpers import connected_graphs
+from helpers import basis_state, connected_graphs
 
 PI = math.pi
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gghs import (
-    bond_state,
     build,
     catalog,
     family,
@@ -18,20 +17,25 @@ from helpers import connected_graphs, full_catalog
 PI = math.pi
 
 
+# The one-edge contraction is the bond state: amps[i*d + j] = h_ij / d, since
+# the unimodular entries give ||H||_F = d.
+
+
 def test_bond_state_qubit():
-    b = bond_state(fourier(2))
-    np.testing.assert_allclose(b.amps, [1, 1, 1, -1])
+    s = peps_contract(family("line", 2), fourier(2))
+    np.testing.assert_allclose(s.amps, np.array([1, 1, 1, -1]) / 2, atol=1e-12)
 
 
 def test_bond_state_entry_lookup():
-    b = bond_state(catalog("h_alpha", PI / 5))
-    np.testing.assert_allclose(b.amps[2 * 4 + 2], np.exp(1j * PI / 5), atol=1e-12)
+    s = peps_contract(family("line", 2), catalog("h_alpha", PI / 5))
+    np.testing.assert_allclose(s.amps[2 * 4 + 2], np.exp(1j * PI / 5) / 4, atol=1e-12)
 
 
 @pytest.mark.parametrize("label,H", full_catalog())
 def test_bond_state_norm(label, H):
-    # unimodular entries, no prefactor: squared norm is d^2
-    assert abs(np.vdot(bond_state(H).amps, bond_state(H).amps) - H.d**2) <= 1e-9
+    s = peps_contract(family("line", 2), H)
+    assert abs(s.norm() - 1.0) <= 1e-12
+    np.testing.assert_allclose(s.amps, H.entries.reshape(-1) / H.d, atol=1e-9)
 
 
 def test_edge_contraction_is_maximally_entangled():
