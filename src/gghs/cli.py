@@ -297,16 +297,13 @@ def cmd_stabilizers(args) -> dict:
     # K_a is P at a and D at a's neighbours: it commutes with every edge gate
     # not incident to a, so it is checked on the graph state of N[a] alone.
     checked = []
-    all_ok = True
     for idx, w in chosen:
         gens = []
         for a in range(G.n):
             hood, local = neighbourhood(G, [a])
             op = stabilizer_from_symmetry(local, H, w, hood.index(a))
-            ok, dev = verify_stabilizer(op, graph_state(local, H))
-            ok = bool(ok and dev <= args.tol)
-            all_ok = all_ok and ok
-            gens.append({"vertex": a, "verified": ok, "deviation": dev})
+            dev = verify_stabilizer(op, graph_state(local, H))[1]
+            gens.append({"vertex": a, "verified": dev <= args.tol, "deviation": dev})
         checked.append(
             {
                 "symmetry_index": idx,
@@ -315,6 +312,7 @@ def cmd_stabilizers(args) -> dict:
                 "generators": gens,
             }
         )
+    all_ok = all(g["verified"] for c in checked for g in c["generators"])
     return {"available_symmetries": len(syms), "checked": checked, "all_verified": all_ok}
 
 

@@ -12,13 +12,13 @@ import numpy as np
 
 from . import errors
 from .graphs import Graph, neighbourhood
-from .hadamard import HadamardMatrix, dephase
+from .hadamard import HadamardMatrix, _gram_deviation, dephase
 from .qstate import (
     DENSE_AMP_CAP,
-    DENSE_MATRIX_CAP,
     LocalOperator,
     StateVector,
     _apply_site,
+    _check_graph_state,
     _dense_size,
     _encode,
     circuit_unitary,
@@ -50,12 +50,14 @@ class ClassicalCode:
 
     @staticmethod
     def from_text(text: str, d: int) -> "ClassicalCode":
-        """One word per line, digits 0..d-1, '#' starts a comment."""
+        """One word per line, one ASCII digit 0..d-1 per site, '#' starts a comment."""
         words = []
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if not (line.isascii() and line.isdigit()):
+                raise ValueError(f"word {line!r} is not a string of the ASCII digits 0-9")
             words.append(tuple(int(ch) for ch in line))
         return ClassicalCode(n=len(words[0]) if words else 0, d=d, words=tuple(words))
 
@@ -82,31 +84,6 @@ def encode(G: Graph, H: HadamardMatrix, c: Sequence[int]) -> StateVector:
     return graph_state(G, hd, input_digits=c)
 
 
-GRAM_BLOCK = 2**20  # most amplitudes in one temporary of the Gram check
-
-
-def _gram_deviation(V: np.ndarray) -> float:
-    """max |V^dagger V - I|, read off the upper block triangle of the
-    Hermitian Gram.
-
-    Column block j0:j1 of V is paired with columns j0: and summed over row
-    blocks, so no temporary holds more than GRAM_BLOCK entries (K <= d**n
-    keeps cols * K within it).
-    """
-    size, K = V.shape
-    cols = max(1, min(K, GRAM_BLOCK // size))
-    rows = max(1, GRAM_BLOCK // cols)
-    dev = 0.0
-    for j0 in range(0, K, cols):
-        j1 = min(j0 + cols, K)
-        gram = np.zeros((j1 - j0, K - j0), np.complex128)
-        for r0 in range(0, size, rows):
-            gram += V[r0:r0 + rows, j0:j1].conj().T @ V[r0:r0 + rows, j0:]
-        gram[np.diag_indices(j1 - j0)] -= 1.0
-        dev = max(dev, float(np.max(np.abs(gram))))
-    return dev
-
-
 def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     """Encode every word of C in one pass; the basis is read-only.
 
@@ -119,17 +96,15 @@ def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     if C.d != d:
         raise errors.DimensionMismatch(f"code alphabet {C.d} != matrix dimension {d}")
     hd = H if H.dephased else dephase(H)[2]
-    if not hd.symmetric:
-        raise errors.NotSymmetric("graph states need a symmetric matrix")
-    size = _dense_size(n, d, DENSE_AMP_CAP)
-    if size * K > DENSE_AMP_CAP:
+    _check_graph_state(G, hd)
+    if d**n * K > DENSE_AMP_CAP:
         raise errors.TooLarge(
             f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}"
         )
-    V = _encode(G, hd, C.words).reshape(size, K)
+    V = _encode(G, hd, C.words).reshape(-1, K)
     for col in V.T:
         col /= np.linalg.norm(col)
-    gram_dev = _gram_deviation(V)
+    gram_dev = _gram_deviation(V, 1)
     if gram_dev > 1e-9:
         raise errors.GramNotIdentity(f"gram deviates from identity by {gram_dev:.3e}")
     V.flags.writeable = False
@@ -144,7 +119,7 @@ def _splits(Q: QuantumCode, weights):
     d, n = Q.hadamard.d, Q.graph.n
     if d < 2:
         raise errors.BadSize("codes need d >= 2")
-    _dense_size(n, d, DENSE_MATRIX_CAP)
+    _dense_size(n, d, axes=2)  # capped as the code projector P
     T = Q.basis.reshape((d,) * n + (Q.K,))
     for w in weights:
         for S in itertools.combinations(range(n), w):
@@ -239,7 +214,8 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     operator, factorization and residual are then read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
-    The d**n cap on the whole register is kept. An operator whose entries
+    M is capped as the whole-register operator it stands for,
+    (d**n)**2 <= DENSE_AMP_CAP. An operator whose entries
     overflow float64 in the conjugation raises Overflow.
     """
     n, d = G.n, H.d
@@ -247,7 +223,7 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
         raise errors.DimensionMismatch(f"error d={E.d}, matrix d={d}")
     if not (0 <= E.site < n):
         raise errors.SiteOutOfRange(f"site {E.site} out of range for n={n}")
-    _dense_size(n, d, DENSE_MATRIX_CAP)
+    _dense_size(n, d, axes=2)
     hood, local = neighbourhood(G, [E.site])
     site = hood.index(E.site)
     U = circuit_unitary(local, H)

@@ -16,7 +16,7 @@ import numpy as np
 from . import errors
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
-from .qstate import StateVector, _check_graph_state, _encode
+from .qstate import StateVector, _check_graph_state, _dense_size, _encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,16 +49,15 @@ def _shape(s: State) -> Tuple[int, int]:
 
 
 def reduced_density(s: State, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over the complement of `keep` (a sorted site list).
-
-    A (G, H) pair goes to graph_reduced_density."""
+    """Partial trace over the complement of `keep` (a sorted site list),
+    capped before it is built. A (G, H) pair goes to graph_reduced_density."""
     if not isinstance(s, StateVector):
         return graph_reduced_density(*s, keep)
     keep = _check_keep(keep, s.n)
+    dk = _dense_size(len(keep), s.d, axes=2)
     rest = [a for a in range(s.n) if a not in keep]
     T = s.tensor()
     rho = np.tensordot(T, T.conj(), axes=(rest, rest))
-    dk = s.d ** len(keep)
     return DensityMatrix(dims=tuple(s.d for _ in keep), mat=rho.reshape(dk, dk))
 
 
@@ -74,12 +73,13 @@ def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> D
         kappa_v(i, i') = (1/d) sum_x prod_{a in S, a~v} h[i_a, x] conj(h[i'_a, x]),
     divided by its trace as graph_state divides by the norm. This is exact
     when u is unitary and the entries are unimodular, within validation's
-    tolerance. Memory is d**(2|S|) whatever the graph. graph_state's checks,
-    the d**n cap among them, run before the site checks.
+    tolerance. graph_state's checks, the d**n cap among them, run before the
+    site checks, and the d**(2|S|) result is capped before it is built.
     """
     _check_graph_state(G, H)
     keep = _check_keep(keep, G.n)
     d, m = H.d, len(keep)
+    _dense_size(m, d, axes=2)
     hood, local = neighbourhood(G, keep)
     axis = {hood.index(k): j for j, k in enumerate(keep)}  # local vertex -> axis of phi_S
     inner = build(m, [(axis[a], axis[b]) for a, b in local.edges if a in axis and b in axis])

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .graphs import Graph, build
-from .qstate import DENSE_AMP_CAP, StateVector, _dense_size
+from .qstate import StateVector, _dense_size
 
 
 def _fmt_float(x: float) -> str:
@@ -153,7 +153,7 @@ def state_from_obj(obj) -> StateVector:
     n = _json_int(obj["n"], "n")
     d = _json_int(obj["d"], "d")
     amps = pairs_to_complex(obj["amps"])
-    if n < 0 or d < 1 or amps.shape != (_dense_size(n, d, DENSE_AMP_CAP),):
+    if n < 0 or d < 1 or amps.shape != (_dense_size(n, d),):
         raise ValueError(f"amps shape {amps.shape} does not match n={n}, d={d}")
     if not np.isfinite(amps).all():
         raise ValueError("amps hold a non-finite value")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -56,11 +57,12 @@ def neighbourhood(G: Graph, S) -> Tuple[Tuple[int, ...], Graph]:
 
 
 def build(n: int, edges) -> Graph:
+    n = operator.index(n)
     if n < 1:
         raise errors.BadSize("n must be >= 1")
     norm = set()
     for u, v in edges:
-        u, v = int(u), int(v)
+        u, v = operator.index(u), operator.index(v)
         if u == v:
             raise errors.SelfLoop(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -93,7 +95,7 @@ def family(name: str, n: Optional[int] = None) -> Graph:
         return build(3, [(0, 1), (1, 2), (0, 2)])
     if n is None:
         raise errors.BadSize(f"family {name!r} needs a vertex count")
-    n = int(n)
+    n = operator.index(n)
     if name not in _FAMILIES:
         raise errors.UnknownName(f"unknown graph family {name!r}")
     least, edge_count, edge_list = _FAMILIES[name]

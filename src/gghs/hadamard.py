@@ -12,6 +12,7 @@ P H D = H.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +86,31 @@ def _as_complex_square(entries) -> np.ndarray:
     return a
 
 
+GRAM_BLOCK = 2**20  # most entries in one temporary of the Gram check
+
+
+def _gram_deviation(V: np.ndarray, scale: float) -> float:
+    """max |V^dagger V - scale I|, read off the upper block triangle of the
+    Hermitian Gram.
+
+    Column block j0:j1 of V is paired with columns j0: and summed over row
+    blocks, so no temporary holds more than GRAM_BLOCK entries (K <= rows of
+    V keeps cols * K within it).
+    """
+    size, K = V.shape
+    cols = max(1, min(K, GRAM_BLOCK // size))
+    rows = max(1, GRAM_BLOCK // cols)
+    dev = 0.0
+    for j0 in range(0, K, cols):
+        j1 = min(j0 + cols, K)
+        gram = np.zeros((j1 - j0, K - j0), np.complex128)
+        for r0 in range(0, size, rows):
+            gram += V[r0:r0 + rows, j0:j1].conj().T @ V[r0:r0 + rows, j0:]
+        gram[np.diag_indices(j1 - j0)] -= scale
+        dev = max(dev, float(np.max(np.abs(gram))))
+    return dev
+
+
 def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
     """Check the Hadamard invariants and return the matrix with its flags."""
     a = _as_complex_square(entries)
@@ -94,7 +120,7 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
     mod_dev = float(np.max(np.abs(np.abs(a) - 1.0)))
     if mod_dev > TOL_ENTRY:
         raise errors.NotUnimodular(f"entry modulus deviates from 1 by {mod_dev:.3e}")
-    gram_dev = float(np.max(np.abs(a.conj().T @ a - d * np.eye(d))))
+    gram_dev = _gram_deviation(a, d)
     if gram_dev > tol_unitary(d):
         raise errors.NotHadamard(f"H^dagger H deviates from d*I by {gram_dev:.3e}")
     symmetric = bool(np.max(np.abs(a - a.T)) <= TOL_ENTRY)
@@ -104,7 +130,6 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
         np.max(np.abs(a[0, :] - 1.0)) <= TOL_ENTRY
         and np.max(np.abs(a[:, 0] - 1.0)) <= TOL_ENTRY
     )
-    a = a.copy()
     a.setflags(write=False)
     return HadamardMatrix(d=d, entries=a, symmetric=symmetric, dephased=dephased)
 
@@ -112,16 +137,14 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
 def fourier(d: int) -> HadamardMatrix:
     """The d-dimensional discrete Fourier matrix, entries q^(i*j), q = exp(2*pi*i/d).
 
-    Raises TooLarge for d > DENSE_MATRIX_CAP before any allocation.
+    Raises TooLarge for d**2 > DENSE_AMP_CAP (d > 4096) before any allocation.
     """
-    from .qstate import DENSE_MATRIX_CAP  # qstate imports this module
+    from .qstate import DENSE_AMP_CAP  # qstate imports this module
 
     if d < 1:
         raise errors.BadSize("d must be >= 1")
-    # d > DENSE_MATRIX_CAP fits no state of two or more sites, and the d x d
-    # matrix and its O(d**3) validation would come before any other cap.
-    if d > DENSE_MATRIX_CAP:
-        raise errors.TooLarge(f"fourier d={d} exceeds the cap {DENSE_MATRIX_CAP}")
+    if d * d > DENSE_AMP_CAP:
+        raise errors.TooLarge(f"fourier d={d} exceeds the cap {math.isqrt(DENSE_AMP_CAP)}")
     k = np.arange(d)
     roots = np.exp(2j * np.pi * k / d)
     return validate(roots[np.outer(k, k) % d])

@@ -17,8 +17,7 @@ from . import errors
 from .graphs import Graph
 from .hadamard import HadamardMatrix
 
-DENSE_AMP_CAP = 2**24      # largest d**n a StateVector may hold
-DENSE_MATRIX_CAP = 4096    # largest d**n for dense d**n x d**n operators
+DENSE_AMP_CAP = 2**24      # most entries of a dense array an input sizes (256 MiB of complex128)
 MAX_SITES = 32             # largest n: one tensor axis per site, numpy 1.x's axis limit
 
 
@@ -51,17 +50,21 @@ def digits_to_index(d: int, digits: Sequence[int]) -> int:
     return k
 
 
-def _dense_size(n: int, d: int, cap: int) -> int:
-    """d**n for n >= 0 and d >= 1, or TooLarge as soon as the running product passes cap.
+def _dense_size(n: int, d: int, axes: int = 1) -> int:
+    """d**n for n >= 0 and d >= 1, or TooLarge when an array with `axes` axes
+    of d**n entries each (1: a vector on n sites, 2: an operator on them)
+    passes DENSE_AMP_CAP.
 
-    The product stops at the first factor past cap, so a huge n never builds a
-    huge integer. n itself is capped at MAX_SITES, which binds only for d = 1.
+    The product stops at the first factor past the cap, so a huge n never
+    builds a huge integer. n itself is capped at MAX_SITES, which binds only
+    for d = 1.
     """
     size = 1
     for _ in range(n if d > 1 else 0):
         size *= d
-        if size > cap:
-            raise errors.TooLarge(f"d**n with n={n}, d={d} exceeds the cap {cap}")
+        if size**axes > DENSE_AMP_CAP:
+            what = "d**n" if axes == 1 else f"(d**n)**{axes}"
+            raise errors.TooLarge(f"{what} with n={n}, d={d} exceeds the cap {DENSE_AMP_CAP}")
     if n > MAX_SITES:
         raise errors.TooLarge(f"n={n} sites exceeds the cap {MAX_SITES}")
     return size
@@ -133,7 +136,7 @@ def _check_graph_state(
         raise errors.NotSymmetric("graph states need a symmetric matrix")
     digits = tuple(input_digits) if input_digits is not None else (0,) * G.n
     _check_digits(G.n, H.d, digits)
-    _dense_size(G.n, H.d, DENSE_AMP_CAP)
+    _dense_size(G.n, H.d)
     return digits
 
 
@@ -155,7 +158,7 @@ def graph_state(
 def ghz(n: int, d: int) -> StateVector:
     if n < 1 or d < 2:
         raise errors.BadSize("ghz needs n >= 1 and d >= 2")
-    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
+    amps = np.zeros(_dense_size(n, d), dtype=np.complex128)
     for i in range(d):
         amps[digits_to_index(d, (i,) * n)] = 1.0 / math.sqrt(d)
     return StateVector(n=n, d=d, amps=amps)
@@ -185,7 +188,7 @@ def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
     Column c is the circuit applied to basis state c (see _encode).
     """
     n, d = G.n, H.d
-    size = _dense_size(n, d, DENSE_MATRIX_CAP)
+    size = _dense_size(n, d, axes=2)
     words = np.indices((d,) * n).reshape(n, size).T
     return _encode(G, H, words).reshape(size, size)
 
@@ -207,12 +210,9 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     maps the graph state psi to U^dagger psi; fidelity = |(U^dagger psi)_0|.
     Costs O(n d^(n+1)); neither U nor the Hamiltonian is built.
     """
-    if not H.symmetric:
-        raise errors.NotSymmetric("graph states need a symmetric matrix")
+    _check_graph_state(G, H)
     n, d = G.n, H.d
-    # Only d**n amplitudes are allocated, but the operator cap is kept until
-    # the dense caps are revisited together.
-    _dense_size(n, d, DENSE_MATRIX_CAP)
+    _dense_size(n, d, axes=2)  # capped as the parent Hamiltonian it checks
     T = graph_state(G, H).tensor()
     _edge_phases(H.entries.conj(), G.edges, T)
     u_dag = H.entries.conj().T / math.sqrt(d)

@@ -12,7 +12,7 @@ import numpy as np
 from . import errors
 from .graphs import Graph
 from .hadamard import HadamardMatrix
-from .qstate import DENSE_AMP_CAP, StateVector, _dense_size
+from .qstate import StateVector, _dense_size
 
 
 def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
@@ -24,7 +24,7 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     factor. The result is normalized.
     """
     n, d = G.n, H.d
-    _dense_size(n, d, DENSE_AMP_CAP)
+    _dense_size(n, d)
     operands = []
     subscripts = []
     for u, v in G.edges:

@@ -13,7 +13,7 @@ import numpy as np
 
 from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz
 from gghs.hadamard import HadamardMatrix
-from gghs.qstate import DENSE_AMP_CAP, _check_digits, _dense_size, _edge_phases
+from gghs.qstate import _check_digits, _dense_size, _edge_phases
 
 PI = math.pi
 
@@ -84,7 +84,7 @@ def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
 
 def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
     _check_digits(n, d, digits)
-    amps = np.zeros(_dense_size(n, d, DENSE_AMP_CAP), dtype=np.complex128)
+    amps = np.zeros(_dense_size(n, d), dtype=np.complex128)
     amps[digits_to_index(d, digits)] = 1.0
     return StateVector(n=n, d=d, amps=amps)
 

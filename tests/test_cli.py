@@ -190,11 +190,16 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("peps-check", "--graph", "line:53", "--hadamard", "fourier:1"),
         ("invariant", "--state", str(one_amp), "--rdm", "0"),
         ("code", "--graph", "line:12", "--hadamard", "fourier:4", "--classical", str(two_words)),
-        # fourier:D past DENSE_MATRIX_CAP is refused before its D x D matrix is built.
+        # fourier:D past 4096 (D**2 past the cap) is refused before its D x D matrix is built.
         ("validate", "fourier:20000"),
         ("validate", "fourier:4097"),
         ("state", "--graph", "complete:1", "--hadamard", "fourier:5000"),
         ("equiv", "fourier:4097", "fourier:4097"),
+        # The state fits, its reduced state does not: i6 reads d**4 entries, --rdm d**2.
+        ("invariant", "--graph", "triangle", "--hadamard", "fourier:65", "--i6"),
+        ("invariant", "--graph", "triangle", "--hadamard", "fourier:256", "--i6"),
+        ("invariant", "--state", "ghz:3:256", "--i6"),
+        ("invariant", "--state", "ghz:1:4097", "--rdm", "0"),
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
@@ -271,6 +276,18 @@ def test_invariant_state_schmidt_of_the_larger_part():
     spec = json.loads(proc.stdout)["schmidt"]
     assert spec[:4] == pytest.approx([0.25] * 4, abs=1e-12)
     assert spec[4:] == [0] * (4**7 - 4)
+
+
+def test_stabilizers_tol_sets_the_verdict(monkeypatch, capsys):
+    # A deviation of 1e-8 fails the default 1e-9 and passes --tol 1e-6.
+    monkeypatch.setattr("gghs.cli.verify_stabilizer", lambda op, s: (False, 1e-8))
+    for tol, verified in ((None, False), ("1e-6", True)):
+        argv = ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:3"]
+        code, obj = run_json(capsys, *argv, *(["--tol", tol] if tol else []))
+        assert code == 0
+        gens = obj["checked"][0]["generators"]
+        assert [g["verified"] for g in gens] == [verified] * 3
+        assert obj["all_verified"] is verified
 
 
 def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
@@ -431,6 +448,19 @@ def test_code_distance_below_one_is_malformed(tmp_path, capsys, weight):
 def test_code_non_digit_word_is_malformed(tmp_path, capsys):
     words = tmp_path / "bad.txt"
     words.write_text("000\n0a1\n")
+    code, obj = run_json(
+        capsys,
+        "code", "--graph", "triangle", "--hadamard", "fourier:2",
+        "--classical", str(words),
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+
+
+def test_code_non_ascii_digit_word_is_malformed(tmp_path, capsys):
+    # Arabic-Indic and fullwidth digits are digits to int(), not to a code file.
+    words = tmp_path / "unicode.txt"
+    words.write_text("\u0660\u0660\u0660\n\u0661\u0661\u0661\n\uff10\uff100\n", encoding="utf-8")
     code, obj = run_json(
         capsys,
         "code", "--graph", "triangle", "--hadamard", "fourier:2",

@@ -28,7 +28,7 @@ from gghs import (
     validate,
     weight_enumerators,
 )
-from gghs import codes
+from gghs import codes, hadamard
 from gghs.qstate import _apply_site
 
 from helpers import connected_graphs, fourier_code_distance, full_catalog, index_to_digits, weyl_operators
@@ -66,6 +66,12 @@ def test_classical_code_from_text():
     assert C.words == ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3))
     with pytest.raises(errors.BadSize):
         ClassicalCode.from_text("# nothing here\n", d=2)
+
+
+@pytest.mark.parametrize("line", ["\u0661\u0661\u0661", "\uff10\uff101", "0 1", "0\u00b21", "-01"])
+def test_classical_code_from_text_reads_ascii_digits_only(line):
+    with pytest.raises(ValueError):
+        ClassicalCode.from_text("000\n" + line + "\n", d=2)
 
 
 # ----------------------------------------------------------------- encoding
@@ -144,12 +150,12 @@ def test_gram_check_over_blocks_matches_the_full_gram(monkeypatch):
     V = rng.normal(size=(64, 24)) + 1j * rng.normal(size=(64, 24))
     full = float(np.max(np.abs(V.conj().T @ V - np.eye(24))))
     for block in (1, 7, 64, 100, 2**20):
-        monkeypatch.setattr(codes, "GRAM_BLOCK", block)
-        assert codes._gram_deviation(V) == pytest.approx(full, rel=1e-12), block
+        monkeypatch.setattr(hadamard, "GRAM_BLOCK", block)
+        assert hadamard._gram_deviation(V, 1) == pytest.approx(full, rel=1e-12), block
     # one basis column block at a time, over row blocks of 3 amplitudes
-    monkeypatch.setattr(codes, "GRAM_BLOCK", 3)
+    monkeypatch.setattr(hadamard, "GRAM_BLOCK", 3)
     Q = build_code(family("line", 3), fourier(3), repetition(3, 3))
-    assert codes._gram_deviation(Q.basis) <= 1e-12
+    assert hadamard._gram_deviation(Q.basis, 1) <= 1e-12
 
 
 def test_build_code_shape_mismatches():

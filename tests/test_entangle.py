@@ -25,6 +25,7 @@ from gghs import (
     schmidt_spectrum,
     validate,
 )
+from gghs import entangle
 from helpers import basis_state, connected_graphs, cut_rank, full_catalog
 
 PI = math.pi
@@ -233,6 +234,32 @@ def test_graph_reduced_density_checks_in_graph_state_order():
         graph_reduced_density(G, fourier(2), [])
     with pytest.raises(errors.BadSite):
         graph_reduced_density(G, fourier(2), [0, 3])
+
+
+def test_reduced_states_past_the_cap_are_refused_before_allocation(monkeypatch):
+    # rho_S holds d**(2|S|) entries: 65**4 and 4097**2 pass 2**24, though
+    # 65**3 and 4097 amplitudes fit the state.
+    states = [ghz(3, 65), ghz(1, 4097)]
+    pairs = [(family("triangle"), fourier(d)) for d in (65, 256)]
+
+    def dense_work(*args, **kwargs):
+        raise AssertionError("reduced state built past the cap")
+
+    monkeypatch.setattr(np, "tensordot", dense_work)
+    monkeypatch.setattr(entangle, "_encode", dense_work)
+    for s in states:
+        with pytest.raises(errors.TooLarge):
+            reduced_density(s, range(min(s.n, 2)))
+    for G, H in pairs:
+        with pytest.raises(errors.TooLarge):
+            graph_reduced_density(G, H, [0, 1])
+        with pytest.raises(errors.TooLarge):
+            reduced_density((G, H), [0, 1])
+        with pytest.raises(errors.TooLarge):
+            i6((G, H))
+    # The smaller side of a cut always fits.
+    monkeypatch.undo()
+    assert schmidt_spectrum(pairs[0], [0]) == pytest.approx([1 / 65] * 65, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +43,18 @@ def test_neighbourhood_keeps_only_edges_touching_s():
 
     hood, local = neighbourhood(build(3, [(0, 1)]), [2])
     assert hood == (2,) and local.n == 1 and local.edges == ()
+
+
+def test_build_and_family_refuse_non_integers():
+    with pytest.raises(TypeError):
+        build(3, [(0.9, 2.7)])
+    with pytest.raises(TypeError):
+        build(3.0, [(0, 1)])
+    with pytest.raises(TypeError):
+        family("line", 3.7)
+    G = build(np.int64(3), [(np.int32(0), np.int64(2))])
+    assert (G.n, G.edges) == (3, ((0, 2),)) and type(G.n) is int
+    assert family("line", np.int64(4)) == family("line", 4)
 
 
 def test_family_shapes():

@@ -20,6 +20,7 @@ from gghs import (
     tensor_product,
     validate,
 )
+from gghs import hadamard
 from helpers import full_catalog
 
 PI = math.pi
@@ -47,6 +48,32 @@ def test_validate_rejects_non_hadamard():
     # unimodular but columns not orthogonal
     with pytest.raises(errors.NotHadamard):
         validate(np.ones((2, 2)))
+
+
+def test_validate_gram_check_over_blocks_matches_the_full_gram(monkeypatch):
+    def full(a):
+        return float(np.max(np.abs(a.conj().T @ a - len(a) * np.eye(len(a)))))
+
+    bent = fourier(16).entries.copy()
+    bent[3, 5] *= np.exp(1e-3j)
+    cases = [fourier(d).entries for d in (2, 3, 5, 7, 64)] + [bent]
+    # One block below d = 1024: the same float as the whole Gram.
+    for a in cases:
+        assert hadamard._gram_deviation(a, len(a)) == full(a)
+    for block in (1, 7, 16, 100):
+        monkeypatch.setattr(hadamard, "GRAM_BLOCK", block)
+        for a in cases:
+            assert hadamard._gram_deviation(a, len(a)) == pytest.approx(full(a), rel=1e-9, abs=1e-12)
+    with pytest.raises(errors.NotHadamard, match="deviates from d\\*I"):
+        validate(bent)
+
+
+def test_validate_returns_a_read_only_copy():
+    a = fourier(3).entries.copy()
+    H = validate(a)
+    a[0, 0] = -1.0
+    assert H.entries[0, 0] == 1.0
+    assert not H.entries.flags.writeable
 
 
 def test_validate_symmetry_flag_enforced():

@@ -25,7 +25,7 @@ from gghs import (
     validate,
 )
 from gghs import qstate
-from gghs.qstate import DENSE_MATRIX_CAP
+from gghs.qstate import DENSE_AMP_CAP
 from helpers import apply_ch, basis_state, connected_graphs, full_catalog, index_to_digits
 
 PI = math.pi
@@ -387,9 +387,23 @@ def test_hamiltonian_check_rejects_non_symmetric_before_dense_work(monkeypatch):
     monkeypatch.setattr(qstate, "graph_state", dense_work)
     rolled = validate(np.roll(fourier(4).entries, 1, axis=0))
     G = family("line", 6)
-    assert rolled.d**G.n == DENSE_MATRIX_CAP
+    assert (rolled.d**G.n) ** 2 == DENSE_AMP_CAP
     with pytest.raises(errors.NotSymmetric):
         hamiltonian_ground_check(G, rolled)
+
+
+def test_dense_size_caps_each_array_kind():
+    # One cap, DENSE_AMP_CAP entries: d**n for a vector, (d**n)**2 for an operator.
+    assert qstate._dense_size(12, 4) == DENSE_AMP_CAP
+    assert qstate._dense_size(6, 4, axes=2) == 4096
+    assert qstate._dense_size(1, 4096, axes=2) == 4096
+    for n, d, axes in ((13, 4, 1), (7, 4, 2), (2, 65, 2), (1, 4097, 2), (10**18, 2, 2)):
+        with pytest.raises(errors.TooLarge):
+            qstate._dense_size(n, d, axes)
+    # The site cap counts the n sites, whatever the array.
+    assert qstate._dense_size(32, 1, axes=2) == 1
+    with pytest.raises(errors.TooLarge):
+        qstate._dense_size(33, 1)
 
 
 def test_hamiltonian_check_size_cap():
