@@ -49,7 +49,6 @@ from .qstate import (
     LocalOperator,
     StateVector,
     apply_local,
-    circuit_unitary,
     digits_to_index,
     ghz,
     graph_state,
@@ -111,7 +110,6 @@ __all__ = [
     "LocalOperator",
     "StateVector",
     "apply_local",
-    "circuit_unitary",
     "digits_to_index",
     "ghz",
     "graph_state",

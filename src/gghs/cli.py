@@ -60,14 +60,20 @@ _GRAPH_FAMILIES = ("star", "line", "cycle", "complete", "triangle")
 _CATALOG_NAMES = ("tilde_a", "tilde_b", "tilde_c", "tilde_d", "h_d6", "qutrit_h2")
 
 
-def _read_json_file(path: str):
+def _read_json_file(path: str, parse):
+    """parse(obj) for the JSON object in the file at path; Malformed when
+    the file cannot be read, is not JSON, or parse rejects it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise Malformed(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 as well as bad JSON
         raise Malformed(f"{path!r} is not valid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise Malformed(f"{path!r}: {exc}") from exc
 
 
 def _parse_real(expr: str) -> float:
@@ -101,15 +107,7 @@ def resolve_matrix(spec: str) -> HadamardMatrix:
         return catalog(spec)
     if not os.path.exists(spec):
         raise Malformed(f"{spec!r} is neither a catalog name nor an existing file")
-    return validate(matrix_entries_from_json_path(spec))
-
-
-def matrix_entries_from_json_path(path: str) -> np.ndarray:
-    obj = _read_json_file(path)
-    try:
-        return matrix_entries_from_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise Malformed(f"{path!r}: {exc}") from exc
+    return validate(_read_json_file(spec, matrix_entries_from_obj))
 
 
 def resolve_graph(spec: str) -> Graph:
@@ -126,11 +124,7 @@ def resolve_graph(spec: str) -> Graph:
         raise Malformed(f"unknown graph shorthand {name!r}")
     if not os.path.exists(spec):
         raise Malformed(f"{spec!r} is neither a graph shorthand nor an existing file")
-    obj = _read_json_file(spec)
-    try:
-        return graph_from_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise Malformed(f"{spec!r}: {exc}") from exc
+    return _read_json_file(spec, graph_from_obj)
 
 
 def resolve_state(spec: str) -> StateVector:
@@ -145,11 +139,7 @@ def resolve_state(spec: str) -> StateVector:
         return ghz(n, d)
     if not os.path.exists(spec):
         raise Malformed(f"{spec!r} is neither ghz:N:D nor an existing file")
-    obj = _read_json_file(spec)
-    try:
-        s = state_from_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise Malformed(f"{spec!r}: {exc}") from exc
+    s = _read_json_file(spec, state_from_obj)
     nrm = s.norm()
     if abs(nrm - 1.0) > 1e-6:
         raise errors.GGHSError(f"state norm {nrm:.6f} is not 1")
@@ -195,11 +185,9 @@ def resolve_operator(spec: str, d: int) -> np.ndarray:
         return np.linalg.matrix_power(base, k % d)
     if not os.path.exists(spec):
         raise Malformed(f"{spec!r} is neither an operator shorthand nor an existing file")
-    m = matrix_entries_from_json_path(spec)
+    m = _read_json_file(spec, matrix_entries_from_obj)
     if not np.isfinite(m).all():
         raise Malformed(f"{spec!r}: operator entries must be finite")
-    if m.shape != (d, d):
-        raise errors.DimensionMismatch(f"operator shape {m.shape} does not match d={d}")
     return m
 
 

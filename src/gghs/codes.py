@@ -17,11 +17,10 @@ from .qstate import (
     DENSE_AMP_CAP,
     LocalOperator,
     StateVector,
-    _apply_site,
     _check_graph_state,
     _dense_size,
     _encode,
-    circuit_unitary,
+    _uncompute,
     graph_state,
 )
 
@@ -210,10 +209,13 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     outside N[k] sees u^dagger u = I, so M = M_loc (x) I_rest, where M_loc
     is the same conjugation by the circuit of the graph on N[k] (its
     vertices in their original order, so h[i_a, i_b] keeps its orientation
-    for a non-symmetric H) with only the edges incident to k. Site
-    operator, factorization and residual are then read off M_loc. This is
-    exact when u is unitary and the edge entries are unimodular; a matrix
-    that `validate` admits within ~1e-9 can move the residual by that order.
+    for a non-symmetric H) with only the edges incident to k. No U is built:
+    the inverse circuit runs twice, Y = U^dagger E_k^dagger and then
+    M_loc = U^dagger Y^dagger = U^dagger E_k U, each pass
+    O((|E(N[k])| + m d) d^(2m)) for m = |N[k]|. Site operator,
+    factorization and residual are then read off M_loc. This is exact when
+    u is unitary and the edge entries are unimodular; a matrix that
+    `validate` admits within ~1e-9 can move the residual by that order.
     M is capped as the whole-register operator it stands for,
     (d**n)**2 <= DENSE_AMP_CAP. An operator whose entries
     overflow float64 in the conjugation raises Overflow.
@@ -226,14 +228,21 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     _dense_size(n, d, axes=2)
     hood, local = neighbourhood(G, [E.site])
     site = hood.index(E.site)
-    U = circuit_unitary(local, H)
-    M = U.conj().T @ _apply_site(E.matrix, site, d, U)
     pre = d**site
     post = d ** (local.n - site - 1)
+    # U^dagger E_k U = U^dagger (U^dagger E_k^dagger)^dagger; each d^m x d^m
+    # intermediate is dropped as soon as it has been used.
+    E_dag = np.kron(np.kron(np.eye(pre, dtype=np.complex128), np.conj(E.matrix).T), np.eye(post))
+    Y = _uncompute(local, H, E_dag).T
+    del E_dag
+    np.conjugate(Y, out=Y)  # now E_k U
+    M = _uncompute(local, H, Y)
+    del Y
     Mt = M.reshape(pre, d, post, pre, d, post)
     S = np.einsum("paqpbq->ab", Mt) / (pre * post)
-    approx = np.kron(np.kron(np.eye(pre), S), np.eye(post))
-    residual = float(np.max(np.abs(M - approx)))
+    # einsum's diagonal is a writeable view: M - I (x) S (x) I, in place.
+    np.einsum("paqpbq->paqb", Mt)[...] -= S[:, None, :]
+    residual = float(np.max(np.abs(M)))
     if not math.isfinite(residual):
         # An inf or NaN anywhere in M or S reaches the residual.
         raise errors.Overflow(f"the decoded operator overflows float64 (residual {residual})")

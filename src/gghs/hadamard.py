@@ -111,7 +111,7 @@ def _gram_deviation(V: np.ndarray, scale: float) -> float:
     return dev
 
 
-def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
+def validate(entries) -> HadamardMatrix:
     """Check the Hadamard invariants and return the matrix with its flags."""
     a = _as_complex_square(entries)
     d = a.shape[0]
@@ -124,8 +124,6 @@ def validate(entries, require_symmetric: bool = False) -> HadamardMatrix:
     if gram_dev > tol_unitary(d):
         raise errors.NotHadamard(f"H^dagger H deviates from d*I by {gram_dev:.3e}")
     symmetric = bool(np.max(np.abs(a - a.T)) <= TOL_ENTRY)
-    if require_symmetric and not symmetric:
-        raise errors.NotSymmetric("matrix is not symmetric")
     dephased = bool(
         np.max(np.abs(a[0, :] - 1.0)) <= TOL_ENTRY
         and np.max(np.abs(a[:, 0] - 1.0)) <= TOL_ENTRY

@@ -42,6 +42,12 @@ class LocalOperator:
     site: int
     matrix: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.matrix) != (self.d, self.d):
+            raise errors.DimensionMismatch(
+                f"operator shape {np.shape(self.matrix)} does not match d={self.d}"
+            )
+
 
 def digits_to_index(d: int, digits: Sequence[int]) -> int:
     k = 0
@@ -115,6 +121,23 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     return T
 
 
+def _uncompute(G: Graph, H: HadamardMatrix, A: np.ndarray) -> np.ndarray:
+    """U^dagger A for the encoding circuit U = D u^(x n) (see _encode).
+
+    The leading axis of A is the big-endian register; trailing axes ride
+    along. The conjugate edge phases go first, then u^dagger = H^dagger/sqrt(d)
+    on every site: O((|E| + n d) * A.size). A may be overwritten.
+    """
+    d = H.d
+    T = A.reshape((d,) * G.n + A.shape[1:])
+    _edge_phases(H.entries.conj(), G.edges, T)
+    A = T.reshape(A.shape)
+    u_dag = H.entries.conj().T / math.sqrt(d)
+    for site in range(G.n):
+        A = _apply_site(u_dag, site, d, A)
+    return A
+
+
 def apply_local(U: LocalOperator, s: StateVector) -> StateVector:
     if U.d != s.d:
         raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.d}")
@@ -182,17 +205,6 @@ def reorder_qudits(s: StateVector, perm: Sequence[int]) -> StateVector:
     return StateVector(n=s.n, d=s.d, amps=np.ascontiguousarray(T).reshape(-1))
 
 
-def circuit_unitary(G: Graph, H: HadamardMatrix) -> np.ndarray:
-    """Dense matrix of the full encoding circuit.
-
-    Column c is the circuit applied to basis state c (see _encode).
-    """
-    n, d = G.n, H.d
-    size = _dense_size(n, d, axes=2)
-    words = np.indices((d,) * n).reshape(n, size).T
-    return _encode(G, H, words).reshape(size, size)
-
-
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     """Check the commuting parent Hamiltonian -sum_i U |0_i><0_i| U^dagger.
 
@@ -206,19 +218,12 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     space (ground_dim = 1) and the gap is 1, or inf for d = 1. Both are read
     off in closed form, which holds because u is unitary within validation's
     tolerance and the edge entries are unimodular. The fidelity is computed:
-    the inverse circuit (conjugate edge phases, then u^dagger on every site)
-    maps the graph state psi to U^dagger psi; fidelity = |(U^dagger psi)_0|.
+    the inverse circuit (_uncompute) maps the graph state psi to
+    U^dagger psi; fidelity = |(U^dagger psi)_0|.
     Costs O(n d^(n+1)); neither U nor the Hamiltonian is built.
     """
     _check_graph_state(G, H)
-    n, d = G.n, H.d
-    _dense_size(n, d, axes=2)  # capped as the parent Hamiltonian it checks
-    T = graph_state(G, H).tensor()
-    _edge_phases(H.entries.conj(), G.edges, T)
-    u_dag = H.entries.conj().T / math.sqrt(d)
-    amps = T.reshape(-1)
-    for site in range(n):
-        amps = _apply_site(u_dag, site, d, amps)
-    fidelity = float(abs(amps[0]))
-    gap = 1.0 if d > 1 else float("inf")
+    _dense_size(G.n, H.d, axes=2)  # capped as the parent Hamiltonian it checks
+    fidelity = float(abs(_uncompute(G, H, graph_state(G, H).amps)[0]))
+    gap = 1.0 if H.d > 1 else float("inf")
     return gap, 1, fidelity

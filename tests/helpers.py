@@ -7,6 +7,7 @@ package against.
 
 import itertools
 import math
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -103,6 +104,17 @@ def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
     T = s.tensor().astype(np.complex128)
     _edge_phases(H.entries, [(i, j)], T)
     return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
+
+
+def kron_circuit_unitary(G, H) -> np.ndarray:
+    """The encoding circuit D u^(x n) as a dense matrix: the Kronecker power of
+    u = H/sqrt(d), each row scaled by its edge phases."""
+    n, d = G.n, H.d
+    u = H.entries / math.sqrt(d)
+    U = reduce(np.kron, [u] * n) if n > 0 else np.eye(1, dtype=np.complex128)
+    phases = np.ones((d,) * n, dtype=np.complex128)
+    _edge_phases(H.entries, G.edges, phases)
+    return U * phases.reshape(-1, 1)
 
 
 def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:

@@ -65,6 +65,23 @@ def test_validate_missing_file_is_malformed(capsys):
     assert obj["error"] == "malformed_input"
 
 
+@pytest.mark.parametrize("kind", ["matrix", "graph", "state", "operator"])
+def test_json_file_that_is_not_utf8_is_malformed(tmp_path, capsys, kind):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"d": 2, "name": "\xe9"}')
+    argv = {
+        "matrix": ("validate", str(p)),
+        "graph": ("state", "--graph", str(p), "--hadamard", "fourier:2"),
+        "state": ("invariant", "--state", str(p)),
+        "operator": ("decode-error", "--graph", "line:2", "--hadamard", "fourier:2",
+                     "--site", "0", "--op", str(p)),
+    }[kind]
+    code, obj = run_json(capsys, *argv)
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+    assert obj["detail"].startswith(f"{str(p)!r} is not valid JSON")
+
+
 def test_validate_accepts_matrix_file(tmp_path, capsys):
     F = fourier(2).entries
     obj = {"d": 2, "entries": [[[float(F[i, j].real), float(F[i, j].imag)] for j in range(2)] for i in range(2)]}
@@ -527,6 +544,21 @@ def test_decode_error_rejects_non_finite_op(tmp_path, capsys, bad):
         "decode-error", "--graph", "line:3", "--hadamard", "fourier:2",
         "--site", "0", "--op", str(p),
     )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+
+
+def test_decode_error_mis_shaped_op_after_finiteness(tmp_path, capsys):
+    p = tmp_path / "op.json"
+    argv = ("decode-error", "--graph", "triangle", "--hadamard", "fourier:3", "--site", "0", "--op", str(p))
+    p.write_text(json.dumps({"d": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        '{"error": "dimension_mismatch", "detail": "operator shape (2, 2) does not match d=3"}\n'
+    )
+    p.write_text(json.dumps({"d": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]}))
+    code, obj = run_json(capsys, *argv)
     assert code == 2
     assert obj["error"] == "malformed_input"
 

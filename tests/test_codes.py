@@ -15,7 +15,6 @@ from gghs import (
     build,
     build_code,
     catalog,
-    circuit_unitary,
     decoded_error,
     encode,
     errors,
@@ -31,7 +30,14 @@ from gghs import (
 from gghs import codes, hadamard
 from gghs.qstate import _apply_site
 
-from helpers import connected_graphs, fourier_code_distance, full_catalog, index_to_digits, weyl_operators
+from helpers import (
+    connected_graphs,
+    fourier_code_distance,
+    full_catalog,
+    index_to_digits,
+    kron_circuit_unitary,
+    weyl_operators,
+)
 
 PI = math.pi
 
@@ -520,9 +526,9 @@ def test_decoded_error_cap_is_kept():
 
 def _whole_register_decoded(U, n, d, E):
     """Reference: M = U^dagger E U with the dense circuit U on the whole register."""
-    M = U.conj().T @ _apply_site(E.matrix, E.site, d, U)
     pre = d**E.site
     post = d ** (n - E.site - 1)
+    M = U.conj().T @ np.kron(np.kron(np.eye(pre), E.matrix), np.eye(post)) @ U
     S = np.einsum("paqpbq->ab", M.reshape(pre, d, post, pre, d, post)) / (pre * post)
     residual = float(np.max(np.abs(M - np.kron(np.kron(np.eye(pre), S), np.eye(post)))))
     return residual <= 1e-9, S, residual
@@ -531,7 +537,7 @@ def _whole_register_decoded(U, n, d, E):
 def _assert_matches_whole_register(G, H, rng, label):
     d = H.d
     X, Z = pauli_xz(d)
-    U = circuit_unitary(G, H)
+    U = kron_circuit_unitary(G, H)
     for site in range(G.n):
         for Emat in (X, Z, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
             E = LocalOperator(d=d, site=site, matrix=Emat)
@@ -545,8 +551,10 @@ def _assert_matches_whole_register(G, H, rng, label):
 
 def test_decoded_error_matches_whole_register_on_grid():
     rng = np.random.default_rng(2015)
+    # star:5 and complete:5 give site 0 a degree-4 neighbourhood.
+    wide = [("star:5", family("star", 5)), ("complete:5", family("complete", 5))]
     for hl, H in full_catalog():
-        for gl, G in connected_graphs(4):
+        for gl, G in connected_graphs(4) + (wide if H.d <= 3 else []):
             if H.d**G.n <= 256:
                 _assert_matches_whole_register(G, H, rng, (hl, gl))
 

@@ -14,8 +14,10 @@ from gghs import (
     check_witness,
     dephase,
     errors,
+    family,
     find_equivalence,
     fourier,
+    graph_state,
     s_symmetries,
     tensor_product,
     validate,
@@ -30,7 +32,7 @@ PI = math.pi
 
 
 def test_validate_fourier2_flags():
-    H = validate([[1, 1], [1, -1]], require_symmetric=True)
+    H = validate([[1, 1], [1, -1]])
     assert H.d == 2
     assert H.symmetric and H.dephased
 
@@ -78,10 +80,10 @@ def test_validate_returns_a_read_only_copy():
 
 def test_validate_symmetry_flag_enforced():
     rolled = np.roll(fourier(3).entries, 1, axis=0)  # still Hadamard, not symmetric
-    H = validate(rolled)
-    assert not H.symmetric
+    assert not validate(rolled).symmetric
+    # Symmetry is enforced where H drives a two-qudit gate.
     with pytest.raises(errors.NotSymmetric):
-        validate(rolled, require_symmetric=True)
+        graph_state(family("line", 2), validate(rolled))
 
 
 @pytest.mark.parametrize("label,H", full_catalog())
