@@ -6,8 +6,6 @@ worst single-site reduced-density deviation from maximal mixedness.
 """
 
 import argparse
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from gghs import ghz, graph_state, i6, kraus_commutation_test, reduced_density
@@ -30,22 +28,18 @@ CATALOG = [
     "h_d6",
 ]
 
-
-@dataclass
-class Config:
-    graph: str = "triangle"
-    i6_targets: list = field(default_factory=lambda: ["fourier:6", "h_d6"])
+I6_TARGETS = ["fourier:6", "h_d6"]
 
 
-def run(cfg: Config) -> None:
-    G = resolve_graph(cfg.graph)
+def run(graph: str) -> None:
+    G = resolve_graph(graph)
 
     s = ghz(3, 6)
     print(f"i6  ghz:3:6                 {i6(s):.15f}   (1/36 = {1/36:.15f})")
-    for spec in cfg.i6_targets:
+    for spec in I6_TARGETS:
         H = resolve_matrix(spec)
         val = i6(graph_state(G, H))
-        print(f"i6  {cfg.graph} {spec:<16} {val:.15f}")
+        print(f"i6  {graph} {spec:<16} {val:.15f}")
     print()
 
     print("kraus commutation screen")
@@ -55,7 +49,7 @@ def run(cfg: Config) -> None:
         print(f"  {spec:<14} {'pass' if ok else 'FAIL':<5} worst {worst:.3e}")
     print()
 
-    print(f"single-site rdm deviation from I/d on {cfg.graph}")
+    print(f"single-site rdm deviation from I/d on {graph}")
     for spec in CATALOG:
         H = resolve_matrix(spec)
         psi = graph_state(G, H)
@@ -70,7 +64,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--graph", default="triangle", help="graph shorthand, e.g. cycle:4")
     args = ap.parse_args()
-    run(Config(graph=args.graph))
+    run(args.graph)
 
 
 if __name__ == "__main__":

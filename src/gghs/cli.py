@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import errors
+from ._tol import TOL_ENTRY
 from .codes import ClassicalCode, build_code, kl_distance, weight_enumerators, decoded_error
 from .entangle import i6, reduced_density, schmidt_spectrum
 from .formats import (
@@ -323,6 +324,8 @@ def cmd_code(args) -> dict:
             text = fh.read()
     except OSError as exc:
         raise Malformed(f"cannot read {args.classical!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"{args.classical!r} is not UTF-8 text: {exc}") from exc
     try:
         C = ClassicalCode.from_text(text, H.d)
     except ValueError as exc:
@@ -356,54 +359,50 @@ def cmd_decode_error(args) -> dict:
 # -------------------------------------------------------------------- driver
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a subparser from clobbering a value parsed before the
-    # subcommand; the real defaults live on the top-level parser.
-    parser.add_argument(
-        "--tol", type=float, default=argparse.SUPPRESS, help="pass/fail tolerance (default 1e-9)"
-    )
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--json", dest="fmt", action="store_const", const="json", default=argparse.SUPPRESS
-    )
-    fmt.add_argument(
-        "--text", dest="fmt", action="store_const", const="text", default=argparse.SUPPRESS
-    )
+def _tolerance(text: str) -> float:
+    """The --tol type. Malformed passes through parse_args to main's handler."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise Malformed(f"--tol wants a finite value >= 0, got {tol}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each option is declared once and given to the subcommands that read it.
+    text = argparse.ArgumentParser(add_help=False)
+    text.add_argument("--text", dest="fmt", action="store_const", const="text", default="json",
+                      help="print key: value lines instead of JSON")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=TOL_ENTRY,
+                     help="pass/fail tolerance (default %(default)s)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--graph", required=True)
+    pair.add_argument("--hadamard", required=True)
+
     p = argparse.ArgumentParser(prog="gghs", description=__doc__)
-    _add_common(p)
-    p.set_defaults(tol=1e-9, fmt="json")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    q = sub.add_parser("validate", help="check the Hadamard invariants")
-    _add_common(q)
-    q.add_argument("matrix")
-    q.set_defaults(fn=cmd_validate)
+    def command(name, fn, summary, *parents):
+        q = sub.add_parser(name, help=summary, parents=[text, *parents])
+        q.set_defaults(fn=fn)
+        return q
 
-    q = sub.add_parser("equiv", help="search for an equivalence witness")
-    _add_common(q)
+    q = command("validate", cmd_validate, "check the Hadamard invariants")
+    q.add_argument("matrix")
+
+    q = command("equiv", cmd_equiv, "search for an equivalence witness")
     q.add_argument("matrix1")
     q.add_argument("matrix2")
     q.add_argument("--p-equiv", action="store_true", help="restrict to one simultaneous permutation")
-    q.set_defaults(fn=cmd_equiv)
 
-    q = sub.add_parser("symmetries", help="list all S-symmetries (P, D)")
-    _add_common(q)
+    q = command("symmetries", cmd_symmetries, "list all S-symmetries (P, D)")
     q.add_argument("matrix")
-    q.set_defaults(fn=cmd_symmetries)
 
-    q = sub.add_parser("state", help="build a graph state")
-    _add_common(q)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--hadamard", required=True)
+    q = command("state", cmd_state, "build a graph state", pair)
     q.add_argument("--digits", help="comma-separated input digits, default all zeros")
     q.add_argument("--out", help="write State JSON here instead of stdout")
-    q.set_defaults(fn=cmd_state)
 
-    q = sub.add_parser("invariant", help="entanglement invariants")
-    _add_common(q)
+    q = command("invariant", cmd_invariant, "entanglement invariants")
     q.add_argument("--graph")
     q.add_argument("--hadamard")
     q.add_argument("--state", help="State JSON file or ghz:N:D, instead of --graph/--hadamard")
@@ -411,47 +410,27 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--i6", action="store_true", help="degree-6 invariant (default)")
     mode.add_argument("--schmidt", metavar="PART", help="squared Schmidt spectrum across PART|rest")
     mode.add_argument("--rdm", type=int, metavar="SITE", help="single-site reduced density matrix")
-    q.set_defaults(fn=cmd_invariant)
 
-    q = sub.add_parser("stabilizers", help="build and verify stabilizer operators")
-    _add_common(q)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--hadamard", required=True)
+    q = command("stabilizers", cmd_stabilizers, "build and verify stabilizer operators", pair, tol)
     q.add_argument("--all-symmetries", action="store_true", help="use every S-symmetry, not the lex-first")
-    q.set_defaults(fn=cmd_stabilizers)
 
-    q = sub.add_parser("peps-check", help="tensor-network contraction fidelity")
-    _add_common(q)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--hadamard", required=True)
-    q.set_defaults(fn=cmd_peps_check)
+    command("peps-check", cmd_peps_check, "tensor-network contraction fidelity", pair, tol)
 
-    q = sub.add_parser("code", help="build a code, optional distance/enumerators")
-    _add_common(q)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--hadamard", required=True)
+    q = command("code", cmd_code, "build a code, optional distance/enumerators", pair)
     q.add_argument("--classical", required=True, help="codeword text file, one word per line")
     q.add_argument("--distance", type=int, metavar="W", help="Knill-Laflamme scan up to weight W")
     q.add_argument("--enumerators", action="store_true", help="weight enumerators A, B")
-    q.set_defaults(fn=cmd_code)
 
-    q = sub.add_parser("decode-error", help="conjugate a site error by the circuit")
-    _add_common(q)
-    q.add_argument("--graph", required=True)
-    q.add_argument("--hadamard", required=True)
+    q = command("decode-error", cmd_decode_error, "conjugate a site error by the circuit", pair)
     q.add_argument("--site", type=int, required=True)
     q.add_argument("--op", required=True, help="X, Z, X:a, Z:b, weyl:a:b, or a Matrix JSON file")
-    q.set_defaults(fn=cmd_decode_error)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise Malformed(f"--tol wants a finite value >= 0, got {args.tol}")
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
     except Malformed as exc:
         print(render_json({"error": "malformed_input", "detail": str(exc)}))

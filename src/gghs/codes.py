@@ -11,6 +11,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import errors
+from ._tol import TOL_ENTRY
 from .graphs import Graph, neighbourhood
 from .hadamard import HadamardMatrix, _gram_deviation, dephase
 from .qstate import (
@@ -23,8 +24,6 @@ from .qstate import (
     _uncompute,
     graph_state,
 )
-
-KL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     for col in V.T:
         col /= np.linalg.norm(col)
     gram_dev = _gram_deviation(V, 1)
-    if gram_dev > 1e-9:
+    if gram_dev > TOL_ENTRY:
         raise errors.GramNotIdentity(f"gram deviates from identity by {gram_dev:.3e}")
     V.flags.writeable = False
     return QuantumCode(graph=G, hadamard=H, classical=C, basis=V)
@@ -136,7 +135,7 @@ def _kl_holds(M: np.ndarray) -> bool:
     for i in range(K):
         X = (M[:, :, i] @ right).reshape(ds, K, ds)  # X[s, j, t] = R_ij[s, t]
         X[:, i, :] -= sigma
-        if np.max(np.abs(X)) > KL_TOL:
+        if np.max(np.abs(X)) > TOL_ENTRY:
             return False
     return True
 
@@ -148,7 +147,7 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBound
     it iff X_ij = Tr_{S^c}|psi_i><psi_j| - delta_ij sigma_S vanishes, sigma_S
     the mean of the diagonal blocks (I/d^w for K = 1: a one-dimensional
     code's distance is the least weight of an error with nonzero expectation).
-    Returns the first w with some |S| = w and max|X_ij| > KL_TOL, else the
+    Returns the first w with some |S| = w and max|X_ij| > TOL_ENTRY, else the
     LowerBoundExceeded marker carrying min(max_weight, n) (not raised). For E
     on S and delta = V^dagger E V minus its mean diagonal,
     ||V delta V^dagger||_max <= K d^w max||X_ij||_max and
@@ -231,22 +230,24 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     pre = d**site
     post = d ** (local.n - site - 1)
     # U^dagger E_k U = U^dagger (U^dagger E_k^dagger)^dagger; each d^m x d^m
-    # intermediate is dropped as soon as it has been used.
-    E_dag = np.kron(np.kron(np.eye(pre, dtype=np.complex128), np.conj(E.matrix).T), np.eye(post))
-    Y = _uncompute(local, H, E_dag).T
-    del E_dag
-    np.conjugate(Y, out=Y)  # now E_k U
-    M = _uncompute(local, H, Y)
-    del Y
-    Mt = M.reshape(pre, d, post, pre, d, post)
-    S = np.einsum("paqpbq->ab", Mt) / (pre * post)
-    # einsum's diagonal is a writeable view: M - I (x) S (x) I, in place.
-    np.einsum("paqpbq->paqb", Mt)[...] -= S[:, None, :]
-    residual = float(np.max(np.abs(M)))
+    # intermediate is dropped as soon as it has been used. An overflow is
+    # raised as Overflow below, not printed as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        E_dag = np.kron(np.kron(np.eye(pre, dtype=np.complex128), np.conj(E.matrix).T), np.eye(post))
+        Y = _uncompute(local, H, E_dag).T
+        del E_dag
+        np.conjugate(Y, out=Y)  # now E_k U
+        M = _uncompute(local, H, Y)
+        del Y
+        Mt = M.reshape(pre, d, post, pre, d, post)
+        S = np.einsum("paqpbq->ab", Mt) / (pre * post)
+        # einsum's diagonal is a writeable view: M - I (x) S (x) I, in place.
+        np.einsum("paqpbq->paqb", Mt)[...] -= S[:, None, :]
+        residual = float(np.max(np.abs(M)))
     if not math.isfinite(residual):
         # An inf or NaN anywhere in M or S reaches the residual.
         raise errors.Overflow(f"the decoded operator overflows float64 (residual {residual})")
-    ok = residual <= 1e-9
+    ok = residual <= TOL_ENTRY
     return DecodedError(
         factorizes=ok,
         site_operator=S if ok else None,

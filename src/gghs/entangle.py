@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from . import errors
+from ._tol import TOL_ENTRY
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
 from .qstate import StateVector, _check_graph_state, _dense_size, _encode
@@ -124,7 +125,7 @@ def i6(s: State) -> float:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
     pt = partial_transpose(reduced_density(s, [0, 1]), 0)
     val = complex(np.trace(pt @ pt @ pt))
-    if abs(val.imag) > 1e-9:
+    if abs(val.imag) > TOL_ENTRY:
         raise errors.GGHSError(f"imaginary residue {val.imag:.3e} too large")
     return float(val.real)
 
@@ -172,4 +173,4 @@ def kraus_commutation_test(H: HadamardMatrix):
             dev = float(np.max(np.abs(x @ y - y @ x)))
             if dev > worst:
                 worst = dev
-    return worst <= 1e-9, worst
+    return worst <= TOL_ENTRY, worst

@@ -29,19 +29,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
-
 
 def neighbourhood(G: Graph, S) -> Tuple[Tuple[int, ...], Graph]:
     """The closed neighbourhood N[S] in vertex order, and the graph on it.

@@ -77,7 +77,7 @@ def verify_stabilizer(op: StabilizerOperator, s: StateVector) -> Tuple[bool, flo
             f"operator (n={op.n}, d={op.d}) vs state (n={s.n}, d={s.d})"
         )
     deviation = float(np.linalg.norm(op.apply(s).amps - s.amps))
-    return deviation <= 1e-9, deviation
+    return deviation <= TOL_ENTRY, deviation
 
 
 def _diag_power(phases: np.ndarray, k: int) -> np.ndarray:
@@ -112,7 +112,7 @@ def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
     for site, u in enumerate(unitaries):
         built = apply_local(LocalOperator(d=H1.d, site=site, matrix=u), built)
     ov = abs(overlap(built, graph_state(G, H2)))
-    if ov < 1 - 1e-9:
+    if ov < 1 - TOL_ENTRY:
         raise errors.InvalidWitness(f"witness maps with |overlap| = {ov:.12f} < 1")
     return unitaries
 

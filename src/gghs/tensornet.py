@@ -14,37 +14,41 @@ from .graphs import Graph
 from .hadamard import HadamardMatrix
 from .qstate import StateVector, _dense_size
 
+# Factors folded in per einsum call: with the running tensor, 31 operands,
+# within numpy 1.x's limit of 32.
+_FACTORS_PER_CALL = 30
+
 
 def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     """Contract one bond tensor per edge with per-site leg-merging projectors.
 
     The projector at site s forces every leg incident to s to carry the same
-    index, so the contraction is a single product over edges with one free
-    index per vertex. Degree-0 vertices contribute the uniform single-qudit
-    factor. The result is normalized.
+    index, so the contraction is a product over edges with one free index per
+    vertex. Every site also carries the circuit's input column H[:, 0]
+    (uniform for a dephased matrix): on its first bond, or as a factor of its
+    own at a vertex of degree 0. The factors are folded in a batch at a time.
+    The result is normalized.
     """
     n, d = G.n, H.d
     _dense_size(n, d)
-    operands = []
-    subscripts = []
+    col, ones = H.entries[:, 0], np.ones(d)
+    bare = set(range(n))  # sites whose column is in no factor yet
+    factors = []
     for u, v in G.edges:
-        operands.append(H.entries)
-        subscripts.append([u, v])
-    for s in range(n):
-        if G.degree(s) == 0:
-            operands.append(np.ones(d, dtype=np.complex128))
-            subscripts.append([s])
-    if not operands:
-        # n isolated vertices and no edges
-        T = np.ones((d,) * n, dtype=np.complex128)
-    else:
-        args = []
-        for op, sub in zip(operands, subscripts):
-            args.extend([op, sub])
-        args.append(list(range(n)))
-        T = np.einsum(*args)
+        left, right = (col if u in bare else ones), (col if v in bare else ones)
+        bare -= {u, v}
+        factors.append((left[:, None] * H.entries * right, [u, v]))
+    factors += [(col, [s]) for s in sorted(bare)]
+    T, axes = np.ones((), dtype=np.complex128), []
+    for start in range(0, len(factors), _FACTORS_PER_CALL):
+        args = [T, axes]
+        for f, sub in factors[start:start + _FACTORS_PER_CALL]:
+            args.extend([f, sub])
+        axes = sorted(set(axes).union(*args[3::2]))
+        T = np.einsum(*args, axes)
     amps = T.reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm <= 0:
         raise errors.GGHSError("contraction produced the zero vector")
-    return StateVector(n=n, d=d, amps=amps / nrm)
+    amps /= nrm
+    return StateVector(n=n, d=d, amps=amps)

@@ -22,7 +22,6 @@ from gghs import (
     family,
     find_equivalence,
     fourier,
-    ghz,
     graph_state,
     hamiltonian_ground_check,
     i6,

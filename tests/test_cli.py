@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,24 @@ def test_peps_check(capsys):
     assert obj["fidelity"] >= 1 - 1e-9
 
 
+def test_peps_check_past_numpy_operand_limit(capsys):
+    # 66 edges, one bond each: more than numpy's einsum takes in one call.
+    code, out = run(capsys, "peps-check", "--graph", "complete:12", "--hadamard", "fourier:2")
+    assert code == 0
+    assert out == '{"fidelity": 1, "pass": true}\n'
+
+
+def test_code_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
+    words = tmp_path / "latin1.txt"
+    words.write_bytes(b"000\n\xe9\n")
+    code, obj = run_json(
+        capsys, "code", "--graph", "triangle", "--hadamard", "fourier:2", "--classical", str(words)
+    )
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+    assert obj["detail"].startswith(f"{str(words)!r} is not UTF-8 text")
+
+
 def test_code_command(tmp_path, capsys):
     words = tmp_path / "rep.txt"
     words.write_text("000\n")
@@ -577,6 +596,17 @@ def test_decode_error_overflow_is_a_named_error(tmp_path, capsys):
     assert out == '{"factorizes": false, "residual": 1e+154, "site_operator": null}\n'
 
 
+def test_decode_error_overflow_prints_no_numpy_warning(tmp_path, capsys):
+    p = tmp_path / "op.json"
+    p.write_text(json.dumps({"d": 3, "entries": [[[1e308, 0.0]] * 3] * 3}))
+    argv = ("decode-error", "--graph", "triangle", "--hadamard", "fourier:3", "--site", "0", "--op", str(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, obj = run_json(capsys, *argv)
+    assert code == 1
+    assert obj["error"] == "overflow"
+
+
 # ------------------------------------------------------------------- plumbing
 
 
@@ -606,13 +636,45 @@ def test_bad_alpha_expression(capsys):
 
 
 def test_tol_flag_before_and_after_subcommand(capsys):
-    code1, obj1 = run_json(
-        capsys, "peps-check", "--graph", "triangle", "--hadamard", "fourier:2",
-        "--tol", "1e-6",
-    )
-    code2, obj2 = run_json(
-        capsys, "--tol", "1e-6", "peps-check", "--graph", "triangle",
-        "--hadamard", "fourier:2",
-    )
-    assert code1 == code2 == 0
-    assert obj1 == obj2
+    # Options follow the subcommand; placed before it they are usage errors.
+    argv = ["peps-check", "--graph", "triangle", "--hadamard", "fourier:2"]
+    code, obj = run_json(capsys, *argv, "--tol", "1e-6")
+    assert code == 0 and obj["pass"] is True
+    for before in (["--tol", "1e-6"], ["--text"]):
+        with pytest.raises(SystemExit) as exc:
+            main(before + argv)
+        assert exc.value.code == 2, before
+
+
+SUBCOMMANDS = {
+    "validate": ["fourier:2"],
+    "equiv": ["fourier:2", "fourier:2"],
+    "symmetries": ["fourier:2"],
+    "state": ["--graph", "line:2", "--hadamard", "fourier:2"],
+    "invariant": ["--state", "ghz:3:2"],
+    "code": ["--graph", "triangle", "--hadamard", "fourier:2", "--classical", "{words}",
+             "--distance", "2"],
+    "stabilizers": ["--graph", "line:2", "--hadamard", "fourier:2"],
+    "peps-check": ["--graph", "line:2", "--hadamard", "fourier:2"],
+    "decode-error": ["--graph", "line:2", "--hadamard", "fourier:2", "--site", "0", "--op", "Z"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMANDS))
+def test_tol_only_where_it_is_read(tmp_path, capsys, cmd):
+    # --tol is a usage error wherever no verdict reads it; --json is gone.
+    words = tmp_path / "rep.txt"
+    words.write_text("000\n")
+    argv = [cmd] + [a.format(words=words) for a in SUBCOMMANDS[cmd]]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert ("--tol" in capsys.readouterr().out) == (cmd in ("stabilizers", "peps-check"))
+    assert run(capsys, *argv, "--text")[0] == 0
+    extras = [["--json"]]
+    if cmd not in ("stabilizers", "peps-check"):
+        extras.append(["--tol", "1e-3"])
+    for extra in extras:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2, extra

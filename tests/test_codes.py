@@ -28,6 +28,7 @@ from gghs import (
     weight_enumerators,
 )
 from gghs import codes, hadamard
+from gghs._tol import TOL_ENTRY
 from gghs.qstate import _apply_site
 
 from helpers import (
@@ -307,7 +308,7 @@ def _apply_error(V, d, sites, ops):
 
 
 def _weyl_kl_distance(Q, max_weight):
-    """Reference: ||V delta V^dagger||_max > KL_TOL over every Weyl error.
+    """Reference: ||V delta V^dagger||_max > TOL_ENTRY over every Weyl error.
 
     delta = V^dagger E V minus its mean diagonal; for K = 1 the first error
     with a nonzero expectation sets the distance.
@@ -319,11 +320,11 @@ def _weyl_kl_distance(Q, max_weight):
         for sites, ops in _weyl_errors(n, d, w):
             M = V.conj().T @ _apply_error(V, d, sites, ops)
             if K == 1:
-                if abs(M[0, 0]) > codes.KL_TOL:
+                if abs(M[0, 0]) > TOL_ENTRY:
                     return w
                 continue
             delta = M - np.trace(M) / K * np.eye(K)
-            if np.max(np.abs(V @ delta @ V.conj().T)) > codes.KL_TOL:
+            if np.max(np.abs(V @ delta @ V.conj().T)) > TOL_ENTRY:
                 return w
     return errors.LowerBoundExceeded(max_weight)
 

@@ -27,7 +27,6 @@ def test_build_rejects_out_of_range():
 def test_single_vertex():
     G = build(1, [])
     assert G.n == 1 and G.edges == ()
-    assert G.is_connected()
 
 
 def test_neighbourhood_keeps_only_edges_touching_s():

@@ -11,7 +11,6 @@ from gghs import (
     EquivalenceWitness,
     Permutation,
     StabilizerOperator,
-    apply_witness,
     auto_bipartite_parts,
     catalog,
     errors,

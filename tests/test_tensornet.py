@@ -11,6 +11,7 @@ from gghs import (
     graph_state,
     overlap,
     peps_contract,
+    validate,
 )
 from helpers import connected_graphs, full_catalog
 
@@ -55,6 +56,16 @@ def test_contraction_matches_circuit(gname, G):
     ]:
         fid = abs(overlap(peps_contract(G, H), graph_state(G, H)))
         assert fid >= 1.0 - 1e-9, (gname, label)
+
+
+def test_contraction_carries_the_input_column():
+    # Symmetric but not dephased: every site starts in H[:, 0], not uniform.
+    D = np.diag([1, 1j, np.exp(0.7j)])
+    H = validate(D @ fourier(3).entries @ D)
+    assert H.symmetric and not H.dephased
+    for G in (family("triangle"), family("star", 4), build(3, [(0, 1)]), build(1, [])):
+        fid = abs(overlap(peps_contract(G, H), graph_state(G, H)))
+        assert fid >= 1.0 - 1e-9, G.edges
 
 
 def test_isolated_vertex_factor():
