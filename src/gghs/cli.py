@@ -2,13 +2,14 @@
 
 Every subcommand prints one JSON object (or `key: value` lines with --text) to
 stdout and exits 0 when the computation ran, 1 on a domain error, 2 on
-malformed input. Matrix, graph, and state arguments accept either a file path
-or a shorthand name:
+malformed input. Matrix, graph, state and operator arguments are one of these
+shorthands, NAME[:ARG[:ARG]], or else a file path (colons allowed):
 
-  matrices:  fourier:D      h_alpha:EXPR (EXPR may use pi, e.g. pi/5)
-             tilde_a tilde_b tilde_c tilde_d  h_d6  qutrit_h2
-  graphs:    star:N  line:N  cycle:N  complete:N  triangle
-  states:    ghz:N:D
+  matrices:   fourier:D  h_alpha:EXPR (EXPR may use pi, e.g. pi/5)
+              tilde_a  tilde_b  tilde_c  tilde_d  h_d6  qutrit_h2
+  graphs:     star:N  line:N  cycle:N  complete:N  triangle[:3]
+  states:     ghz:N:D
+  operators:  X[:A]  Z[:B]  weyl:A:B (each is X^A Z^B)
 
 Identical invocations produce byte-identical JSON: floats are rendered at 12
 significant digits in a fixed key order.
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +38,9 @@ from .formats import (
     state_from_obj,
     state_to_obj,
 )
-from .graphs import Graph, family, neighbourhood
+from .graphs import FAMILIES, Graph, family, neighbourhood
 from .hadamard import (
+    CATALOG,
     GENERAL,
     P_EQUIV,
     HadamardMatrix,
@@ -57,22 +60,19 @@ class Malformed(Exception):
     """Input that cannot be resolved or parsed; maps to exit code 2."""
 
 
-_GRAPH_FAMILIES = ("star", "line", "cycle", "complete", "triangle")
-_CATALOG_NAMES = ("tilde_a", "tilde_b", "tilde_c", "tilde_d", "h_d6", "qutrit_h2")
-
-
-def _read_json_file(path: str, parse):
-    """parse(obj) for the JSON object in the file at path; Malformed when
-    the file cannot be read, is not JSON, or parse rejects it."""
+def _read_file(path: str, parse, text: bool = False):
+    """parse(content) for the file at path, content being its text or the
+    JSON value in it; Malformed when the file cannot be read or decoded, or
+    parse rejects it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            content = fh.read() if text else json.load(fh)
     except OSError as exc:
         raise Malformed(f"cannot read {path!r}: {exc}") from exc
     except ValueError as exc:  # bad UTF-8 as well as bad JSON
-        raise Malformed(f"{path!r} is not valid JSON: {exc}") from exc
+        raise Malformed(f"{path!r} is not {'UTF-8 text' if text else 'valid JSON'}: {exc}") from exc
     try:
-        return parse(obj)
+        return parse(content)
     except (KeyError, ValueError, TypeError) as exc:
         raise Malformed(f"{path!r}: {exc}") from exc
 
@@ -92,101 +92,74 @@ def _parse_real(expr: str) -> float:
     return value
 
 
+def _parse_ints(text: str, option: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise Malformed(f"{option} wants comma-separated integers, got {text!r}") from exc
+
+
+def _weyl(d: int, a: int, b: int) -> np.ndarray:
+    """X^a Z^b on d levels."""
+    X, Z = pauli_xz(d)
+    return np.linalg.matrix_power(X, a % d) @ np.linalg.matrix_power(Z, b % d)
+
+
+# The shorthands of each kind: name -> (builder, the argument counts it
+# takes, the parser of each argument).
+_MATRICES = {
+    "fourier": (fourier, (1,), int),
+    "h_alpha": (partial(catalog, "h_alpha"), (1,), _parse_real),
+    **{name: (partial(catalog, name), (0,), int) for name in CATALOG},
+}
+_GRAPHS = {
+    name: (partial(family, name), (0, 1) if name == "triangle" else (1,), int) for name in FAMILIES
+}
+_STATES = {"ghz": (ghz, (2,), int)}
+_OPERATORS = {  # builders take d first
+    "X": (lambda d, a=1: _weyl(d, a, 0), (0, 1), int),
+    "Z": (lambda d, b=1: _weyl(d, 0, b), (0, 1), int),
+    "weyl": (_weyl, (2,), int),
+}
+
+
+def _resolve(spec: str, shorthands: dict, what: str, parse, *lead):
+    """builder(*lead, *args) for a shorthand NAME[:ARG[:ARG]] in shorthands;
+    any other spec is a file path, read by parse."""
+    name, *args = spec.split(":")
+    if name not in shorthands:
+        if not os.path.exists(spec):
+            raise Malformed(f"{spec!r} is neither {what} nor an existing file")
+        return _read_file(spec, parse)
+    build, counts, parse_arg = shorthands[name]
+    if len(args) not in counts:
+        raise Malformed(f"{name} takes {' or '.join(map(str, counts))} argument(s), got {spec!r}")
+    try:
+        values = [parse_arg(a) for a in args]
+    except ValueError as exc:
+        raise Malformed(f"{name} wants integer arguments, got {spec!r}") from exc
+    return build(*lead, *values)
+
+
 def resolve_matrix(spec: str) -> HadamardMatrix:
-    if ":" in spec:
-        name, _, arg = spec.partition(":")
-        if name == "fourier":
-            try:
-                d = int(arg)
-            except ValueError as exc:
-                raise Malformed(f"fourier wants an integer dimension, got {arg!r}") from exc
-            return fourier(d)
-        if name == "h_alpha":
-            return catalog("h_alpha", _parse_real(arg))
-        raise Malformed(f"unknown matrix shorthand {name!r}")
-    if spec in _CATALOG_NAMES:
-        return catalog(spec)
-    if not os.path.exists(spec):
-        raise Malformed(f"{spec!r} is neither a catalog name nor an existing file")
-    return validate(_read_json_file(spec, matrix_entries_from_obj))
+    return _resolve(spec, _MATRICES, "a catalog name", lambda obj: validate(matrix_entries_from_obj(obj)))
 
 
 def resolve_graph(spec: str) -> Graph:
-    if spec == "triangle":
-        return family("triangle")
-    if ":" in spec:
-        name, _, arg = spec.partition(":")
-        if name in _GRAPH_FAMILIES:
-            try:
-                n = int(arg)
-            except ValueError as exc:
-                raise Malformed(f"{name} wants an integer size, got {arg!r}") from exc
-            return family(name, n)
-        raise Malformed(f"unknown graph shorthand {name!r}")
-    if not os.path.exists(spec):
-        raise Malformed(f"{spec!r} is neither a graph shorthand nor an existing file")
-    return _read_json_file(spec, graph_from_obj)
+    return _resolve(spec, _GRAPHS, "a graph shorthand", graph_from_obj)
 
 
 def resolve_state(spec: str) -> StateVector:
-    if spec.startswith("ghz:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise Malformed("ghz shorthand is ghz:N:D")
-        try:
-            n, d = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise Malformed(f"ghz wants integers, got {spec!r}") from exc
-        return ghz(n, d)
-    if not os.path.exists(spec):
-        raise Malformed(f"{spec!r} is neither ghz:N:D nor an existing file")
-    s = _read_json_file(spec, state_from_obj)
+    s = _resolve(spec, _STATES, "ghz:N:D", state_from_obj)
     nrm = s.norm()
     if abs(nrm - 1.0) > 1e-6:
         raise errors.GGHSError(f"state norm {nrm:.6f} is not 1")
     return s
 
 
-def _parse_digits(text: str, n: int, d: int):
-    try:
-        digits = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise Malformed(f"--digits wants comma-separated integers, got {text!r}") from exc
-    if len(digits) != n:
-        raise Malformed(f"--digits wants {n} entries, got {len(digits)}")
-    return digits
-
-
-def _parse_sites(text: str):
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise Malformed(f"expected comma-separated site numbers, got {text!r}") from exc
-
-
 def resolve_operator(spec: str, d: int) -> np.ndarray:
-    """Named single-site operators or a Matrix JSON file (not Hadamard-checked)."""
-    if spec in ("X", "Z") or spec.startswith(("X:", "Z:", "weyl:")):
-        X, Z = pauli_xz(d)
-        if spec == "X":
-            return X
-        if spec == "Z":
-            return Z
-        parts = spec.split(":")
-        try:
-            if parts[0] == "weyl":
-                if len(parts) != 3:
-                    raise Malformed("weyl shorthand is weyl:A:B")
-                a, b = int(parts[1]), int(parts[2])
-                return np.linalg.matrix_power(X, a % d) @ np.linalg.matrix_power(Z, b % d)
-            k = int(parts[1])
-        except ValueError as exc:
-            raise Malformed(f"operator powers want integers, got {spec!r}") from exc
-        base = X if parts[0] == "X" else Z
-        return np.linalg.matrix_power(base, k % d)
-    if not os.path.exists(spec):
-        raise Malformed(f"{spec!r} is neither an operator shorthand nor an existing file")
-    m = _read_json_file(spec, matrix_entries_from_obj)
+    """X^a Z^b, or a Matrix JSON file (not Hadamard-checked)."""
+    m = _resolve(spec, _OPERATORS, "an operator shorthand", matrix_entries_from_obj, d)
     if not np.isfinite(m).all():
         raise Malformed(f"{spec!r}: operator entries must be finite")
     return m
@@ -244,9 +217,13 @@ def cmd_symmetries(args) -> dict:
 def cmd_state(args) -> dict:
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
-    digits = _parse_digits(args.digits, G.n, H.d) if args.digits else None
+    digits = None
+    if args.digits is not None:
+        digits = _parse_ints(args.digits, "--digits")
+        if len(digits) != G.n:
+            raise Malformed(f"--digits wants {G.n} entries, got {len(digits)}")
     s = graph_state(G, H, input_digits=digits)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(render_json(state_to_obj(s)))
@@ -258,16 +235,16 @@ def cmd_state(args) -> dict:
 
 
 def cmd_invariant(args) -> dict:
-    if args.state:
+    pair = (args.graph, args.hadamard)
+    if args.state is not None and pair == (None, None):
         s = resolve_state(args.state)
-    else:
-        if not (args.graph and args.hadamard):
-            raise Malformed("invariant wants either --state or both --graph and --hadamard")
+    elif args.state is None and None not in pair:
         s = (resolve_graph(args.graph), resolve_matrix(args.hadamard))
         _check_graph_state(*s)  # its errors come before --schmidt is parsed
+    else:
+        raise Malformed("invariant wants either --state or both --graph and --hadamard")
     if args.schmidt is not None:
-        part = _parse_sites(args.schmidt)
-        return {"schmidt": schmidt_spectrum(s, part)}
+        return {"schmidt": schmidt_spectrum(s, _parse_ints(args.schmidt, "--schmidt"))}
     if args.rdm is not None:
         rho = reduced_density(s, [args.rdm])
         return {"site": args.rdm, "rdm": rho.mat}
@@ -319,17 +296,7 @@ def cmd_code(args) -> dict:
         raise Malformed(f"--distance wants a weight >= 1, got {args.distance}")
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
-    try:
-        with open(args.classical, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise Malformed(f"cannot read {args.classical!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise Malformed(f"{args.classical!r} is not UTF-8 text: {exc}") from exc
-    try:
-        C = ClassicalCode.from_text(text, H.d)
-    except ValueError as exc:
-        raise Malformed(f"{args.classical!r}: {exc}") from exc
+    C = _read_file(args.classical, lambda text: ClassicalCode.from_text(text, H.d), text=True)
     Q = build_code(G, H, C)
     out: dict = {"n": Q.graph.n, "K": Q.K}
     if args.distance is not None:

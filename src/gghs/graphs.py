@@ -58,8 +58,8 @@ def build(n: int, edges) -> Graph:
     return Graph(n=n, edges=tuple(sorted(norm)))
 
 
-# name: (least n, edge count, edge list) of each sized family
-_FAMILIES = {
+# name: (least n, edge count, edge list) of each family; triangle has n = 3 only
+FAMILIES = {
     "star": (2, lambda n: n - 1, lambda n: [(0, j) for j in range(1, n)]),
     "line": (2, lambda n: n - 1, lambda n: [(j, j + 1) for j in range(n - 1)]),
     "cycle": (3, lambda n: n, lambda n: [(j, j + 1) for j in range(n - 1)] + [(0, n - 1)]),
@@ -68,24 +68,25 @@ _FAMILIES = {
         lambda n: n * (n - 1) // 2,
         lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
     ),
+    "triangle": (3, lambda n: 3, lambda n: [(0, 1), (1, 2), (0, 2)]),
 }
 
 
 def family(name: str, n: Optional[int] = None) -> Graph:
-    """Named graph families: star, line, cycle, triangle, complete.
+    """Named graph families: the FAMILIES names. Only triangle may omit n.
 
     The edge count is checked against GRAPH_EDGE_CAP before any edge is built.
     """
     if name == "triangle":
         if n not in (None, 3):
             raise errors.BadSize("triangle has exactly 3 vertices")
-        return build(3, [(0, 1), (1, 2), (0, 2)])
+        n = 3
     if n is None:
         raise errors.BadSize(f"family {name!r} needs a vertex count")
     n = operator.index(n)
-    if name not in _FAMILIES:
+    if name not in FAMILIES:
         raise errors.UnknownName(f"unknown graph family {name!r}")
-    least, edge_count, edge_list = _FAMILIES[name]
+    least, edge_count, edge_list = FAMILIES[name]
     if n < least:
         raise errors.BadSize(f"{name} needs n >= {least}")
     n_edges = edge_count(n)

@@ -161,14 +161,6 @@ def _h_alpha(alpha: float) -> np.ndarray:
     )
 
 
-_TILDE = {
-    "tilde_a": [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
-    "tilde_b": [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]],
-    "tilde_c": [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
-    "tilde_d": [[1, 1, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1]],
-}
-
-
 def _h_d6() -> np.ndarray:
     i = 1j
     return np.array(
@@ -192,8 +184,19 @@ def _qutrit_h2() -> np.ndarray:
     )
 
 
+# name: entries of each catalog matrix that takes no parameter
+CATALOG = {
+    "tilde_a": lambda: [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
+    "tilde_b": lambda: [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]],
+    "tilde_c": lambda: [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+    "tilde_d": lambda: [[1, 1, 1, 1], [1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1]],
+    "h_d6": _h_d6,
+    "qutrit_h2": _qutrit_h2,
+}
+
+
 def catalog(name: str, params: Optional[float] = None) -> HadamardMatrix:
-    """Named matrices from the built-in catalog.
+    """Named matrices from the built-in catalog: h_alpha and the CATALOG names.
 
     h_alpha requires the real parameter alpha; the other names take none.
     """
@@ -201,13 +204,9 @@ def catalog(name: str, params: Optional[float] = None) -> HadamardMatrix:
         if params is None:
             raise errors.UnknownName("h_alpha needs its real parameter")
         return validate(_h_alpha(float(params)))
-    if name in _TILDE:
-        return validate(np.array(_TILDE[name], dtype=np.complex128))
-    if name == "h_d6":
-        return validate(_h_d6())
-    if name == "qutrit_h2":
-        return validate(_qutrit_h2())
-    raise errors.UnknownName(f"unknown catalog matrix {name!r}")
+    if name not in CATALOG:
+        raise errors.UnknownName(f"unknown catalog matrix {name!r}")
+    return validate(np.array(CATALOG[name](), dtype=np.complex128))
 
 
 def dephase(H: HadamardMatrix):

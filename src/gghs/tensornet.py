@@ -14,10 +14,6 @@ from .graphs import Graph
 from .hadamard import HadamardMatrix
 from .qstate import StateVector, _dense_size
 
-# Factors folded in per einsum call: with the running tensor, 31 operands,
-# within numpy 1.x's limit of 32.
-_FACTORS_PER_CALL = 30
-
 
 def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     """Contract one bond tensor per edge with per-site leg-merging projectors.
@@ -26,8 +22,9 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     index, so the contraction is a product over edges with one free index per
     vertex. Every site also carries the circuit's input column H[:, 0]
     (uniform for a dephased matrix): on its first bond, or as a factor of its
-    own at a vertex of degree 0. The factors are folded in a batch at a time.
-    The result is normalized.
+    own at a vertex of degree 0. The factors are folded into the running
+    tensor one einsum call each; no index is summed, so each amplitude is
+    the product of its factors taken in order. The result is normalized.
     """
     n, d = G.n, H.d
     _dense_size(n, d)
@@ -40,12 +37,9 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
         factors.append((left[:, None] * H.entries * right, [u, v]))
     factors += [(col, [s]) for s in sorted(bare)]
     T, axes = np.ones((), dtype=np.complex128), []
-    for start in range(0, len(factors), _FACTORS_PER_CALL):
-        args = [T, axes]
-        for f, sub in factors[start:start + _FACTORS_PER_CALL]:
-            args.extend([f, sub])
-        axes = sorted(set(axes).union(*args[3::2]))
-        T = np.einsum(*args, axes)
+    for f, sub in factors:
+        out = sorted(set(axes).union(sub))
+        T, axes = np.einsum(T, axes, f, sub, out), out
     amps = T.reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm <= 0:

@@ -122,6 +122,87 @@ def test_integer_fields_must_be_json_integers(tmp_path, capsys, kind, obj):
     assert "must be a JSON integer" in out["detail"]
 
 
+# ------------------------------------------------------- shorthands and paths
+
+
+def _matrix_obj(entries):
+    a = np.asarray(entries, dtype=np.complex128)
+    return {"d": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
+
+
+PAIR = ["--graph", "line:3", "--hadamard", "fourier:2"]
+
+
+@pytest.mark.parametrize(
+    "by_file,by_name",
+    [
+        (["validate", "./m:1.json"], ["validate", "fourier:2"]),
+        (["validate", "{tmp}/m:1.json"], ["validate", "fourier:2"]),
+        (["state", "--graph", "g:1.json", "--hadamard", "fourier:2"], ["state", *PAIR]),
+        (["invariant", "--state", "s:1.json"], ["invariant", "--state", "s.json"]),
+        (["decode-error", *PAIR, "--site", "1", "--op", "op:1.json"],
+         ["decode-error", *PAIR, "--site", "1", "--op", "X"]),
+    ],
+)
+def test_file_paths_may_contain_colons(tmp_path, capsys, monkeypatch, by_file, by_name):
+    # A spec whose NAME is not a shorthand of its kind is a path, colons and all.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m:1.json").write_text(json.dumps(_matrix_obj(fourier(2).entries)))
+    (tmp_path / "g:1.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    for name in ("s:1.json", "s.json"):
+        (tmp_path / name).write_text(render_json(state_to_obj(ghz(3, 2))))
+    (tmp_path / "op:1.json").write_text(json.dumps(_matrix_obj([[0, 1], [1, 0]])))
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in by_file])
+    assert code == 0, out
+    assert out == run(capsys, *by_name)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "fourier"),
+        ("validate", "fourier:2:3"),
+        ("validate", "fourier:x"),
+        ("validate", "h_alpha"),
+        ("validate", "tilde_a:1"),
+        ("state", "--graph", "star", "--hadamard", "fourier:2"),
+        ("state", "--graph", "line:2.5", "--hadamard", "fourier:2"),
+        ("state", "--graph", "triangle:3:1", "--hadamard", "fourier:2"),
+        ("invariant", "--state", "ghz:3"),
+        ("invariant", "--state", "ghz:3:x"),
+        ("invariant", "--state", "ghz:3:2:1"),
+    ],
+)
+def test_shorthand_argument_counts_and_types(capsys, argv):
+    code, obj = run_json(capsys, *argv)
+    assert code == 2, argv
+    assert obj["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize(
+    "op", ["X:1:junk", "Z:1:x", "X:1:7", "X:x", "weyl:1", "weyl:1:2:3", "weyl:1:x"]
+)
+def test_operator_shorthand_extras_are_malformed(capsys, op):
+    code, obj = run_json(
+        capsys, "decode-error", "--graph", "triangle", "--hadamard", "fourier:3",
+        "--site", "0", "--op", op,
+    )
+    assert code == 2, op
+    assert obj["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize(
+    "op,same_as",
+    [("X:1", "X"), ("Z:1", "Z"), ("weyl:1:0", "X"), ("weyl:0:1", "Z"), ("X:4", "X"),
+     ("Z:-2", "Z"), ("weyl:3:2", "Z:2"), ("X:0", "weyl:0:0")],
+)
+def test_operator_shorthands_are_weyl_exponents(capsys, op, same_as):
+    argv = ["decode-error", "--graph", "triangle", "--hadamard", "fourier:3", "--site", "1", "--op"]
+    code, out = run(capsys, *argv, op)
+    assert code == 0
+    assert out == run(capsys, *argv, same_as)[1]
+
+
 # --------------------------------------------------------------- equivalence
 
 
@@ -238,6 +319,30 @@ def test_invariant_i6_ghz_shorthand(capsys):
 def test_invariant_needs_a_source(capsys):
     code, obj = run_json(capsys, "invariant", "--i6")
     assert code == 2
+
+
+@pytest.mark.parametrize("pair", [PAIR[:2], PAIR[2:], PAIR])
+def test_invariant_state_excludes_graph_and_hadamard(capsys, pair):
+    code, obj = run_json(capsys, "invariant", "--state", "ghz:3:2", *pair, "--i6")
+    assert code == 2
+    assert obj == {
+        "error": "malformed_input",
+        "detail": "invariant wants either --state or both --graph and --hadamard",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", *PAIR, "--digits", ""],
+        ["state", *PAIR, "--out", ""],
+        ["invariant", "--state", "", *PAIR, "--i6"],
+    ],
+)
+def test_an_empty_value_is_given_not_absent(capsys, argv):
+    code, obj = run_json(capsys, *argv)
+    assert code == 2
+    assert obj["error"] == "malformed_input"
 
 
 def test_invariant_schmidt_and_rdm(capsys):
@@ -441,6 +546,21 @@ def test_code_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
     assert code == 2
     assert obj["error"] == "malformed_input"
     assert obj["detail"].startswith(f"{str(words)!r} is not UTF-8 text")
+
+
+def test_code_gram_not_identity(tmp_path, capsys):
+    # validate admits the entry -(1 + 5e-10); the Gram check of the code does not.
+    m = tmp_path / "h.json"
+    m.write_text(json.dumps({"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [-(1 + 5e-10), 0]]]}))
+    words = tmp_path / "words.txt"
+    words.write_text("000000\n000001\n")
+    code, out = run(
+        capsys, "code", "--graph", "complete:6", "--hadamard", str(m), "--classical", str(words)
+    )
+    assert code == 1
+    assert out == (
+        '{"error": "gram_not_identity", "detail": "gram deviates from identity by 1.500e-09"}\n'
+    )
 
 
 def test_code_command(tmp_path, capsys):

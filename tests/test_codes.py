@@ -165,6 +165,17 @@ def test_gram_check_over_blocks_matches_the_full_gram(monkeypatch):
     assert hadamard._gram_deviation(Q.basis, 1) <= 1e-12
 
 
+def test_gram_not_identity_from_edge_phases_off_the_unit_circle():
+    # validate admits the -(1 + 5e-10) entry; 15 edges on complete:6 turn it
+    # into a Gram deviation of 1.5e-9, past the 1e-9 check.
+    H = validate(np.array([[1, 1], [1, -(1 + 5e-10)]]))
+    assert H.symmetric and H.dephased
+    words = ClassicalCode(n=6, d=2, words=((0,) * 6, (0,) * 5 + (1,)))
+    with pytest.raises(errors.GramNotIdentity) as exc:
+        build_code(family("complete", 6), H, words)
+    assert exc.value.detail == "gram deviates from identity by 1.500e-09"
+
+
 def test_build_code_shape_mismatches():
     with pytest.raises(errors.DimensionMismatch):
         build_code(family("triangle"), fourier(4), repetition(4, 4))
