@@ -5,6 +5,8 @@ package itself does not need, and independent oracles the tests check the
 package against.
 """
 
+import contextlib
+import io
 import itertools
 import math
 from functools import reduce
@@ -13,6 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz
+from gghs.cli import main
 from gghs.hadamard import HadamardMatrix
 from gghs.qstate import _check_digits, _dense_size, _edge_phases
 
@@ -162,3 +165,11 @@ def fourier_code_distance(G, d, words, max_weight):
                     if len(C) == 1 or (dots != dots[0]).any():
                         return w
     return None
+
+
+def cli_stdout(argv) -> Tuple[int, str]:
+    """(exit code, stdout) of one `gghs` request, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
