@@ -19,17 +19,13 @@ from gghs import (
     kl_distance,
     weight_enumerators,
 )
-from gghs.errors import LowerBoundExceeded
 
 
 def report(label, Q, max_weight: int) -> np.ndarray:
     V = Q.basis
     gram = np.max(np.abs(V.conj().T @ V - np.eye(Q.K)))
     dist = kl_distance(Q, max_weight=max_weight)
-    if isinstance(dist, LowerBoundExceeded):
-        dist_text = f"> {dist.max_weight}"
-    else:
-        dist_text = str(dist)
+    dist_text = f"> {min(max_weight, Q.graph.n)}" if dist is None else str(dist)
     A, B = weight_enumerators(Q)
     print(f"{label}")
     print(f"  K = {Q.K}, gram deviation {gram:.2e}, distance {dist_text}")

@@ -166,17 +166,13 @@ def resolve_operator(spec: str, d: int) -> np.ndarray:
 
 
 def _witness_obj(w) -> dict:
-    out: dict = {"kind": w.kind}
+    """The fields of a witness: p, d of an S-symmetry; p, d1, d2 of a
+    P-equivalence; p1, d1, p2, d2 of a general equivalence."""
+    if w.kind == GENERAL:
+        return {"p1": list(w.p1.map), "d1": w.d1.phases, "p2": list(w.p2.map), "d2": w.d2.phases}
     if w.kind == P_EQUIV:
-        out["p"] = list(w.p1.map)
-        out["d1"] = w.d1.phases
-        out["d2"] = w.d2.phases
-    else:
-        out["p1"] = list(w.p1.map)
-        out["d1"] = w.d1.phases
-        out["p2"] = list(w.p2.map)
-        out["d2"] = w.d2.phases
-    return out
+        return {"p": list(w.p1.map), "d1": w.d1.phases, "d2": w.d2.phases}
+    return {"p": list(w.p1.map), "d": w.d1.phases}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -197,21 +193,13 @@ def cmd_equiv(args) -> dict:
     w = find_equivalence(H1, H2, kind)
     if w is None:
         return {"equivalent": False, "kind": kind}
-    out = {"equivalent": True, "kind": kind}
-    out.update({k: v for k, v in _witness_obj(w).items() if k != "kind"})
-    out["deviation"] = check_witness(H1, H2, w)
-    return out
+    return {"equivalent": True, "kind": kind, **_witness_obj(w), "deviation": check_witness(H1, H2, w)}
 
 
 def cmd_symmetries(args) -> dict:
     H = resolve_matrix(args.matrix)
     syms = s_symmetries(H)
-    return {
-        "count": len(syms),
-        "symmetries": [
-            {"p": list(w.p1.map), "d": w.d1.phases} for w in syms
-        ],
-    }
+    return {"count": len(syms), "symmetries": [_witness_obj(w) for w in syms]}
 
 
 def cmd_state(args) -> dict:
@@ -270,14 +258,7 @@ def cmd_stabilizers(args) -> dict:
             op = stabilizer_from_symmetry(local, H, w, hood.index(a))
             dev = verify_stabilizer(op, graph_state(local, H))[1]
             gens.append({"vertex": a, "verified": dev <= args.tol, "deviation": dev})
-        checked.append(
-            {
-                "symmetry_index": idx,
-                "p": list(w.p1.map),
-                "d": w.d1.phases,
-                "generators": gens,
-            }
-        )
+        checked.append({"symmetry_index": idx, **_witness_obj(w), "generators": gens})
     all_ok = all(g["verified"] for c in checked for g in c["generators"])
     return {"available_symmetries": len(syms), "checked": checked, "all_verified": all_ok}
 
@@ -300,16 +281,11 @@ def cmd_code(args) -> dict:
     Q = build_code(G, H, C)
     out: dict = {"n": Q.graph.n, "K": Q.K}
     if args.distance is not None:
-        res = kl_distance(Q, args.distance)
-        if isinstance(res, errors.LowerBoundExceeded):
-            out["distance"] = None
-            out["distance_exceeds"] = res.max_weight
-        else:
-            out["distance"] = res
+        out["distance"] = kl_distance(Q, args.distance)
+        if out["distance"] is None:
+            out["distance_exceeds"] = min(args.distance, Q.graph.n)
     if args.enumerators:
-        A, B = weight_enumerators(Q)
-        out["A"] = [float(x) for x in A]
-        out["B"] = [float(x) for x in B]
+        out["A"], out["B"] = weight_enumerators(Q)
     return out
 
 
@@ -318,9 +294,7 @@ def cmd_decode_error(args) -> dict:
     H = resolve_matrix(args.hadamard)
     E = resolve_operator(args.op, H.d)
     res = decoded_error(G, H, LocalOperator(d=H.d, site=args.site, matrix=E))
-    out: dict = {"factorizes": res.factorizes, "residual": res.residual}
-    out["site_operator"] = res.site_operator
-    return out
+    return {"factorizes": res.factorizes, "residual": res.residual, "site_operator": res.site_operator}
 
 
 # -------------------------------------------------------------------- driver

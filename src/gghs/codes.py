@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,27 +140,26 @@ def _kl_holds(M: np.ndarray) -> bool:
     return True
 
 
-def kl_distance(Q: QuantumCode, max_weight: int) -> Union[int, errors.LowerBoundExceeded]:
+def kl_distance(Q: QuantumCode, max_weight: int) -> Optional[int]:
     """Smallest error weight violating the Knill-Laflamme condition.
 
     Erasure form (Knill & Laflamme 1997): every error on a site set S obeys
     it iff X_ij = Tr_{S^c}|psi_i><psi_j| - delta_ij sigma_S vanishes, sigma_S
     the mean of the diagonal blocks (I/d^w for K = 1: a one-dimensional
     code's distance is the least weight of an error with nonzero expectation).
-    Returns the first w with some |S| = w and max|X_ij| > TOL_ENTRY, else the
-    LowerBoundExceeded marker carrying min(max_weight, n) (not raised). For E
-    on S and delta = V^dagger E V minus its mean diagonal,
+    Returns the first w with some |S| = w and max|X_ij| > TOL_ENTRY, or None
+    when no weight up to min(max_weight, n) violates it. For E on S and
+    delta = V^dagger E V minus its mean diagonal,
     ||V delta V^dagger||_max <= K d^w max||X_ij||_max and
     ||X_ij||_max <= d^(w+n) max_E ||V delta V^dagger||_max. A max_weight
     below 1 scans nothing and raises BadSize.
     """
     if max_weight < 1:
         raise errors.BadSize(f"max_weight must be >= 1, got {max_weight}")
-    max_weight = min(max_weight, Q.graph.n)
-    for w, M in _splits(Q, range(1, max_weight + 1)):
+    for w, M in _splits(Q, range(1, min(max_weight, Q.graph.n) + 1)):
         if not _kl_holds(M):
             return w
-    return errors.LowerBoundExceeded(max_weight)
+    return None
 
 
 def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:

@@ -103,13 +103,3 @@ class GramNotIdentity(GGHSError):
 
 class Overflow(GGHSError):
     code = "overflow"
-
-
-class LowerBoundExceeded(GGHSError):
-    """kl_distance found no violation up to max_weight; carries the bound."""
-
-    code = "lower_bound_exceeded"
-
-    def __init__(self, max_weight: int):
-        self.max_weight = max_weight
-        super().__init__(f"no Knill-Laflamme violation up to weight {max_weight}")

@@ -77,13 +77,13 @@ def family(name: str, n: Optional[int] = None) -> Graph:
 
     The edge count is checked against GRAPH_EDGE_CAP before any edge is built.
     """
-    if name == "triangle":
-        if n not in (None, 3):
-            raise errors.BadSize("triangle has exactly 3 vertices")
+    if name == "triangle" and n is None:
         n = 3
     if n is None:
         raise errors.BadSize(f"family {name!r} needs a vertex count")
     n = operator.index(n)
+    if name == "triangle" and n != 3:
+        raise errors.BadSize("triangle has exactly 3 vertices")
     if name not in FAMILIES:
         raise errors.UnknownName(f"unknown graph family {name!r}")
     least, edge_count, edge_list = FAMILIES[name]

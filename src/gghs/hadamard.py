@@ -206,6 +206,8 @@ def catalog(name: str, params: Optional[float] = None) -> HadamardMatrix:
         return validate(_h_alpha(float(params)))
     if name not in CATALOG:
         raise errors.UnknownName(f"unknown catalog matrix {name!r}")
+    if params is not None:
+        raise errors.UnknownName(f"{name} takes no parameter, got {params!r}")
     return validate(np.array(CATALOG[name](), dtype=np.complex128))
 
 

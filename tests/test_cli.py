@@ -588,6 +588,21 @@ def test_code_distance_bound_exceeded(tmp_path, capsys):
     assert obj["distance_exceeds"] == 1
 
 
+def test_code_distance_exceeds_is_capped_at_n(tmp_path, capsys, monkeypatch):
+    # Every code violates the condition on the whole register, so only a
+    # scan where every subset passes shows the bound min(W, n).
+    monkeypatch.setattr("gghs.codes._kl_holds", lambda M: True)
+    words = tmp_path / "rep.txt"
+    words.write_text("000\n")
+    code, out = run(
+        capsys,
+        "code", "--graph", "triangle", "--hadamard", "fourier:2",
+        "--classical", str(words), "--distance", "7",
+    )
+    assert code == 0
+    assert out == '{"n": 3, "K": 1, "distance": null, "distance_exceeds": 3}\n'
+
+
 @pytest.mark.parametrize("weight", ["0", "-5"])
 def test_code_distance_below_one_is_malformed(tmp_path, capsys, weight):
     words = tmp_path / "rep.txt"

@@ -85,6 +85,14 @@ def test_family_errors():
         family("line")
 
 
+def test_family_vertex_count_is_an_integer():
+    # The triangle's n goes through operator.index like every other family's.
+    for name in ("triangle", "line"):
+        with pytest.raises(TypeError):
+            family(name, 3.0)
+    assert family("triangle", 3).edges == family("triangle").edges
+
+
 def test_family_edge_cap():
     assert len(family("line", GRAPH_EDGE_CAP + 1).edges) == GRAPH_EDGE_CAP
     for name, n in (("line", GRAPH_EDGE_CAP + 2), ("cycle", GRAPH_EDGE_CAP + 1), ("complete", 363)):

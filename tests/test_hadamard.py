@@ -116,6 +116,13 @@ def test_catalog_unknown_name():
         catalog("h_alpha")  # missing parameter
 
 
+@pytest.mark.parametrize("name", sorted(hadamard.CATALOG))
+def test_catalog_refuses_a_parameter_for_a_parameter_free_name(monkeypatch, name):
+    monkeypatch.setitem(hadamard.CATALOG, name, lambda: pytest.fail(f"{name} was built"))
+    with pytest.raises(errors.UnknownName, match="takes no parameter"):
+        catalog(name, 5.0)
+
+
 # ------------------------------------------------------------------ dephase
 
 
