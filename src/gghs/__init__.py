@@ -13,7 +13,6 @@ from .codes import (
     QuantumCode,
     build_code,
     decoded_error,
-    encode,
     kl_distance,
     weight_enumerators,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "QuantumCode",
     "build_code",
     "decoded_error",
-    "encode",
     "kl_distance",
     "weight_enumerators",
     "DensityMatrix",

@@ -153,7 +153,7 @@ def resolve_state(spec: str) -> StateVector:
     s = _resolve(spec, _STATES, "ghz:N:D", state_from_obj)
     nrm = s.norm()
     if abs(nrm - 1.0) > 1e-6:
-        raise errors.GGHSError(f"state norm {nrm:.6f} is not 1")
+        raise errors.NotNormalized(f"state norm {nrm:.6f} is not 1")
     return s
 
 

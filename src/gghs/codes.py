@@ -6,23 +6,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import errors
 from ._tol import TOL_ENTRY
 from .graphs import Graph, neighbourhood
-from .hadamard import HadamardMatrix, _gram_deviation, dephase
+from .hadamard import HadamardMatrix, _gram_deviation
 from .qstate import (
     DENSE_AMP_CAP,
     LocalOperator,
-    StateVector,
     _check_graph_state,
     _dense_size,
     _encode,
     _uncompute,
-    graph_state,
 )
 
 
@@ -72,34 +70,24 @@ class QuantumCode:
         return self.basis.shape[1]
 
 
-def encode(G: Graph, H: HadamardMatrix, c: Sequence[int]) -> StateVector:
-    """Encode one classical word as a graph state with input digits c.
-
-    H is dephased internally; the encoded states of distinct words are exactly
-    orthogonal because the circuit is unitary on the computational basis.
-    """
-    hd = H if H.dephased else dephase(H)[2]
-    return graph_state(G, hd, input_digits=c)
-
-
 def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
     """Encode every word of C in one pass; the basis is read-only.
 
-    Each column is normalized on its own, exactly as encode does it, and the
-    d**n * K amplitudes are capped before any is built.
+    Column j is graph_state(G, H, input_digits=C.words[j]).amps: the circuit
+    of H as given, each column normalized on its own. The d**n * K amplitudes
+    are capped before any is built.
     """
     n, d, K = G.n, H.d, len(C.words)
     if C.n != n:
         raise errors.DimensionMismatch(f"code length {C.n} != vertex count {n}")
     if C.d != d:
         raise errors.DimensionMismatch(f"code alphabet {C.d} != matrix dimension {d}")
-    hd = H if H.dephased else dephase(H)[2]
-    _check_graph_state(G, hd)
+    _check_graph_state(G, H)
     if d**n * K > DENSE_AMP_CAP:
         raise errors.TooLarge(
             f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}"
         )
-    V = _encode(G, hd, C.words).reshape(-1, K)
+    V = _encode(G, H, C.words).reshape(-1, K)
     for col in V.T:
         col /= np.linalg.norm(col)
     gram_dev = _gram_deviation(V, 1)

@@ -117,8 +117,8 @@ def i6(s: State) -> float:
     """Tr((rho_01^{T_0})^3), the degree-6 local-unitary invariant.
 
     Sites {0, 1} are kept and the transpose acts on slot 0. The trace of an
-    odd power of a Hermitian matrix is real; the double-precision imaginary
-    residue is asserted, not ignored.
+    odd power of a Hermitian matrix is real; an imaginary residue past
+    TOL_ENTRY, which only a state far from norm 1 reaches, raises NotNormalized.
     """
     n, _ = _shape(s)
     if n < 3:
@@ -126,7 +126,7 @@ def i6(s: State) -> float:
     pt = partial_transpose(reduced_density(s, [0, 1]), 0)
     val = complex(np.trace(pt @ pt @ pt))
     if abs(val.imag) > TOL_ENTRY:
-        raise errors.GGHSError(f"imaginary residue {val.imag:.3e} too large")
+        raise errors.NotNormalized(f"imaginary residue {val.imag:.3e} too large")
     return float(val.real)
 
 

@@ -21,6 +21,10 @@ class NotHadamard(GGHSError):
     code = "not_hadamard"
 
 
+class NotNormalized(GGHSError):
+    code = "not_normalized"
+
+
 class NotSymmetric(GGHSError):
     code = "not_symmetric"
 

@@ -80,13 +80,6 @@ def verify_stabilizer(op: StabilizerOperator, s: StateVector) -> Tuple[bool, flo
     return deviation <= TOL_ENTRY, deviation
 
 
-def _diag_power(phases: np.ndarray, k: int) -> np.ndarray:
-    # unimodular phases: negative powers through conjugation
-    if k >= 0:
-        return np.diag(phases**k)
-    return np.diag(phases.conj() ** (-k))
-
-
 def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
     """Per-site unitaries M @ diag(conj(H1'[:, c]))^deg for (M, c) = factor(site).
 
@@ -102,11 +95,11 @@ def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
     for u in range(G.n):
         g = G.degree(u)
         M, c = factor(u)
-        site = M @ _diag_power(H1d.entries[:, c].conj(), g)
+        site = M @ np.diag(H1d.entries[:, c].conj() ** g)
         if not H1.dephased:
-            site = site @ _diag_power(H1.entries[:, 0].conj(), g + 1)
+            site = site @ np.diag(H1.entries[:, 0].conj() ** (g + 1))
         if not H2.dephased:
-            site = _diag_power(H2.entries[:, 0], g + 1) @ site
+            site = np.diag(H2.entries[:, 0] ** (g + 1)) @ site
         unitaries.append(site)
     built = graph_state(G, H1)
     for site, u in enumerate(unitaries):

@@ -43,6 +43,6 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     amps = T.reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm <= 0:
-        raise errors.GGHSError("contraction produced the zero vector")
+        raise errors.NotHadamard("contraction produced the zero vector")
     amps /= nrm
     return StateVector(n=n, d=d, amps=amps)

@@ -8,13 +8,14 @@ package against.
 import contextlib
 import io
 import itertools
+import json
 import math
 from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz
+from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz, validate
 from gghs.cli import main
 from gghs.hadamard import HadamardMatrix
 from gghs.qstate import _check_digits, _dense_size, _edge_phases
@@ -165,6 +166,25 @@ def fourier_code_distance(G, d, words, max_weight):
                     if len(C) == 1 or (dots != dots[0]).any():
                         return w
     return None
+
+
+def df3d() -> HadamardMatrix:
+    """D F3 D with D = diag(e^0.3i, e^1.1i, e^2.0i): symmetric, not dephased."""
+    D = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
+    return validate(D @ fourier(3).entries @ D)
+
+
+def skewed_f3() -> np.ndarray:
+    """diag(1, e^0.4i, e^1.3i) F3 diag(1, e^2.2i, e^0.7i): a Hadamard matrix that
+    is not symmetric, though its dephased form F3 is."""
+    return (np.exp(1j * np.array([0, 0.4, 1.3]))[:, None] * fourier(3).entries
+            * np.exp(1j * np.array([0, 2.2, 0.7])))
+
+
+def matrix_json(entries) -> str:
+    """The Matrix JSON text of a square complex array."""
+    a = np.asarray(entries, dtype=np.complex128)
+    return json.dumps({"d": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()})
 
 
 def cli_stdout(argv) -> Tuple[int, str]:

@@ -1,7 +1,7 @@
 """Regenerate tests/golden_stdout.json, the stdout digests of test_golden_stdout.py.
 
 Each request is one `gghs` argv, run in-process through `gghs.cli.main` with
-the codeword files of FILES in its working directory; the file records its
+the input files of FILES in its working directory; the file records its
 exit code and the SHA-256 of its stdout. The requests are every
 reference-checked job of perfbench/workloads.py (which this script imports)
 plus the fixed-input requests below. A digest may only change in a change
@@ -19,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import cli_stdout
+from helpers import cli_stdout, matrix_json, skewed_f3
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
@@ -33,6 +33,16 @@ FILES = {
     "rep_d2.txt": "000\n111\n",
     "two_d3.txt": "012\n120\n",
     "rep_d3.txt": "000\n111\n222\n",
+    "not_unimodular.json": '{"d": 2, "entries": [[[2, 0], [1, 0]], [[1, 0], [-1, 0]]]}',
+    "not_hadamard.json": '{"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}',
+    "skewed_f3.json": matrix_json(skewed_f3()),
+    "self_loop.json": '{"n": 2, "edges": [[1, 1]]}',
+    "out_of_range.json": '{"n": 2, "edges": [[0, 2]]}',
+    "unnormalized.json": '{"n": 1, "d": 2, "amps": [[1, 0], [1, 0]]}',
+    # validate admits the entry -(1 + 5e-10); the Gram check of a code does not.
+    "gram.json": '{"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [-1.0000000005, 0]]]}',
+    "gram_d2.txt": "000000\n000001\n",
+    "huge_op.json": '{"d": 3, "entries": ' + str([[[1e308, 0.0]] * 3] * 3) + "}",
 }
 
 PAIR = ["--graph", "triangle", "--hadamard", "fourier:3"]
@@ -81,14 +91,36 @@ SHAPES = [
     ["decode-error", "--graph", "line:3", "--hadamard", "tilde_a", "--site", "1", "--op", "weyl:1:2"],
     ["decode-error", *PAIR, "--site", "0", "--op", "Z:2", "--text"],
     ["decode-error", *PAIR, "--site", "0", "--op", "X", "--text"],
-    ["equiv", "fourier:2", "fourier:3"],  # exit 1, dimension_mismatch
-    ["validate", "fourier:x"],  # exit 2, malformed_input
+]
+
+# One request for each error code the CLI prints.
+ERRORS = [
+    ["equiv", "fourier:2", "fourier:3"],  # dimension_mismatch
+    ["validate", "fourier:x"],  # malformed_input, exit 2
+    ["equiv", "not_hadamard.json", "fourier:2"],
+    ["equiv", "not_unimodular.json", "fourier:2"],
+    ["state", "--graph", "triangle", "--hadamard", "skewed_f3.json"],  # not_symmetric
+    ["code", "--graph", "triangle", "--hadamard", "skewed_f3.json", "--classical", "rep_d3.txt",
+     "--distance", "2"],  # not_symmetric, as state
+    ["equiv", "fourier:7", "fourier:7"],  # search_limit_exceeded
+    ["state", "--graph", "self_loop.json", "--hadamard", "fourier:2"],
+    ["state", "--graph", "out_of_range.json", "--hadamard", "fourier:2"],  # index_out_of_range
+    ["validate", "fourier:0"],  # bad_size
+    ["state", "--graph", "triangle", "--hadamard", "fourier:2", "--digits", "0,5,0"],
+    ["decode-error", *PAIR, "--site", "7", "--op", "Z"],  # site_out_of_range
+    ["state", "--graph", "cycle:13", "--hadamard", "fourier:4"],  # too_large
+    ["invariant", *PAIR, "--rdm", "7"],  # bad_site
+    ["invariant", "--graph", "line:2", "--hadamard", "fourier:2", "--i6"],  # too_few_sites
+    ["invariant", *PAIR, "--schmidt", "0,1,2"],  # bad_partition
+    ["code", "--graph", "complete:6", "--hadamard", "gram.json", "--classical", "gram_d2.txt"],
+    ["decode-error", *PAIR, "--site", "0", "--op", "huge_op.json"],  # overflow
+    ["invariant", "--state", "unnormalized.json"],  # not_normalized
 ]
 
 
 def requests():
     """Every argv, in order, each once."""
-    argvs = [job["argv"] for job in workloads.reference_jobs()] + FIXED + SHAPES
+    argvs = [job["argv"] for job in workloads.reference_jobs()] + FIXED + SHAPES + ERRORS
     return list({tuple(argv): argv for argv in argvs}.values())
 
 

@@ -22,7 +22,7 @@ from gghs import (
 )
 from gghs.cli import main
 from gghs.formats import render_json, state_to_obj
-from helpers import connected_graphs, cut_rank, full_catalog
+from helpers import connected_graphs, cut_rank, full_catalog, matrix_json, skewed_f3
 
 PI = math.pi
 
@@ -125,11 +125,6 @@ def test_integer_fields_must_be_json_integers(tmp_path, capsys, kind, obj):
 # ------------------------------------------------------- shorthands and paths
 
 
-def _matrix_obj(entries):
-    a = np.asarray(entries, dtype=np.complex128)
-    return {"d": a.shape[0], "entries": np.stack([a.real, a.imag], -1).tolist()}
-
-
 PAIR = ["--graph", "line:3", "--hadamard", "fourier:2"]
 
 
@@ -147,11 +142,11 @@ PAIR = ["--graph", "line:3", "--hadamard", "fourier:2"]
 def test_file_paths_may_contain_colons(tmp_path, capsys, monkeypatch, by_file, by_name):
     # A spec whose NAME is not a shorthand of its kind is a path, colons and all.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "m:1.json").write_text(json.dumps(_matrix_obj(fourier(2).entries)))
+    (tmp_path / "m:1.json").write_text(matrix_json(fourier(2).entries))
     (tmp_path / "g:1.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
     for name in ("s:1.json", "s.json"):
         (tmp_path / name).write_text(render_json(state_to_obj(ghz(3, 2))))
-    (tmp_path / "op:1.json").write_text(json.dumps(_matrix_obj([[0, 1], [1, 0]])))
+    (tmp_path / "op:1.json").write_text(matrix_json([[0, 1], [1, 0]]))
     code, out = run(capsys, *[a.format(tmp=tmp_path) for a in by_file])
     assert code == 0, out
     assert out == run(capsys, *by_name)[1]
@@ -177,6 +172,31 @@ def test_shorthand_argument_counts_and_types(capsys, argv):
     code, obj = run_json(capsys, *argv)
     assert code == 2, argv
     assert obj["error"] == "malformed_input"
+
+
+@pytest.mark.parametrize(
+    "argv,content,exit_code,error,detail",
+    [
+        (["validate", "fourier:0"], None, 1, "bad_size", "d must be >= 1"),
+        (["validate", "h_alpha:pi/0"], None, 2, "malformed_input", "float division by zero"),
+        (["validate", "{tmp}"], None, 2, "malformed_input", "cannot read"),
+        (["validate", "{file}"], {"d": 3, "entries": [[1, 1, 1]] * 3}, 2, "malformed_input",
+         "expected [re, im] pairs"),
+        (["validate", "{file}"], {"d": 3, "entries": F2_PAIRS}, 2, "malformed_input",
+         "does not match d=3"),
+        (["invariant", "--state", "{file}"], {"n": 2, "d": 2, "amps": [[1, 0], [0, 0]]}, 2,
+         "malformed_input", "does not match n=2, d=2"),
+        (["state", "--graph", "{file}", "--hadamard", "fourier:2"], {"n": 0, "edges": []}, 1,
+         "bad_size", "n must be >= 1"),
+    ],
+)
+def test_input_refusals(tmp_path, capsys, argv, content, exit_code, error, detail):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    code, obj = run_json(capsys, *[a.format(tmp=tmp_path, file=path) for a in argv])
+    assert (code, obj["error"]) == (exit_code, error)
+    assert detail in obj["detail"]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +469,7 @@ def test_invariant_rejects_unnormalized_state(tmp_path, capsys):
     p.write_text(json.dumps({"n": 2, "d": 2, "amps": amps}))
     code, obj = run_json(capsys, "invariant", "--state", str(p), "--i6")
     assert code == 1
+    assert obj["error"] == "not_normalized"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -561,6 +582,19 @@ def test_code_gram_not_identity(tmp_path, capsys):
     assert out == (
         '{"error": "gram_not_identity", "detail": "gram deviates from identity by 1.500e-09"}\n'
     )
+
+
+def test_code_refuses_a_non_symmetric_matrix_as_state_does(tmp_path, capsys):
+    # The dephased form of this matrix is F3, which is symmetric; codes run
+    # the circuit of the matrix they are given, so they refuse it.
+    m = tmp_path / "skewed.json"
+    m.write_text(matrix_json(skewed_f3()))
+    words = tmp_path / "rep.txt"
+    words.write_text("000\n111\n222\n")
+    pair = ("--graph", "triangle", "--hadamard", str(m))
+    refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
+    assert run(capsys, "code", *pair, "--classical", str(words), "--distance", "2") == (1, refused)
+    assert run(capsys, "state", *pair) == (1, refused)
 
 
 def test_code_command(tmp_path, capsys):

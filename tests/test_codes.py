@@ -16,7 +16,7 @@ from gghs import (
     build_code,
     catalog,
     decoded_error,
-    encode,
+    dephase,
     errors,
     family,
     fourier,
@@ -33,6 +33,7 @@ from gghs.qstate import _apply_site
 
 from helpers import (
     connected_graphs,
+    df3d,
     fourier_code_distance,
     full_catalog,
     index_to_digits,
@@ -88,36 +89,29 @@ def test_encode_zero_word_is_graph_state():
     G = family("triangle")
     H = catalog("h_alpha", PI / 5)
     np.testing.assert_allclose(
-        encode(G, H, (0, 0, 0)).amps, graph_state(G, H).amps, atol=1e-12
+        graph_state(G, H, input_digits=(0, 0, 0)).amps, graph_state(G, H).amps, atol=1e-12
     )
 
 
 def test_encode_distinct_words_orthogonal():
     G = family("triangle")
     H = catalog("h_alpha", PI / 5)
-    a = encode(G, H, (0, 1, 2))
-    b = encode(G, H, (0, 1, 3))
+    a = graph_state(G, H, input_digits=(0, 1, 2))
+    b = graph_state(G, H, input_digits=(0, 1, 3))
     assert abs(overlap(a, b)) <= 1e-9
 
 
 def test_encode_factors_through_column_diagonals():
     G = family("triangle")
     H = catalog("h_alpha", PI / 5)
-    zero = encode(G, H, (0, 0, 0))
+    zero = graph_state(G, H, input_digits=(0, 0, 0))
     for word in [(1, 1, 1), (2, 0, 3), (3, 2, 1)]:
-        direct = encode(G, H, word)
+        direct = graph_state(G, H, input_digits=word)
         moved = zero
         for site, c in enumerate(word):
             gamma = np.diag(H.entries[:, c])
             moved = apply_local(LocalOperator(d=4, site=site, matrix=gamma), moved)
         assert abs(abs(overlap(direct, moved)) - 1.0) <= 1e-9
-
-
-def test_encode_dephases_internally():
-    G = family("triangle")
-    H = catalog("h_d6")  # not dephased
-    s = encode(G, H, (0, 0, 0))
-    assert abs(s.norm() - 1.0) <= 1e-9
 
 
 # ------------------------------------------------------------- code building
@@ -132,8 +126,7 @@ def test_build_code_family_example():
 
 def test_build_code_columns_are_encoded_words():
     rng = np.random.default_rng(9)
-    D = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    DF3D = validate(D @ fourier(3).entries @ D)
+    DF3D = df3d()
     assert DF3D.symmetric and not DF3D.dephased
     cases = [(hl, H, gl, G) for hl, H in full_catalog() if H.symmetric
              for gl, G in connected_graphs(4) if H.d**G.n <= 256]
@@ -147,9 +140,33 @@ def test_build_code_columns_are_encoded_words():
             Q = build_code(G, H, C)
             assert Q.basis.shape == (d**n, K) and not Q.basis.flags.writeable
             for j, word in enumerate(C.words):
-                assert np.array_equal(Q.basis[:, j], encode(G, H, word).amps), (hl, gl, word)
+                column = graph_state(G, H, input_digits=word).amps
+                assert np.array_equal(Q.basis[:, j], column), (hl, gl, word)
             count += 1
     assert count == 316
+
+
+def test_non_dephased_code_is_a_local_diagonal_image_of_the_dephased_one():
+    # For symmetric H, the circuit of dephase(H) differs from that of H by a
+    # local diagonal unitary, which keeps the distance and the enumerators.
+    rng = np.random.default_rng(12)
+    count = 0
+    for hl, H0, gl, G in [(hl, H, gl, G) for hl, H in full_catalog() if H.symmetric
+                          for gl, G in connected_graphs(4) if H.d**G.n <= 1024]:
+        d, n = H0.d, G.n
+        D = np.exp(1j * rng.uniform(0, 2 * PI, d))
+        H = validate(D[:, None] * H0.entries * D)
+        assert H.symmetric and not H.dephased, hl
+        Hd = dephase(H)[2]
+        for K in sorted({1, 2, d}):
+            idx = rng.choice(d**n, size=K, replace=False)
+            C = ClassicalCode(n, d, tuple(index_to_digits(n, d, int(k)) for k in idx))
+            Q, Qd = build_code(G, H, C), build_code(G, Hd, C)
+            assert kl_distance(Q, n) == kl_distance(Qd, n), (hl, gl, C.words)
+            for a, b in zip(weight_enumerators(Q), weight_enumerators(Qd)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=f"{hl} {gl}")
+            count += 1
+    assert count == 304
 
 
 def test_gram_check_over_blocks_matches_the_full_gram(monkeypatch):

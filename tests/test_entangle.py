@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gghs import (
     DensityMatrix,
     LocalOperator,
+    StateVector,
     apply_local,
     build,
     catalog,
@@ -108,6 +109,12 @@ def test_i6_separates_triangle_d6_from_ghz():
     """The d=6 triangle state is distinguished from GHZ by more than 0.01."""
     val = i6(graph_state(family("triangle"), catalog("h_d6")))
     assert abs(val - i6(ghz(3, 6))) > 0.01
+
+
+def test_i6_residue_of_a_state_far_from_norm_one_is_named():
+    s = graph_state(family("triangle"), catalog("h_d6"))
+    with pytest.raises(errors.NotNormalized):
+        i6(StateVector(n=3, d=6, amps=s.amps * 1e3))
 
 
 def test_i6_needs_three_sites():

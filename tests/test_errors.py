@@ -1,5 +1,5 @@
-"""Every error class in gghs.errors is raised somewhere in src/gghs, and no
-two classes share a code.
+"""Every error class in gghs.errors is raised somewhere in src/gghs, no
+`raise` names the base class, and no two classes share a code.
 
 Reads errors.py and the package sources with the stdlib ast module, so a
 class that no `raise` names, or a code the CLI would print for two different
@@ -64,6 +64,11 @@ def test_the_scan_sees_classes_codes_and_raises():
 @pytest.mark.parametrize("name", sorted(set(CODES) - {"GGHSError"}))
 def test_every_error_class_is_raised(name):
     assert name in RAISED
+
+
+def test_no_raise_names_the_base_class():
+    # The base class's code "error" names no error.
+    assert "GGHSError" not in RAISED
 
 
 def test_error_codes_are_distinct():

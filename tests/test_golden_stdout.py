@@ -2,7 +2,7 @@
 
 The file maps each `gghs` argv to its exit code and the SHA-256 of its stdout;
 make_golden_stdout.py regenerates it. The requests run in-process through
-`gghs.cli.main`, in a directory that holds the file's codeword files. The
+`gghs.cli.main`, in a directory that holds the file's input files. The
 digests are those of the numpy and BLAS the file was generated with: a
 different numpy or BLAS may move a last rendered digit.
 """

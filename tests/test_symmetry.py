@@ -9,8 +9,11 @@ from gghs import (
     S_SYMMETRY,
     DiagonalUnitary,
     EquivalenceWitness,
+    LocalOperator,
     Permutation,
     StabilizerOperator,
+    apply_local,
+    apply_witness,
     auto_bipartite_parts,
     catalog,
     errors,
@@ -26,7 +29,7 @@ from gghs import (
     stabilizer_from_symmetry,
     verify_stabilizer,
 )
-from helpers import basis_state, connected_graphs
+from helpers import basis_state, connected_graphs, df3d
 
 PI = math.pi
 
@@ -189,20 +192,20 @@ def test_p_equiv_witness_kind_checked():
         lu_witness_p_equiv(family("triangle"), fourier(3), w)
 
 
+def _maps_states(G, H1, w, unitaries):
+    built = graph_state(G, H1)
+    for site, u in enumerate(unitaries):
+        built = apply_local(LocalOperator(d=H1.d, site=site, matrix=u), built)
+    return abs(abs(overlap(built, graph_state(G, apply_witness(H1, w)))) - 1.0) <= 1e-9
+
+
 def test_bipartite_witness_d3_pair_on_square():
     F3, H2 = fourier(3), catalog("qutrit_h2")
     w = find_equivalence(H2, F3, GENERAL)
     G = family("cycle", 4)
-    parts = auto_bipartite_parts(G)
-    unitaries = lu_witness_bipartite(G, parts, F3, w)
-    s1 = graph_state(G, F3)
-    s2 = graph_state(G, H2)
-    from gghs import LocalOperator, apply_local
-
-    built = s1
-    for site, u in enumerate(unitaries):
-        built = apply_local(LocalOperator(d=3, site=site, matrix=u), built)
-    assert abs(abs(overlap(built, s2)) - 1.0) <= 1e-9
+    unitaries = lu_witness_bipartite(G, auto_bipartite_parts(G), F3, w)
+    assert np.max(np.abs(apply_witness(F3, w).entries - H2.entries)) <= 1e-12
+    assert _maps_states(G, F3, w, unitaries)
 
 
 def test_bipartite_witness_rejects_odd_cycle():
@@ -215,13 +218,30 @@ def test_bipartite_witness_rejects_odd_cycle():
 
 
 def test_bipartite_witness_non_dephased_target():
-    # dephased source, non-dephased target: diagonal corrections kick in
+    # a witness between two dephased matrices of the catalog; the diagonal
+    # corrections for non-dephased ones are checked below
     Hs = catalog("tilde_b")
     w = find_equivalence(catalog("tilde_c"), Hs, GENERAL)
     if w is None:
         pytest.skip("pair not equivalent")
     G = family("cycle", 4)
     lu_witness_bipartite(G, auto_bipartite_parts(G), Hs, w)
+
+
+def test_p_equiv_witness_from_a_non_dephased_source():
+    H1 = df3d()
+    assert H1.symmetric and not H1.dephased
+    w = find_equivalence(fourier(3), H1, P_EQUIV)
+    G = family("cycle", 4)
+    assert _maps_states(G, H1, w, lu_witness_p_equiv(G, H1, w))
+
+
+def test_bipartite_witness_to_a_non_dephased_target():
+    w = find_equivalence(df3d(), fourier(3), GENERAL)
+    assert not apply_witness(fourier(3), w).dephased
+    G = family("cycle", 4)
+    unitaries = lu_witness_bipartite(G, auto_bipartite_parts(G), fourier(3), w)
+    assert _maps_states(G, fourier(3), w, unitaries)
 
 
 # ----------------------------------------------------- weighted-edge relation

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gghs import (
+    HadamardMatrix,
     build,
     catalog,
+    errors,
     family,
     fourier,
     graph_state,
@@ -30,6 +32,12 @@ def test_bond_state_qubit():
 def test_bond_state_entry_lookup():
     s = peps_contract(family("line", 2), catalog("h_alpha", PI / 5))
     np.testing.assert_allclose(s.amps[2 * 4 + 2], np.exp(1j * PI / 5) / 4, atol=1e-12)
+
+
+def test_zero_contraction_is_not_hadamard():
+    zeros = HadamardMatrix(d=2, entries=np.zeros((2, 2)), symmetric=True, dephased=False)
+    with pytest.raises(errors.NotHadamard):
+        peps_contract(family("line", 2), zeros)
 
 
 @pytest.mark.parametrize("label,H", full_catalog())
