@@ -51,7 +51,15 @@ from .hadamard import (
     s_symmetries,
     validate,
 )
-from .qstate import LocalOperator, StateVector, _check_graph_state, ghz, graph_state, overlap
+from .qstate import (
+    LocalOperator,
+    StateVector,
+    _check_graph_state,
+    _check_normalized,
+    ghz,
+    graph_state,
+    overlap,
+)
 from .symmetry import pauli_xz, stabilizer_from_symmetry, verify_stabilizer
 from .tensornet import peps_contract
 
@@ -150,11 +158,7 @@ def resolve_graph(spec: str) -> Graph:
 
 
 def resolve_state(spec: str) -> StateVector:
-    s = _resolve(spec, _STATES, "ghz:N:D", state_from_obj)
-    nrm = s.norm()
-    if abs(nrm - 1.0) > 1e-6:
-        raise errors.NotNormalized(f"state norm {nrm:.6f} is not 1")
-    return s
+    return _check_normalized(_resolve(spec, _STATES, "ghz:N:D", state_from_obj))
 
 
 def resolve_operator(spec: str, d: int) -> np.ndarray:
@@ -266,6 +270,7 @@ def cmd_stabilizers(args) -> dict:
 def cmd_peps_check(args) -> dict:
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
+    _check_graph_state(G, H)  # its errors come before the contraction
     s_net = peps_contract(G, H)
     s_circ = graph_state(G, H)
     fid = abs(overlap(s_net, s_circ))

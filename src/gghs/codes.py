@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,7 +21,6 @@ from .qstate import (
     _check_graph_state,
     _dense_size,
     _encode,
-    _uncompute,
 )
 
 
@@ -192,19 +192,18 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     M is computed on the closed neighbourhood N[k] = {k} + neighbours(k)
     only. U = D u^(x n) with u = H/sqrt(d) and D the diagonal edge phases:
     edge gates not incident to k commute with E_k and cancel, and every site
-    outside N[k] sees u^dagger u = I, so M = M_loc (x) I_rest, where M_loc
-    is the same conjugation by the circuit of the graph on N[k] (its
-    vertices in their original order, so h[i_a, i_b] keeps its orientation
-    for a non-symmetric H) with only the edges incident to k. No U is built:
-    the inverse circuit runs twice, Y = U^dagger E_k^dagger and then
-    M_loc = U^dagger Y^dagger = U^dagger E_k U, each pass
-    O((|E(N[k])| + m d) d^(2m)) for m = |N[k]|. Site operator,
-    factorization and residual are then read off M_loc. This is exact when
-    u is unitary and the edge entries are unimodular; a matrix that
-    `validate` admits within ~1e-9 can move the residual by that order.
+    outside N[k] sees u^dagger u = I, so M = M_loc (x) I_rest. No U is built:
+    the edge gates are diagonal, so with h_v = H for k < v and H^T for v < k,
+        M_loc = sum_{E_ab != 0} E_ab (u^dagger |a><b| u)
+                (x) (x)_{v in N(k)} u^dagger diag(conj(h_v[a, :]) h_v[b, :]) u,
+    the factors in the vertex order of N[k]: one Kronecker product of
+    d^(2m) entries per nonzero E_ab (at most d for a diagonal E), m = |N[k]|.
+    Site operator, factorization and residual are read off M_loc. This is
+    exact when u is unitary and the edge entries are unimodular; a matrix
+    that `validate` admits within ~1e-9 can move the residual by that order.
     M is capped as the whole-register operator it stands for,
-    (d**n)**2 <= DENSE_AMP_CAP. An operator whose entries
-    overflow float64 in the conjugation raises Overflow.
+    (d**n)**2 <= DENSE_AMP_CAP. An operator whose entries overflow float64
+    raises Overflow.
     """
     n, d = G.n, H.d
     if E.d != d:
@@ -216,16 +215,19 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
     site = hood.index(E.site)
     pre = d**site
     post = d ** (local.n - site - 1)
-    # U^dagger E_k U = U^dagger (U^dagger E_k^dagger)^dagger; each d^m x d^m
-    # intermediate is dropped as soon as it has been used. An overflow is
-    # raised as Overflow below, not printed as a numpy warning.
+    Em = np.asarray(E.matrix)
+    u = H.entries / math.sqrt(d)
+    h = [H.entries.T if v < site else H.entries for v in range(local.n)]
+    M = np.zeros((pre * d * post,) * 2, dtype=np.complex128)
+    # An overflow is raised as Overflow below, not printed as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        E_dag = np.kron(np.kron(np.eye(pre, dtype=np.complex128), np.conj(E.matrix).T), np.eye(post))
-        Y = _uncompute(local, H, E_dag).T
-        del E_dag
-        np.conjugate(Y, out=Y)  # now E_k U
-        M = _uncompute(local, H, Y)
-        del Y
+        for a, b in zip(*np.nonzero(Em)):
+            factors = [
+                Em[a, b] * np.outer(u[a].conj(), u[b]) if v == site
+                else (u.conj().T * (h[v][a].conj() * h[v][b])) @ u
+                for v in range(local.n)
+            ]
+            M += reduce(np.kron, factors)
         Mt = M.reshape(pre, d, post, pre, d, post)
         S = np.einsum("paqpbq->ab", Mt) / (pre * post)
         # einsum's diagonal is a writeable view: M - I (x) S (x) I, in place.

@@ -17,7 +17,7 @@ from . import errors
 from ._tol import TOL_ENTRY
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
-from .qstate import StateVector, _check_graph_state, _dense_size, _encode
+from .qstate import StateVector, _check_graph_state, _check_normalized, _dense_size, _encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +40,10 @@ State = Union[StateVector, Tuple[Graph, HadamardMatrix]]
 
 
 def _shape(s: State) -> Tuple[int, int]:
-    """(n, d) of s; for a (G, H) pair graph_state's checks run first, so its
-    errors come before any site check."""
+    """(n, d) of s, a StateVector of norm 1 within 1e-6; for a (G, H) pair
+    graph_state's checks run first, so its errors come before any site check."""
     if isinstance(s, StateVector):
+        _check_normalized(s)
         return s.n, s.d
     G, H = s
     _check_graph_state(G, H)
@@ -51,9 +52,11 @@ def _shape(s: State) -> Tuple[int, int]:
 
 def reduced_density(s: State, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace over the complement of `keep` (a sorted site list),
-    capped before it is built. A (G, H) pair goes to graph_reduced_density."""
+    capped before it is built. A StateVector must have norm 1 within 1e-6;
+    a (G, H) pair goes to graph_reduced_density."""
     if not isinstance(s, StateVector):
         return graph_reduced_density(*s, keep)
+    _check_normalized(s)
     keep = _check_keep(keep, s.n)
     dk = _dense_size(len(keep), s.d, axes=2)
     rest = [a for a in range(s.n) if a not in keep]
@@ -117,17 +120,14 @@ def i6(s: State) -> float:
     """Tr((rho_01^{T_0})^3), the degree-6 local-unitary invariant.
 
     Sites {0, 1} are kept and the transpose acts on slot 0. The trace of an
-    odd power of a Hermitian matrix is real; an imaginary residue past
-    TOL_ENTRY, which only a state far from norm 1 reaches, raises NotNormalized.
+    odd power of a Hermitian matrix is real, and a StateVector off norm 1 by
+    more than 1e-6 raises NotNormalized, so the imaginary part is round-off.
     """
     n, _ = _shape(s)
     if n < 3:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
     pt = partial_transpose(reduced_density(s, [0, 1]), 0)
-    val = complex(np.trace(pt @ pt @ pt))
-    if abs(val.imag) > TOL_ENTRY:
-        raise errors.NotNormalized(f"imaginary residue {val.imag:.3e} too large")
-    return float(val.real)
+    return float(np.trace(pt @ pt @ pt).real)
 
 
 def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:

@@ -49,6 +49,14 @@ class LocalOperator:
             )
 
 
+def _check_normalized(s: StateVector) -> StateVector:
+    """s, or NotNormalized unless |norm(s) - 1| <= 1e-6 (a NaN norm fails)."""
+    nrm = s.norm()
+    if not abs(nrm - 1.0) <= 1e-6:
+        raise errors.NotNormalized(f"state norm {nrm:.6f} is not 1")
+    return s
+
+
 def digits_to_index(d: int, digits: Sequence[int]) -> int:
     k = 0
     for x in digits:
@@ -119,23 +127,6 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
         T = T[..., None, :] * u[:, c]
     _edge_phases(H.entries, G.edges, T)
     return T
-
-
-def _uncompute(G: Graph, H: HadamardMatrix, A: np.ndarray) -> np.ndarray:
-    """U^dagger A for the encoding circuit U = D u^(x n) (see _encode).
-
-    The leading axis of A is the big-endian register; trailing axes ride
-    along. The conjugate edge phases go first, then u^dagger = H^dagger/sqrt(d)
-    on every site: O((|E| + n d) * A.size). A may be overwritten.
-    """
-    d = H.d
-    T = A.reshape((d,) * G.n + A.shape[1:])
-    _edge_phases(H.entries.conj(), G.edges, T)
-    A = T.reshape(A.shape)
-    u_dag = H.entries.conj().T / math.sqrt(d)
-    for site in range(G.n):
-        A = _apply_site(u_dag, site, d, A)
-    return A
 
 
 def apply_local(U: LocalOperator, s: StateVector) -> StateVector:
@@ -217,13 +208,13 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     -(number of zero digits of c), so column 0 of U alone spans the ground
     space (ground_dim = 1) and the gap is 1, or inf for d = 1. Both are read
     off in closed form, which holds because u is unitary within validation's
-    tolerance and the edge entries are unimodular. The fidelity is computed:
-    the inverse circuit (_uncompute) maps the graph state psi to
-    U^dagger psi; fidelity = |(U^dagger psi)_0|.
-    Costs O(n d^(n+1)); neither U nor the Hamiltonian is built.
+    tolerance and the edge entries are unimodular. The graph state is
+    psi = U|0>/||U|0>||, so the fidelity |(U^dagger psi)_0| is ||U|0>||, the
+    norm of the column _encode builds: O((|E| + n) d^n), and neither U nor
+    the Hamiltonian is built.
     """
-    _check_graph_state(G, H)
+    digits = _check_graph_state(G, H)
     _dense_size(G.n, H.d, axes=2)  # capped as the parent Hamiltonian it checks
-    fidelity = float(abs(_uncompute(G, H, graph_state(G, H).amps)[0]))
+    fidelity = float(np.linalg.norm(_encode(G, H, [digits])))
     gap = 1.0 if H.d > 1 else float("inf")
     return gap, 1, fidelity

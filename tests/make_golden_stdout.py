@@ -43,6 +43,12 @@ FILES = {
     "gram.json": '{"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [-1.0000000005, 0]]]}',
     "gram_d2.txt": "000000\n000001\n",
     "huge_op.json": '{"d": 3, "entries": ' + str([[[1e308, 0.0]] * 3] * 3) + "}",
+    # Every E_ab nonzero, and a single off-diagonal E_ab: the decoded error
+    # sums one product term per nonzero entry.
+    "full_op.json": '{"d": 3, "entries": [[[1, 0], [0, 2], [-1, 1]], [[0.5, 0], [2, -1], [0, -3]],'
+    ' [[1, 1], [-2, 0], [0, 0.25]]]}',
+    "single_op.json": '{"d": 3, "entries": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]],'
+    ' [[0, 0], [0, 0], [0, 0]]]}',
 }
 
 PAIR = ["--graph", "triangle", "--hadamard", "fourier:3"]
@@ -91,6 +97,10 @@ SHAPES = [
     ["decode-error", "--graph", "line:3", "--hadamard", "tilde_a", "--site", "1", "--op", "weyl:1:2"],
     ["decode-error", *PAIR, "--site", "0", "--op", "Z:2", "--text"],
     ["decode-error", *PAIR, "--site", "0", "--op", "X", "--text"],
+] + [
+    # A degree-4 site.
+    ["decode-error", "--graph", "complete:5", "--hadamard", "fourier:3", "--site", "0", "--op", op]
+    for op in ("X", "Z", "weyl:1:2", "full_op.json", "single_op.json")
 ]
 
 # One request for each error code the CLI prints.
@@ -102,6 +112,7 @@ ERRORS = [
     ["state", "--graph", "triangle", "--hadamard", "skewed_f3.json"],  # not_symmetric
     ["code", "--graph", "triangle", "--hadamard", "skewed_f3.json", "--classical", "rep_d3.txt",
      "--distance", "2"],  # not_symmetric, as state
+    ["peps-check", "--graph", "cycle:16", "--hadamard", "skewed_f3.json"],  # not_symmetric, as state
     ["equiv", "fourier:7", "fourier:7"],  # search_limit_exceeded
     ["state", "--graph", "self_loop.json", "--hadamard", "fourier:2"],
     ["state", "--graph", "out_of_range.json", "--hadamard", "fourier:2"],  # index_out_of_range

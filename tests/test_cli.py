@@ -558,6 +558,21 @@ def test_peps_check_past_numpy_operand_limit(capsys):
     assert out == '{"fidelity": 1, "pass": true}\n'
 
 
+def test_peps_check_refuses_a_non_symmetric_matrix_before_contracting(tmp_path, capsys, monkeypatch):
+    def contract(*args):
+        raise AssertionError("contracted before the symmetry check")
+
+    monkeypatch.setattr("gghs.cli.peps_contract", contract)
+    m = tmp_path / "rolled.json"
+    m.write_text(matrix_json(np.roll(fourier(4).entries, 1, axis=0)))
+    refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
+    # cycle:13 at d = 4 is past the d**n cap too; state names the symmetry first.
+    for graph in ("line:11", "cycle:13"):
+        pair = ("--graph", graph, "--hadamard", str(m))
+        assert run(capsys, "peps-check", *pair) == (1, refused), graph
+        assert run(capsys, "state", *pair) == (1, refused), graph
+
+
 def test_code_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
     words = tmp_path / "latin1.txt"
     words.write_bytes(b"000\n\xe9\n")

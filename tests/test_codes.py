@@ -559,9 +559,12 @@ def _whole_register_decoded(U, n, d, E):
 def _assert_matches_whole_register(G, H, rng, label):
     d = H.d
     X, Z = pauli_xz(d)
+    corner = np.zeros((d, d))  # |0><d-1|: a single nonzero term
+    corner[0, d - 1] = 1.0
     U = kron_circuit_unitary(G, H)
     for site in range(G.n):
-        for Emat in (X, Z, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+        for Emat in (X, Z, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+                     corner, np.zeros((d, d))):
             E = LocalOperator(d=d, site=site, matrix=Emat)
             ok, S, residual = _whole_register_decoded(U, G.n, d, E)
             res = decoded_error(G, H, E)

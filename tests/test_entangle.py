@@ -113,8 +113,14 @@ def test_i6_separates_triangle_d6_from_ghz():
 
 def test_i6_residue_of_a_state_far_from_norm_one_is_named():
     s = graph_state(family("triangle"), catalog("h_d6"))
-    with pytest.raises(errors.NotNormalized):
-        i6(StateVector(n=3, d=6, amps=s.amps * 1e3))
+    for scale in (1e2, 1e3, float("nan")):
+        far = StateVector(n=3, d=6, amps=s.amps * scale)
+        with pytest.raises(errors.NotNormalized):
+            i6(far)
+        with pytest.raises(errors.NotNormalized):
+            schmidt_spectrum(far, [0])
+        with pytest.raises(errors.NotNormalized):
+            reduced_density(far, [0])
 
 
 def test_i6_needs_three_sites():

@@ -357,7 +357,7 @@ def test_hamiltonian_check_rejects_non_symmetric_before_dense_work(monkeypatch):
     def dense_work(*args, **kwargs):
         raise AssertionError("dense work before the symmetry check")
 
-    monkeypatch.setattr(qstate, "_uncompute", dense_work)
+    monkeypatch.setattr(qstate, "_encode", dense_work)
     monkeypatch.setattr(qstate, "graph_state", dense_work)
     rolled = validate(np.roll(fourier(4).entries, 1, axis=0))
     G = family("line", 6)
