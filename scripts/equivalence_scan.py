@@ -39,8 +39,8 @@ def verdict(h1, h2, kind) -> str:
     if w is None:
         return "no"
     if w.p2 is None:  # symmetry-preserving witnesses carry a single permutation
-        return f"yes  p={list(w.p1.map)}"
-    return f"yes  p1={list(w.p1.map)} p2={list(w.p2.map)}"
+        return f"yes  p={list(w.p1)}"
+    return f"yes  p1={list(w.p1)} p2={list(w.p2)}"
 
 
 def run(labels) -> None:

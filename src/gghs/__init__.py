@@ -30,10 +30,8 @@ from .hadamard import (
     GENERAL,
     P_EQUIV,
     S_SYMMETRY,
-    DiagonalUnitary,
     EquivalenceWitness,
     HadamardMatrix,
-    Permutation,
     apply_witness,
     catalog,
     check_witness,
@@ -92,10 +90,8 @@ __all__ = [
     "GENERAL",
     "P_EQUIV",
     "S_SYMMETRY",
-    "DiagonalUnitary",
     "EquivalenceWitness",
     "HadamardMatrix",
-    "Permutation",
     "apply_witness",
     "catalog",
     "check_witness",

@@ -173,10 +173,10 @@ def _witness_obj(w) -> dict:
     """The fields of a witness: p, d of an S-symmetry; p, d1, d2 of a
     P-equivalence; p1, d1, p2, d2 of a general equivalence."""
     if w.kind == GENERAL:
-        return {"p1": list(w.p1.map), "d1": w.d1.phases, "p2": list(w.p2.map), "d2": w.d2.phases}
+        return {"p1": list(w.p1), "d1": w.d1, "p2": list(w.p2), "d2": w.d2}
     if w.kind == P_EQUIV:
-        return {"p": list(w.p1.map), "d1": w.d1.phases, "d2": w.d2.phases}
-    return {"p": list(w.p1.map), "d": w.d1.phases}
+        return {"p": list(w.p1), "d1": w.d1, "d2": w.d2}
+    return {"p": list(w.p1), "d": w.d1}
 
 
 # ---------------------------------------------------------------- subcommands

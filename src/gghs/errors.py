@@ -107,3 +107,7 @@ class GramNotIdentity(GGHSError):
 
 class Overflow(GGHSError):
     code = "overflow"
+
+
+class NonFinite(GGHSError):
+    code = "non_finite"

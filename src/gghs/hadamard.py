@@ -30,34 +30,6 @@ class HadamardMatrix:
     dephased: bool
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalUnitary:
-    d: int
-    phases: np.ndarray  # (d,) complex128, unimodular
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.phases)
-
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """Bijection of {0..d-1}; as an operator, P|i> = |map[i]>."""
-
-    d: int
-    map: tuple
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.d, self.d))
-        m[list(self.map), range(self.d)] = 1.0
-        return m
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.d
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return Permutation(self.d, tuple(inv))
-
-
 GENERAL = "General"
 P_EQUIV = "PEquiv"
 S_SYMMETRY = "SSymmetry"
@@ -70,13 +42,16 @@ class EquivalenceWitness:
     General:   H1 = D1 P1 H2 P2 D2
     PEquiv:    H1 = P D1 H2 D2 P^T  (P stored in p1; p2 unused)
     SSymmetry: P H D = H            (P in p1, D in d1; p2, d2 unused)
+
+    A permutation is a tuple p with P|i> = |p[i]>; a diagonal is the (d,)
+    complex128 array of its unimodular phases.
     """
 
     kind: str
-    p1: Permutation
-    d1: DiagonalUnitary
-    p2: Optional[Permutation] = None
-    d2: Optional[DiagonalUnitary] = None
+    p1: tuple
+    d1: np.ndarray
+    p2: Optional[tuple] = None
+    d2: Optional[np.ndarray] = None
 
 
 def _as_complex_square(entries) -> np.ndarray:
@@ -214,10 +189,10 @@ def catalog(name: str, params: Optional[float] = None) -> HadamardMatrix:
 def dephase(H: HadamardMatrix):
     """Normalize first row and column to 1.
 
-    Returns (D1, D2, Hp) with Hp = D1 H D2, D1[i] = 1/h_i0 applied first, then
-    D2[j] = 1/h'_0j. The first row/column of the output are set to exactly 1
-    (their mathematically exact values), which makes the operation idempotent
-    at the bit level.
+    Returns the phase arrays d1, d2 and Hp = diag(d1) H diag(d2), with
+    d1[i] = 1/h_i0 applied first, then d2[j] = 1/h'_0j. The first row/column
+    of the output are set to exactly 1 (their mathematically exact values),
+    which makes the operation idempotent at the bit level.
     """
     a = H.entries
     d1 = 1.0 / a[:, 0]
@@ -226,11 +201,7 @@ def dephase(H: HadamardMatrix):
     hpp = hp * d2[None, :]
     hpp[:, 0] = 1.0
     hpp[0, :] = 1.0
-    return (
-        DiagonalUnitary(H.d, d1),
-        DiagonalUnitary(H.d, d2),
-        validate(hpp),
-    )
+    return d1, d2, validate(hpp)
 
 
 def tensor_product(H1: HadamardMatrix, H2: HadamardMatrix) -> HadamardMatrix:
@@ -251,15 +222,24 @@ def _rank1_unimodular_factors(R: np.ndarray, tol: float):
 _SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8), S_SYMMETRY: ("S-symmetry", 8)}
 
 
+def _perm_matrix(p: tuple) -> np.ndarray:
+    """The operator P|i> = |p[i]> as a complex128 matrix."""
+    m = np.zeros((len(p), len(p)), dtype=np.complex128)
+    m[list(p), range(len(p))] = 1.0
+    return m
+
+
 def _witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
     """Right-hand side of the witness's defining equation with H plugged in."""
+    if len(w.p1) != H.d:
+        raise errors.DimensionMismatch(f"witness of d={len(w.p1)} vs matrix of d={H.d}")
     if w.kind == GENERAL:
-        return w.d1.matrix() @ w.p1.matrix() @ H.entries @ w.p2.matrix() @ w.d2.matrix()
+        return np.diag(w.d1) @ _perm_matrix(w.p1) @ H.entries @ _perm_matrix(w.p2) @ np.diag(w.d2)
     if w.kind == P_EQUIV:
-        P = w.p1.matrix()
-        return P @ w.d1.matrix() @ H.entries @ w.d2.matrix() @ P.T
+        P = _perm_matrix(w.p1)
+        return P @ np.diag(w.d1) @ H.entries @ np.diag(w.d2) @ P.T
     if w.kind == S_SYMMETRY:
-        return w.p1.matrix() @ H.entries @ w.d1.matrix()
+        return _perm_matrix(w.p1) @ H.entries @ np.diag(w.d1)
     raise errors.UnknownName(f"unknown witness kind {w.kind!r}")
 
 
@@ -288,19 +268,14 @@ def _forced_witness(kind: str, p: tuple, q, B: np.ndarray, A2: np.ndarray):
             return None
         if np.max(np.abs(np.abs(ph) - 1.0)) > TOL_ENTRY:
             return None
-        return EquivalenceWitness(kind=S_SYMMETRY, p1=Permutation(d, p), d1=DiagonalUnitary(d, ph))
+        return EquivalenceWitness(kind=S_SYMMETRY, p1=p, d1=ph)
     cols = list(q)
     fac = _rank1_unimodular_factors(B[:, cols] / A2, TOL_ENTRY)  # H1[p(i), q(j)] / H2[i, j]
     if fac is None:
         return None
     a, b = fac
     if kind == P_EQUIV:
-        return EquivalenceWitness(
-            kind=P_EQUIV,
-            p1=Permutation(d, p),
-            d1=DiagonalUnitary(d, a),
-            d2=DiagonalUnitary(d, b),
-        )
+        return EquivalenceWitness(kind=P_EQUIV, p1=p, d1=a, d2=b)
     # H1[p1(i), q(j)] = a_i b_j H2[i, j] rearranges to the defining equation
     # H1 = D1 P1 H2 P2 D2 with D1 = diag(a) carried through P1, P2 = the
     # inverse of q, and D2 = diag(b) carried through it.
@@ -308,13 +283,8 @@ def _forced_witness(kind: str, p: tuple, q, B: np.ndarray, A2: np.ndarray):
     d1[list(p)] = a
     d2 = np.empty(d, dtype=np.complex128)
     d2[cols] = b
-    return EquivalenceWitness(
-        kind=GENERAL,
-        p1=Permutation(d, p),
-        d1=DiagonalUnitary(d, d1),
-        p2=Permutation(d, tuple(cols)).inverse(),
-        d2=DiagonalUnitary(d, d2),
-    )
+    p2 = tuple(int(i) for i in np.argsort(cols))
+    return EquivalenceWitness(kind=GENERAL, p1=p, d1=d1, p2=p2, d2=d2)
 
 
 def _witnesses(H1: HadamardMatrix, H2: HadamardMatrix, kind: str):

@@ -36,7 +36,7 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """A d x d operator acting on one site. Not necessarily unitary."""
+    """A d x d operator with finite entries acting on one site. Not necessarily unitary."""
 
     d: int
     site: int
@@ -47,6 +47,8 @@ class LocalOperator:
             raise errors.DimensionMismatch(
                 f"operator shape {np.shape(self.matrix)} does not match d={self.d}"
             )
+        if not np.isfinite(self.matrix).all():
+            raise errors.NonFinite("operator entries must be finite")
 
 
 def _check_normalized(s: StateVector) -> StateVector:

@@ -23,11 +23,12 @@ from .hadamard import (
     S_SYMMETRY,
     EquivalenceWitness,
     HadamardMatrix,
+    _perm_matrix,
     apply_witness,
     check_witness,
     dephase,
 )
-from .qstate import LocalOperator, StateVector, apply_local, graph_state, overlap
+from .qstate import LocalOperator, StateVector, _check_normalized, apply_local, graph_state, overlap
 
 
 def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -65,13 +66,15 @@ def stabilizer_from_symmetry(
         raise errors.BadVertex(f"vertex {a} out of range for n={G.n}")
     eye = np.eye(H.d, dtype=np.complex128)
     factors = [eye] * G.n
-    factors[a] = w.p1.matrix().astype(np.complex128)
+    factors[a] = _perm_matrix(w.p1)
     for b in G.neighbors(a):
-        factors[b] = w.d1.matrix()
+        factors[b] = np.diag(w.d1)
     return StabilizerOperator(n=G.n, d=H.d, factors=tuple(factors))
 
 
 def verify_stabilizer(op: StabilizerOperator, s: StateVector) -> Tuple[bool, float]:
+    """(fixed, ||K psi - psi||) for the operator K and the normalized state psi."""
+    _check_normalized(s)
     if (op.n, op.d) != (s.n, s.d):
         raise errors.DimensionMismatch(
             f"operator (n={op.n}, d={op.d}) vs state (n={s.n}, d={s.d})"
@@ -123,8 +126,8 @@ def lu_witness_p_equiv(
     """
     if w.kind != P_EQUIV:
         raise errors.InvalidWitness("expected a P-equivalence witness")
-    M = w.p1.matrix().astype(np.complex128)
-    c = w.p1.inverse().map[0]
+    M = _perm_matrix(w.p1)
+    c = w.p1.index(0)
     return _lu_witness(G, H1, w, lambda u: (M, c))
 
 
@@ -147,10 +150,10 @@ def lu_witness_bipartite(
     for a, b in G.edges:
         if not ((a in v1 and b in v2) or (a in v2 and b in v1)):
             raise errors.NotBipartite(f"edge ({a},{b}) stays inside one part")
-    M1 = w.p1.matrix().astype(np.complex128)
-    NT = w.p2.matrix().astype(np.complex128).T
-    c1 = w.p1.inverse().map[0]
-    c2 = w.p2.map[0]
+    M1 = _perm_matrix(w.p1)
+    NT = _perm_matrix(w.p2).T
+    c1 = w.p1.index(0)
+    c2 = w.p2[0]
     return _lu_witness(G, H1, w, lambda u: (M1, c2) if u in v1 else (NT, c1))
 
 

@@ -257,7 +257,7 @@ def test_criterion_10_stabilizer_suite():
     for d in range(2, 6):
         H = fourier(d)
         shift = tuple((i + 1) % d for i in range(d))
-        w = next((x for x in s_symmetries(H) if x.p1.map == shift), None)
+        w = next((x for x in s_symmetries(H) if x.p1 == shift), None)
         if w is None:
             failures.append(f"fourier({d}): shift symmetry missing")
             continue
@@ -275,11 +275,11 @@ def test_criterion_10_stabilizer_suite():
                     failures.append(f"fourier({d}) {gname} vertex {a}: dev {dev}")
 
     Ha = catalog("h_alpha", PI / 5)
-    wa = next((x for x in s_symmetries(Ha) if x.p1.map == (1, 0, 3, 2)), None)
+    wa = next((x for x in s_symmetries(Ha) if x.p1 == (1, 0, 3, 2)), None)
     if wa is None:
         failures.append("printed (P, D) pair not found for alpha = pi/5")
     else:
-        if np.max(np.abs(wa.d1.phases - np.array([1, 1, -1, -1]))) > 1e-9:
+        if np.max(np.abs(wa.d1 - np.array([1, 1, -1, -1]))) > 1e-9:
             failures.append("printed D differs")
         psi = graph_state(family("triangle"), Ha)
         for a in range(3):

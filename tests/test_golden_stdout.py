@@ -22,10 +22,14 @@ def test_stdout_matches_the_golden_digests(tmp_path, monkeypatch):
     for name, text in GOLDEN["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    changed = []  # (request line, stdout now) of every request that moved
     for want in GOLDEN["requests"]:
         code, out = cli_stdout(want["argv"])
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (want["exit"], want["sha256"]):
-            pytest.fail(
-                f"gghs {' '.join(want['argv'])}: exit {code} (golden {want['exit']}),"
-                f" stdout now:\n{out}"
-            )
+            changed.append((f"gghs {' '.join(want['argv'])}: exit {code} (golden {want['exit']})", out))
+    if changed:
+        pytest.fail(
+            f"{len(changed)} of {len(GOLDEN['requests'])} requests changed:\n"
+            + "\n".join(line for line, _ in changed)
+            + f"\nstdout of the first now:\n{changed[0][1]}"
+        )

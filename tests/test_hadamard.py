@@ -128,9 +128,9 @@ def test_catalog_refuses_a_parameter_for_a_parameter_free_name(monkeypatch, name
 
 def test_dephase_reconstructs():
     H = catalog("h_d6")
-    D1, D2, Hp = dephase(H)
+    d1, d2, Hp = dephase(H)
     assert Hp.dephased
-    lhs = np.diag(D1.phases) @ H.entries @ np.diag(D2.phases)
+    lhs = np.diag(d1) @ H.entries @ np.diag(d2)
     np.testing.assert_allclose(lhs, Hp.entries, atol=1e-9)
 
 
@@ -172,17 +172,17 @@ def test_qutrit_pair_general_but_not_p_equivalent():
     assert w is not None
     assert check_witness(H2, F3, w) <= 1e-9
     # diagonals of the found witness are trivial: pure permutation relation
-    np.testing.assert_allclose(w.d1.phases, np.ones(3), atol=1e-9)
-    np.testing.assert_allclose(w.d2.phases, np.ones(3), atol=1e-9)
+    np.testing.assert_allclose(w.d1, np.ones(3), atol=1e-9)
+    np.testing.assert_allclose(w.d2, np.ones(3), atol=1e-9)
     assert find_equivalence(H2, F3, P_EQUIV) is None
 
 
 def test_tilde_pair_p_equivalent_by_controlled_not():
     w = find_equivalence(catalog("tilde_d"), catalog("tilde_c"), P_EQUIV)
     assert w is not None
-    assert w.p1.map == (0, 1, 3, 2)
-    np.testing.assert_allclose(w.d1.phases, np.ones(4), atol=1e-9)
-    np.testing.assert_allclose(w.d2.phases, np.ones(4), atol=1e-9)
+    assert w.p1 == (0, 1, 3, 2)
+    np.testing.assert_allclose(w.d1, np.ones(4), atol=1e-9)
+    np.testing.assert_allclose(w.d2, np.ones(4), atol=1e-9)
 
 
 def test_fourier4_equivalent_to_h_alpha_half_pi():
@@ -203,6 +203,31 @@ def test_apply_witness_round_trip():
 def test_equivalence_dimension_mismatch():
     with pytest.raises(errors.DimensionMismatch):
         find_equivalence(fourier(2), fourier(3), GENERAL)
+
+
+def test_witnesses_are_plain_data():
+    """Permutations are tuples of ints, diagonals complex128 phase arrays."""
+    found = [
+        find_equivalence(catalog("tilde_a"), catalog("tilde_b"), GENERAL),
+        find_equivalence(catalog("tilde_d"), catalog("tilde_c"), P_EQUIV),
+        *s_symmetries(catalog("tilde_a")),
+    ]
+    assert found[0].p2 is not None and found[1] is not None
+    for w in found:
+        for p in (w.p1, w.p2):
+            assert p is None or (type(p) is tuple and all(type(i) is int for i in p))
+        for ph in (w.d1, w.d2):
+            assert ph is None or (ph.dtype == np.complex128 and ph.shape == (4,))
+    d1, d2, _ = dephase(catalog("h_d6"))
+    assert d1.dtype == d2.dtype == np.complex128 and d1.shape == d2.shape == (6,)
+
+
+def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
+    w = s_symmetries(fourier(4))[1]
+    F3 = fourier(3)
+    for call in (lambda: check_witness(F3, F3, w), lambda: apply_witness(F3, w)):
+        with pytest.raises(errors.DimensionMismatch, match="witness of d=4 vs matrix of d=3"):
+            call()
 
 
 def test_general_search_limit():
@@ -269,10 +294,10 @@ def _assert_matches_reference(H1, H2, kind):
         assert w is None
         return
     p1, d1, p2, d2 = ref
-    assert w is not None and w.p1.map == p1
-    assert (w.p2.map if w.p2 is not None else None) == p2
-    np.testing.assert_allclose(w.d1.phases, d1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(w.d2.phases, d2, rtol=0, atol=1e-12)
+    assert w is not None and w.p1 == p1
+    assert w.p2 == p2
+    np.testing.assert_allclose(w.d1, d1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.d2, d2, rtol=0, atol=1e-12)
 
 
 _SMALL = [(label, H) for label, H in full_catalog() if H.d <= 4]
@@ -319,22 +344,22 @@ def test_s_symmetries_fourier_counts_and_weyl_pair():
         syms = s_symmetries(fourier(d))
         assert len(syms) == d
         shift = tuple((i + 1) % d for i in range(d))
-        match = [w for w in syms if w.p1.map == shift]
+        match = [w for w in syms if w.p1 == shift]
         assert len(match) == 1
         q = np.exp(2j * PI / d)
         np.testing.assert_allclose(
-            match[0].d1.phases, q ** np.arange(d), atol=1e-9
+            match[0].d1, q ** np.arange(d), atol=1e-9
         )
 
 
 def test_s_symmetries_h_alpha():
     syms = s_symmetries(catalog("h_alpha", PI / 5))
     assert len(syms) == 2
-    maps = {w.p1.map for w in syms}
+    maps = {w.p1 for w in syms}
     assert (0, 1, 2, 3) in maps
     assert (1, 0, 3, 2) in maps
-    w = next(w for w in syms if w.p1.map == (1, 0, 3, 2))
-    np.testing.assert_allclose(w.d1.phases, [1, 1, -1, -1], atol=1e-9)
+    w = next(w for w in syms if w.p1 == (1, 0, 3, 2))
+    np.testing.assert_allclose(w.d1, [1, 1, -1, -1], atol=1e-9)
 
 
 @pytest.mark.parametrize("label,H", full_catalog())
@@ -342,7 +367,7 @@ def test_s_symmetries_contain_identity_and_verify(label, H):
     if H.d > 6:
         pytest.skip("search capped")
     syms = s_symmetries(H)
-    assert syms[0].p1.map == tuple(range(H.d))
+    assert syms[0].p1 == tuple(range(H.d))
     for w in syms:
         assert check_witness(H, H, w) <= 1e-9
 
@@ -351,14 +376,14 @@ def test_s_symmetries_contain_identity_and_verify(label, H):
 def test_s_symmetries_group_closure(name):
     H = catalog("h_alpha", PI / 5) if name == "h_alpha" else fourier(int(name[-1]))
     syms = s_symmetries(H)
-    by_map = {w.p1.map: w for w in syms}
+    by_map = {w.p1: w for w in syms}
     for w1 in syms:
         for w2 in syms:
             # P1 H D1 = H and P2 H D2 = H give (P1 P2) H (D2 D1) = H
-            pmap = tuple(w1.p1.map[j] for j in w2.p1.map)
+            pmap = tuple(w1.p1[j] for j in w2.p1)
             assert pmap in by_map
             np.testing.assert_allclose(
-                by_map[pmap].d1.phases, w2.d1.phases * w1.d1.phases, atol=1e-9
+                by_map[pmap].d1, w2.d1 * w1.d1, atol=1e-9
             )
 
 

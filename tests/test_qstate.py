@@ -102,6 +102,15 @@ def test_mis_shaped_local_operator_is_a_dimension_mismatch():
         LocalOperator(d=3, site=0, matrix=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_local_operator_is_refused_by_name(bad):
+    # Refused when built, so decoded_error cannot report it as an overflow.
+    E = np.eye(3, dtype=np.complex128)
+    E[1, 2] = bad
+    with pytest.raises(errors.NonFinite, match="operator entries must be finite"):
+        LocalOperator(d=3, site=0, matrix=E)
+
+
 def test_apply_local_site_range():
     with pytest.raises(errors.SiteOutOfRange):
         apply_local(LocalOperator(d=2, site=3, matrix=np.eye(2)), ghz(3, 2))

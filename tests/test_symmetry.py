@@ -7,11 +7,10 @@ from gghs import (
     GENERAL,
     P_EQUIV,
     S_SYMMETRY,
-    DiagonalUnitary,
     EquivalenceWitness,
     LocalOperator,
-    Permutation,
     StabilizerOperator,
+    StateVector,
     apply_local,
     apply_witness,
     auto_bipartite_parts,
@@ -37,7 +36,7 @@ PI = math.pi
 def _weyl_symmetry(d):
     """The (X^dagger, Z) pair from the symmetry scan of the Fourier matrix."""
     shift = tuple((i + 1) % d for i in range(d))
-    return next(w for w in s_symmetries(fourier(d)) if w.p1.map == shift)
+    return next(w for w in s_symmetries(fourier(d)) if w.p1 == shift)
 
 
 # -------------------------------------------------------------- pauli basics
@@ -98,7 +97,7 @@ def test_h_alpha_symmetry_operators_fix_triangle_state():
         for a in range(3):
             op = stabilizer_from_symmetry(family("triangle"), H, w, a)
             ok, dev = verify_stabilizer(op, psi)
-            assert ok, (w.p1.map, a, dev)
+            assert ok, (w.p1, a, dev)
 
 
 def test_identity_witness_gives_identity_operator():
@@ -113,8 +112,8 @@ def test_stabilizer_witness_validation():
     H = fourier(3)
     bogus = EquivalenceWitness(
         kind=S_SYMMETRY,
-        p1=Permutation(3, (1, 2, 0)),
-        d1=DiagonalUnitary(3, np.ones(3, dtype=np.complex128)),
+        p1=(1, 2, 0),
+        d1=np.ones(3, dtype=np.complex128),
     )
     with pytest.raises(errors.InvalidWitness):
         stabilizer_from_symmetry(family("triangle"), H, bogus, 0)
@@ -131,6 +130,31 @@ def test_verify_stabilizer_detects_motion():
     assert abs(dev - math.sqrt(2)) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-12])
+def test_verify_stabilizer_refuses_an_unnormalized_state(scale):
+    # K psi - psi scales with psi, so a tiny or zero state would pass any K.
+    G, H = family("triangle"), fourier(3)
+    op = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
+    psi = graph_state(G, H)
+    with pytest.raises(errors.NotNormalized):
+        verify_stabilizer(op, StateVector(n=3, d=3, amps=psi.amps * scale))
+
+
+def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
+    G, F3 = family("triangle"), fourier(3)
+    calls = [
+        lambda: stabilizer_from_symmetry(G, F3, s_symmetries(fourier(4))[1], 0),
+        lambda: lu_witness_p_equiv(G, F3, find_equivalence(fourier(4), fourier(4), P_EQUIV)),
+        lambda: lu_witness_bipartite(
+            family("line", 3), ([0, 2], [1]), F3,
+            find_equivalence(catalog("tilde_a"), catalog("tilde_b"), GENERAL),
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(errors.DimensionMismatch, match="witness of d=4 vs matrix of d=3"):
+            call()
+
+
 def test_stabilizer_suite_across_graphs():
     for d in (2, 3, 4):
         H = fourier(d)
@@ -141,14 +165,14 @@ def test_stabilizer_suite_across_graphs():
                 for a in range(G.n):
                     op = stabilizer_from_symmetry(G, H, w, a)
                     ok, dev = verify_stabilizer(op, psi)
-                    assert ok, (d, gname, w.p1.map, a, dev)
+                    assert ok, (d, gname, w.p1, a, dev)
 
 
 def test_h_alpha_symmetry_parts_commute():
     syms = s_symmetries(catalog("h_alpha", PI / 5))
-    w = next(x for x in syms if x.p1.map == (1, 0, 3, 2))
-    P = w.p1.matrix()
-    D = w.d1.matrix()
+    w = next(x for x in syms if x.p1 == (1, 0, 3, 2))
+    P = np.eye(4)[:, list(w.p1)]  # P|i> = |p[i]>
+    D = np.diag(w.d1)
     assert np.max(np.abs(P @ D - D @ P)) <= 1e-12
 
 
