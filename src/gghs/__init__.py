@@ -54,7 +54,6 @@ from .qstate import (
     reorder_qudits,
 )
 from .symmetry import (
-    StabilizerOperator,
     auto_bipartite_parts,
     lu_witness_bipartite,
     lu_witness_p_equiv,
@@ -110,7 +109,6 @@ __all__ = [
     "hamiltonian_ground_check",
     "overlap",
     "reorder_qudits",
-    "StabilizerOperator",
     "auto_bipartite_parts",
     "lu_witness_bipartite",
     "lu_witness_p_equiv",

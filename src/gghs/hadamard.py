@@ -218,8 +218,8 @@ def _rank1_unimodular_factors(R: np.ndarray, tol: float):
     return a, b
 
 
-# Largest d each search accepts, with the name its error message uses.
-_SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8), S_SYMMETRY: ("S-symmetry", 8)}
+# Largest d each permutation search accepts, with the name its error message uses.
+_SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8)}
 
 
 def _perm_matrix(p: tuple) -> np.ndarray:
@@ -231,8 +231,10 @@ def _perm_matrix(p: tuple) -> np.ndarray:
 
 def _witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
     """Right-hand side of the witness's defining equation with H plugged in."""
-    if len(w.p1) != H.d:
-        raise errors.DimensionMismatch(f"witness of d={len(w.p1)} vs matrix of d={H.d}")
+    held = (w.p1, w.d1) + {GENERAL: (w.p2, w.d2), P_EQUIV: (w.d2,)}.get(w.kind, ())
+    for part in held:  # every permutation and diagonal the witness's kind uses
+        if len(part) != H.d:
+            raise errors.DimensionMismatch(f"witness of d={len(part)} vs matrix of d={H.d}")
     if w.kind == GENERAL:
         return np.diag(w.d1) @ _perm_matrix(w.p1) @ H.entries @ _perm_matrix(w.p2) @ np.diag(w.d2)
     if w.kind == P_EQUIV:
@@ -249,12 +251,14 @@ def _forced_columns(B: np.ndarray, A2: np.ndarray) -> list:
     Choosing q(0) = c forces a_i = B[i, c] / H2[i, 0] up to a scalar. Column j
     of diag(a) H2 must then be parallel to column q(j) of B, and the columns
     of B are orthogonal, so q(j) is the column of largest overlap. This gives
-    at most one candidate per c; the rank-1 test decides which hold.
+    at most one candidate per c; `_forced_witness` decides which hold.
     """
     d = len(B)
     a = B / A2[:, :1]  # a[i, c]: the row phases forced by q(0) = c
-    overlap = np.abs(np.einsum("ik,ic,ij->ckj", B.conj(), a, A2))
-    return sorted({tuple(q) for q in np.argmax(overlap, axis=1).tolist() if len(set(q)) == d})
+    # overlap[k, c*d + j] = |sum_i conj(B[i, k]) a[i, c] A2[i, j]|: two d**3 arrays
+    overlap = np.abs(B.conj().T @ (a[:, :, None] * A2[:, None, :]).reshape(d, d * d))
+    q_maps = np.argmax(overlap.reshape(d, d, d), axis=0).tolist()
+    return sorted({tuple(q) for q in q_maps if len(set(q)) == d})
 
 
 def _forced_witness(kind: str, p: tuple, q, B: np.ndarray, A2: np.ndarray):
@@ -287,13 +291,21 @@ def _forced_witness(kind: str, p: tuple, q, B: np.ndarray, A2: np.ndarray):
     return EquivalenceWitness(kind=GENERAL, p1=p, d1=d1, p2=p2, d2=d2)
 
 
+def _checked(H1: HadamardMatrix, H2: HadamardMatrix, w: EquivalenceWitness) -> EquivalenceWitness:
+    """w, after re-checking its defining equation on the full matrices."""
+    dev = check_witness(H1, H2, w)
+    if dev > TOL_ENTRY:
+        raise errors.InvalidWitness(f"internal: witness deviates by {dev:.3e}")
+    return w
+
+
 def _witnesses(H1: HadamardMatrix, H2: HadamardMatrix, kind: str):
-    """Yield every witness of `kind` between H1 and H2, in lexicographic (P1, P2) order.
+    """Yield every General or PEquiv witness between H1 and H2, in lexicographic (P1, P2) order.
 
     Each relation reads H1[p(i), q(j)] = a_i b_j H2[i, j] for a row map p and
     a column map q, and fixing both forces the diagonals. The search loops
-    once over p; q is p for PEquiv, the identity for SSymmetry, and one of at
-    most d forced candidates for General.
+    over all d! row maps p; q is p for PEquiv and one of at most d forced
+    candidates for General.
     """
     d = H1.d
     name, cap = _SEARCH_CAPS[kind]
@@ -302,18 +314,10 @@ def _witnesses(H1: HadamardMatrix, H2: HadamardMatrix, kind: str):
     A1, A2 = H1.entries, H2.entries
     for p in itertools.permutations(range(d)):
         B = A1[list(p), :]  # B[i, j] = H1[p(i), j]
-        if kind == GENERAL:
-            col_maps = _forced_columns(B, A2)
-        else:
-            col_maps = [p if kind == P_EQUIV else range(d)]
-        for q in col_maps:
+        for q in _forced_columns(B, A2) if kind == GENERAL else [p]:
             w = _forced_witness(kind, p, q, B, A2)
-            if w is None:
-                continue
-            dev = check_witness(H1, H2, w)
-            if dev > TOL_ENTRY:
-                raise errors.InvalidWitness(f"internal: witness deviates by {dev:.3e}")
-            yield w
+            if w is not None:
+                yield _checked(H1, H2, w)
 
 
 def find_equivalence(
@@ -338,11 +342,21 @@ def find_equivalence(
 def s_symmetries(H: HadamardMatrix) -> list:
     """All S-symmetries (P, D) of H, sorted by lexicographic permutation order.
 
-    D is forced by P: from P H D = H, D = (1/d) H^dagger P^T H. The pair is
-    kept iff that matrix is diagonal with unimodular diagonal. The identity
-    pair is always present. All d! permutations are tried; d <= 8.
+    P H D = H reads H^T[j, p(i)] = D_j H^T[j, i], so the row maps p are the
+    forced column maps of (H^T, H^T): the anchor p(0) forces D, and D forces
+    p, which leaves at most d candidates. D is then forced by P as
+    D = (1/d) H^dagger P^T H, and the pair is kept iff that matrix is diagonal
+    with unimodular diagonal. The identity pair is always present. The
+    candidates take two d**3 arrays, so d**3 > DENSE_AMP_CAP (d > 256) raises
+    TooLarge before any allocation.
     """
-    return list(_witnesses(H, H, S_SYMMETRY))
+    from .qstate import DENSE_AMP_CAP  # qstate imports this module
+
+    if H.d**3 > DENSE_AMP_CAP:
+        raise errors.TooLarge(f"S-symmetry search d={H.d} exceeds the cap d**3 <= {DENSE_AMP_CAP}")
+    A = H.entries
+    found = (_forced_witness(S_SYMMETRY, p, p, A[list(p), :], A) for p in _forced_columns(A.T, A.T))
+    return [_checked(H, H, w) for w in found if w is not None]
 
 
 def apply_witness(H: HadamardMatrix, w: EquivalenceWitness) -> HadamardMatrix:

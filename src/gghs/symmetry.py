@@ -9,7 +9,6 @@ mapping is always verified numerically before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -40,23 +39,9 @@ def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return X, Z
 
 
-@dataclass(frozen=True, eq=False)
-class StabilizerOperator:
-    n: int
-    d: int
-    factors: tuple  # n matrices, identity where the operator does not act
-
-    def apply(self, s: StateVector) -> StateVector:
-        out = s
-        for site, f in enumerate(self.factors):
-            out = apply_local(LocalOperator(d=self.d, site=site, matrix=f), out)
-        return out
-
-
-def stabilizer_from_symmetry(
-    G: Graph, H: HadamardMatrix, w: EquivalenceWitness, a: int
-) -> StabilizerOperator:
-    """P at vertex a, D at each neighbor of a, identity elsewhere."""
+def stabilizer_from_symmetry(G: Graph, H: HadamardMatrix, w: EquivalenceWitness, a: int) -> tuple:
+    """The n site factors of the stabilizer: P at vertex a, D at each neighbor
+    of a, identity elsewhere."""
     if w.kind != S_SYMMETRY:
         raise errors.InvalidWitness("expected an S-symmetry witness")
     dev = check_witness(H, H, w)
@@ -69,17 +54,19 @@ def stabilizer_from_symmetry(
     factors[a] = _perm_matrix(w.p1)
     for b in G.neighbors(a):
         factors[b] = np.diag(w.d1)
-    return StabilizerOperator(n=G.n, d=H.d, factors=tuple(factors))
+    return tuple(factors)
 
 
-def verify_stabilizer(op: StabilizerOperator, s: StateVector) -> Tuple[bool, float]:
-    """(fixed, ||K psi - psi||) for the operator K and the normalized state psi."""
+def verify_stabilizer(factors: Sequence[np.ndarray], s: StateVector) -> Tuple[bool, float]:
+    """(fixed, ||K psi - psi||) for K, the product of the n site factors, and
+    the normalized state psi."""
     _check_normalized(s)
-    if (op.n, op.d) != (s.n, s.d):
-        raise errors.DimensionMismatch(
-            f"operator (n={op.n}, d={op.d}) vs state (n={s.n}, d={s.d})"
-        )
-    deviation = float(np.linalg.norm(op.apply(s).amps - s.amps))
+    if len(factors) != s.n:
+        raise errors.DimensionMismatch(f"operator of {len(factors)} sites vs state of n={s.n}")
+    out = s
+    for site, f in enumerate(factors):
+        out = apply_local(LocalOperator(d=s.d, site=site, matrix=f), out)
+    deviation = float(np.linalg.norm(out.amps - s.amps))
     return deviation <= TOL_ENTRY, deviation
 
 

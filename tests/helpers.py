@@ -168,6 +168,22 @@ def fourier_code_distance(G, d, words, max_weight):
     return None
 
 
+def s_symmetries_by_permutations(H: HadamardMatrix) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Every S-symmetry (p, D) of H, P H D = H, by trying all d! row maps.
+
+    D is forced by P as D = (1/d) H^dagger P^T H, which must be diagonal and
+    unimodular within 1e-9. The pairs come in lexicographic order of p.
+    """
+    A, d = H.entries, H.d
+    out = []
+    for p in itertools.permutations(range(d)):
+        Dm = (A.conj().T @ A[list(p), :]) / d
+        ph = np.diag(Dm).copy()
+        if np.max(np.abs(Dm - np.diag(ph))) <= 1e-9 and np.max(np.abs(np.abs(ph) - 1.0)) <= 1e-9:
+            out.append((p, ph))
+    return out
+
+
 def df3d() -> HadamardMatrix:
     """D F3 D with D = diag(e^0.3i, e^1.1i, e^2.0i): symmetric, not dephased."""
     D = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))

@@ -86,6 +86,10 @@ SHAPES = [
     ["stabilizers", *PAIR],
     ["stabilizers", *PAIR, "--all-symmetries"],
     ["stabilizers", *PAIR, "--all-symmetries", "--text"],
+    # S-symmetries at d > 8.
+    ["symmetries", "fourier:9"],
+    ["symmetries", "fourier:16"],
+    ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:9"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "3"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "1"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "1", "--text"],
@@ -120,6 +124,7 @@ ERRORS = [
     ["state", "--graph", "triangle", "--hadamard", "fourier:2", "--digits", "0,5,0"],
     ["decode-error", *PAIR, "--site", "7", "--op", "Z"],  # site_out_of_range
     ["state", "--graph", "cycle:13", "--hadamard", "fourier:4"],  # too_large
+    ["symmetries", "fourier:257"],  # too_large, before the S-symmetry search allocates
     ["invariant", *PAIR, "--rdm", "7"],  # bad_site
     ["invariant", "--graph", "line:2", "--hadamard", "fourier:2", "--i6"],  # too_few_sites
     ["invariant", *PAIR, "--schmidt", "0,1,2"],  # bad_partition

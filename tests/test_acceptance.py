@@ -263,8 +263,8 @@ def test_criterion_10_stabilizer_suite():
             continue
         X, Z = pauli_xz(d)
         op = stabilizer_from_symmetry(family("star", 3), H, w, 0)
-        if np.max(np.abs(op.factors[0] - X.conj().T)) > 1e-12 or any(
-            np.max(np.abs(op.factors[b] - Z)) > 1e-12 for b in (1, 2)
+        if np.max(np.abs(op[0] - X.conj().T)) > 1e-12 or any(
+            np.max(np.abs(op[b] - Z)) > 1e-12 for b in (1, 2)
         ):
             failures.append(f"fourier({d}): generator factors differ from the Weyl pair")
         for gname, G in graphs:

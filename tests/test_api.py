@@ -48,7 +48,6 @@ PUBLIC = [
     "hamiltonian_ground_check",
     "overlap",
     "reorder_qudits",
-    "StabilizerOperator",
     "auto_bipartite_parts",
     "lu_witness_bipartite",
     "lu_witness_p_equiv",
@@ -61,16 +60,17 @@ PUBLIC = [
 
 # Kept out of the package: fixtures and oracles that live in tests/helpers.py,
 # the bond state, which nothing used, encode, which was graph_state with
-# input digits, and the witness wrappers: a witness holds its permutations as
-# tuples and its diagonals as phase arrays.
+# input digits, and the witness and stabilizer wrappers: a witness holds its
+# permutations as tuples and its diagonals as phase arrays, and a stabilizer
+# is the tuple of its site factors.
 REMOVED = [
     "apply_ch", "basis_state", "index_to_digits", "weyl_operators", "BondState", "bond_state",
-    "circuit_unitary", "encode", "Permutation", "DiagonalUnitary",
+    "circuit_unitary", "encode", "Permutation", "DiagonalUnitary", "StabilizerOperator",
 ]
 
 
 def test_public_api_is_the_decided_list():
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 51
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)

@@ -23,7 +23,7 @@ from gghs import (
     validate,
 )
 from gghs import hadamard
-from helpers import full_catalog
+from helpers import df3d, full_catalog, s_symmetries_by_permutations
 
 PI = math.pi
 
@@ -230,6 +230,23 @@ def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
             call()
 
 
+def test_every_part_of_a_witness_is_checked_against_the_matrix():
+    """A permutation or diagonal of another length than H.d is refused by name,
+    whichever slot of the witness holds it."""
+    F3, ones3, ones4, ident3 = fourier(3), np.ones(3, complex), np.ones(4, complex), (0, 1, 2)
+    bad = [
+        hadamard.EquivalenceWitness(GENERAL, ident3, ones3, (0, 1, 2, 3), ones3),
+        hadamard.EquivalenceWitness(GENERAL, ident3, ones3, ident3, ones4),
+        hadamard.EquivalenceWitness(GENERAL, ident3, ones4, ident3, ones3),
+        hadamard.EquivalenceWitness(P_EQUIV, ident3, ones3, None, ones4),
+        hadamard.EquivalenceWitness(hadamard.S_SYMMETRY, ident3, ones4),
+    ]
+    for w in bad:
+        for call in (lambda: check_witness(F3, F3, w), lambda: apply_witness(F3, w)):
+            with pytest.raises(errors.DimensionMismatch, match="witness of d=4 vs matrix of d=3"):
+                call()
+
+
 def test_general_search_limit():
     with pytest.raises(errors.SearchLimitExceeded):
         find_equivalence(fourier(7), fourier(7), GENERAL)
@@ -340,16 +357,13 @@ def test_search_matches_exhaustive_scan_on_conjugates(i, j, p_type, seed):
 
 
 def test_s_symmetries_fourier_counts_and_weyl_pair():
-    for d in range(2, 6):
+    """F_d has exactly the d shifts p(i) = i + r, in order of r, with D_j = q^(r j)."""
+    for d in (*range(2, 6), 9, 16, 64):
         syms = s_symmetries(fourier(d))
-        assert len(syms) == d
-        shift = tuple((i + 1) % d for i in range(d))
-        match = [w for w in syms if w.p1 == shift]
-        assert len(match) == 1
+        assert [w.p1 for w in syms] == [tuple((i + r) % d for i in range(d)) for r in range(d)]
         q = np.exp(2j * PI / d)
-        np.testing.assert_allclose(
-            match[0].d1, q ** np.arange(d), atol=1e-9
-        )
+        for r, w in enumerate(syms):
+            np.testing.assert_allclose(w.d1, q ** (r * np.arange(d)), atol=1e-9)
 
 
 def test_s_symmetries_h_alpha():
@@ -364,8 +378,6 @@ def test_s_symmetries_h_alpha():
 
 @pytest.mark.parametrize("label,H", full_catalog())
 def test_s_symmetries_contain_identity_and_verify(label, H):
-    if H.d > 6:
-        pytest.skip("search capped")
     syms = s_symmetries(H)
     assert syms[0].p1 == tuple(range(H.d))
     for w in syms:
@@ -387,6 +399,18 @@ def test_s_symmetries_group_closure(name):
             )
 
 
-def test_s_symmetries_search_limit():
-    with pytest.raises(errors.SearchLimitExceeded):
-        s_symmetries(fourier(9))
+def test_s_symmetries_match_the_permutation_oracle():
+    """At most d forced candidates give the d! loop's pairs, bit for bit."""
+    grid = full_catalog() + [("df3d", df3d())] + [(f"fourier:{d}", fourier(d)) for d in range(1, 8)]
+    for label, H in grid:
+        want = s_symmetries_by_permutations(H)
+        got = s_symmetries(H)
+        assert [w.p1 for w in got] == [p for p, _ in want], label
+        assert [w.d1.tobytes() for w in got] == [ph.tobytes() for _, ph in want], label
+
+
+def test_s_symmetries_past_the_dense_cap():
+    """The candidates take d**3 entries: d = 257 is refused before allocation."""
+    assert len(s_symmetries(fourier(9))) == 9
+    with pytest.raises(errors.TooLarge, match="d=257"):
+        s_symmetries(fourier(257))

@@ -9,7 +9,6 @@ from gghs import (
     S_SYMMETRY,
     EquivalenceWitness,
     LocalOperator,
-    StabilizerOperator,
     StateVector,
     apply_local,
     apply_witness,
@@ -73,9 +72,9 @@ def test_fourier_stabilizer_matches_weyl_form():
         X, Z = pauli_xz(d)
         G = family("star", 3)
         op = stabilizer_from_symmetry(G, fourier(d), w, 0)
-        np.testing.assert_allclose(op.factors[0], X.conj().T, atol=1e-12)
-        np.testing.assert_allclose(op.factors[1], Z, atol=1e-12)
-        np.testing.assert_allclose(op.factors[2], Z, atol=1e-12)
+        np.testing.assert_allclose(op[0], X.conj().T, atol=1e-12)
+        np.testing.assert_allclose(op[1], Z, atol=1e-12)
+        np.testing.assert_allclose(op[2], Z, atol=1e-12)
 
 
 def test_qubit_graph_state_generators():
@@ -104,7 +103,7 @@ def test_identity_witness_gives_identity_operator():
     H = fourier(3)
     ident = s_symmetries(H)[0]
     op = stabilizer_from_symmetry(family("triangle"), H, ident, 1)
-    for f in op.factors:
+    for f in op:
         np.testing.assert_allclose(f, np.eye(3), atol=1e-12)
 
 
@@ -124,10 +123,18 @@ def test_stabilizer_witness_validation():
 
 def test_verify_stabilizer_detects_motion():
     X, _ = pauli_xz(2)
-    op = StabilizerOperator(n=1, d=2, factors=(X,))
-    ok, dev = verify_stabilizer(op, basis_state(1, 2, [0]))
+    ok, dev = verify_stabilizer((X,), basis_state(1, 2, [0]))
     assert not ok
     assert abs(dev - math.sqrt(2)) <= 1e-12
+
+
+def test_verify_stabilizer_refuses_factors_of_another_shape():
+    G, H = family("triangle"), fourier(3)
+    factors = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
+    psi = graph_state(G, H)
+    for bad in (factors[:2], factors + factors[:1], (np.eye(2),) * 3):
+        with pytest.raises(errors.DimensionMismatch):
+            verify_stabilizer(bad, psi)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-12])
