@@ -18,6 +18,7 @@ significant digits in a fixed key order.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -28,8 +29,6 @@ import numpy as np
 
 from . import errors
 from ._tol import TOL_ENTRY
-from .codes import ClassicalCode, build_code, kl_distance, weight_enumerators, decoded_error
-from .entangle import i6, reduced_density, schmidt_spectrum
 from .formats import (
     graph_from_obj,
     matrix_entries_from_obj,
@@ -60,8 +59,6 @@ from .qstate import (
     graph_state,
     overlap,
 )
-from .symmetry import pauli_xz, stabilizer_from_symmetry, verify_stabilizer
-from .tensornet import peps_contract
 
 
 class Malformed(Exception):
@@ -109,6 +106,8 @@ def _parse_ints(text: str, option: str) -> list:
 
 def _weyl(d: int, a: int, b: int) -> np.ndarray:
     """X^a Z^b on d levels."""
+    from .symmetry import pauli_xz
+
     X, Z = pauli_xz(d)
     return np.linalg.matrix_power(X, a % d) @ np.linalg.matrix_power(Z, b % d)
 
@@ -227,6 +226,8 @@ def cmd_state(args) -> dict:
 
 
 def cmd_invariant(args) -> dict:
+    from .entangle import i6, reduced_density, schmidt_spectrum
+
     pair = (args.graph, args.hadamard)
     if args.state is not None and pair == (None, None):
         s = resolve_state(args.state)
@@ -244,14 +245,16 @@ def cmd_invariant(args) -> dict:
 
 
 def cmd_stabilizers(args) -> dict:
+    from .symmetry import stabilizer_from_symmetry, verify_stabilizer
+
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
+    _check_graph_state(G, H)  # its errors come before the S-symmetry search
     syms = s_symmetries(H)
     if args.all_symmetries or len(syms) == 1:
         chosen = list(enumerate(syms))
     else:
         chosen = [(1, syms[1])]  # lex-first non-identity; identity sorts first
-    _check_graph_state(G, H)
     # K_a is P at a and D at a's neighbours: it commutes with every edge gate
     # not incident to a, so it is checked on the graph state of N[a] alone.
     checked = []
@@ -268,6 +271,8 @@ def cmd_stabilizers(args) -> dict:
 
 
 def cmd_peps_check(args) -> dict:
+    from .tensornet import peps_contract
+
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
     _check_graph_state(G, H)  # its errors come before the contraction
@@ -278,6 +283,8 @@ def cmd_peps_check(args) -> dict:
 
 
 def cmd_code(args) -> dict:
+    from .codes import ClassicalCode, build_code, kl_distance, weight_enumerators
+
     if args.distance is not None and args.distance < 1:
         raise Malformed(f"--distance wants a weight >= 1, got {args.distance}")
     G = resolve_graph(args.graph)
@@ -295,6 +302,8 @@ def cmd_code(args) -> dict:
 
 
 def cmd_decode_error(args) -> dict:
+    from .codes import decoded_error
+
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
     E = resolve_operator(args.op, H.d)
@@ -391,5 +400,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def _entry() -> None:
+    """`python -m gghs.cli` and the `gghs` console script: main() on sys.argv,
+    then exit with its code. gc.freeze() leaves the interpreter's exit-time
+    collections nothing to walk; main() never freezes, so in-process callers
+    keep their collector as it was."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .graphs import Graph, build
-from .qstate import StateVector, _dense_size
+if TYPE_CHECKING:  # the readers import these when they run
+    from .graphs import Graph
+    from .qstate import StateVector
 
 
 def _fmt_float(x: float) -> str:
@@ -140,6 +141,8 @@ def matrix_entries_from_obj(obj) -> np.ndarray:
 
 
 def graph_from_obj(obj) -> Graph:
+    from .graphs import build
+
     n = _json_int(obj["n"], "n")
     return build(n, [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
                      for u, v in obj["edges"]])
@@ -150,6 +153,8 @@ def state_to_obj(s: StateVector) -> dict:
 
 
 def state_from_obj(obj) -> StateVector:
+    from .qstate import StateVector, _dense_size
+
     n = _json_int(obj["n"], "n")
     d = _json_int(obj["d"], "d")
     amps = pairs_to_complex(obj["amps"])

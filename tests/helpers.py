@@ -10,7 +10,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +25,7 @@ from gghs.hadamard import HadamardMatrix
 from gghs.qstate import _check_digits, _dense_size, _edge_phases
 
 PI = math.pi
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def full_catalog():
@@ -209,3 +214,19 @@ def cli_stdout(argv) -> Tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def python_process(*args) -> subprocess.CompletedProcess:
+    """`python ARGS` as its own process, with src on the path and one BLAS
+    thread; its stdout and stderr are captured as text."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, encoding="utf-8", timeout=120
+    )
+
+
+def entry_stdout(argv) -> Tuple[int, str]:
+    """(exit code, stdout) of one `gghs` request, run through the real entry
+    point `python -m gghs.cli` in its own process."""
+    proc = python_process("-m", "gghs.cli", *argv)
+    return proc.returncode, proc.stdout

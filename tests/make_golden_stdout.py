@@ -125,6 +125,9 @@ ERRORS = [
     ["decode-error", *PAIR, "--site", "7", "--op", "Z"],  # site_out_of_range
     ["state", "--graph", "cycle:13", "--hadamard", "fourier:4"],  # too_large
     ["symmetries", "fourier:257"],  # too_large, before the S-symmetry search allocates
+    # too_large, the register checked before the S-symmetry search (which refuses d = 257 too)
+    ["stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:256"],
+    ["stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:257"],
     ["invariant", *PAIR, "--rdm", "7"],  # bad_site
     ["invariant", "--graph", "line:2", "--hadamard", "fourier:2", "--i6"],  # too_few_sites
     ["invariant", *PAIR, "--schmidt", "0,1,2"],  # bad_partition

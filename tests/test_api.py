@@ -1,8 +1,10 @@
-"""The public API of the package: exactly the decided names, all resolvable."""
+"""The public API of the package: exactly the decided names, all resolvable,
+and each loaded only when a process uses it."""
 
 import pytest
 
 import gghs
+from helpers import python_process
 
 PUBLIC = [
     "errors",
@@ -74,6 +76,65 @@ def test_public_api_is_the_decided_list():
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)
-    for name in REMOVED:
+    for name in [*REMOVED, "no_such_name"]:
         with pytest.raises(AttributeError):
             getattr(gghs, name)
+    assert set(PUBLIC) <= set(dir(gghs))
+
+
+# Runs in a fresh process, so that every name goes through the lazy lookup.
+RESOLVE = """
+import sys, gghs
+if sys.argv[1] == "star":
+    ns = {}
+    exec("from gghs import *", ns)
+    values = [ns[name] for name in gghs.__all__]
+else:
+    values = [getattr(gghs, name) for name in gghs.__all__]
+assert all(v is getattr(gghs, name) for v, name in zip(values, gghs.__all__))
+print(" ".join(gghs.__all__))
+"""
+
+
+@pytest.mark.parametrize("first", ["attribute", "star"])
+def test_every_public_name_resolves_on_first_use(first):
+    proc = python_process("-c", RESOLVE, first)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == PUBLIC
+
+
+def loaded(*args) -> set:
+    """The gghs modules that `python -X importtime ARGS` imports, read from
+    its stderr; the process must exit 0."""
+    proc = python_process("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name == "gghs" or name.startswith("gghs.")}
+
+
+def test_import_gghs_loads_no_submodule():
+    assert loaded("-c", "import gghs") == {"gghs"}
+
+
+PAIR = ["--graph", "line:3", "--hadamard", "fourier:3"]
+OPTIONAL = {"gghs.codes", "gghs.entangle", "gghs.symmetry", "gghs.tensornet"}
+
+
+@pytest.mark.parametrize("argv, optional", [
+    (["validate", "fourier:4"], set()),
+    (["equiv", "tilde_c", "tilde_d", "--p-equiv"], set()),
+    (["symmetries", "fourier:3"], set()),
+    (["state", *PAIR], set()),
+    (["invariant", *PAIR, "--i6"], {"gghs.entangle"}),
+    (["stabilizers", *PAIR], {"gghs.symmetry"}),
+    (["peps-check", *PAIR], {"gghs.tensornet"}),
+    (["code", *PAIR, "--classical", "rep.txt", "--distance", "2"], {"gghs.codes"}),
+    (["decode-error", *PAIR, "--site", "0", "--op", "Z"], {"gghs.codes", "gghs.symmetry"}),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_process_loads_only_what_its_subcommand_runs(argv, optional, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep.txt").write_text("000\n111\n222\n")
+    modules = loaded("-m", "gghs.cli", *argv)
+    assert {"gghs.hadamard", "gghs.qstate"} <= modules  # the reader sees them at all
+    assert modules & OPTIONAL == optional

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from gghs import (
 )
 from gghs.cli import main
 from gghs.formats import render_json, state_to_obj
-from helpers import connected_graphs, cut_rank, full_catalog, matrix_json, skewed_f3
+from helpers import connected_graphs, cut_rank, entry_stdout, full_catalog, matrix_json, skewed_f3
 
 PI = math.pi
 
@@ -274,6 +275,24 @@ def test_state_digits_and_out_file(tmp_path, capsys):
     assert saved["n"] == 3 and saved["d"] == 3 and len(saved["amps"]) == 27
 
 
+def test_entry_point_writes_the_whole_state_file(tmp_path):
+    # The process exits through gc.freeze() and sys.exit: the 2**16-amplitude
+    # file must hold every byte that main() writes in-process.
+    out = tmp_path / "state.json"
+    code, stdout = entry_stdout(["state", "--graph", "line:8", "--hadamard", "fourier:4", "--out", str(out)])
+    assert code == 0
+    assert json.loads(stdout)["written"] == str(out)
+    want = render_json(state_to_obj(graph_state(family("line", 8), fourier(4)))) + "\n"
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Only the process entry point freezes; in-process callers keep their GC.
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "validate", "fourier:2")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
 def test_state_unwritable_out_is_malformed(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "state.json"
     code, obj = run_json(
@@ -319,6 +338,8 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("invariant", "--graph", "triangle", "--hadamard", "fourier:256", "--i6"),
         ("invariant", "--state", "ghz:3:256", "--i6"),
         ("invariant", "--state", "ghz:1:4097", "--rdm", "0"),
+        # The register is checked before the S-symmetry search, which takes seconds at d = 256.
+        ("stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:256"),
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
@@ -423,7 +444,8 @@ def test_invariant_state_schmidt_of_the_larger_part():
 
 def test_stabilizers_tol_sets_the_verdict(monkeypatch, capsys):
     # A deviation of 1e-8 fails the default 1e-9 and passes --tol 1e-6.
-    monkeypatch.setattr("gghs.cli.verify_stabilizer", lambda op, s: (False, 1e-8))
+    # The subcommand imports verify_stabilizer from its module when it runs.
+    monkeypatch.setattr("gghs.symmetry.verify_stabilizer", lambda op, s: (False, 1e-8))
     for tol, verified in ((None, False), ("1e-6", True)):
         argv = ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:3"]
         code, obj = run_json(capsys, *argv, *(["--tol", tol] if tol else []))
@@ -562,7 +584,7 @@ def test_peps_check_refuses_a_non_symmetric_matrix_before_contracting(tmp_path, 
     def contract(*args):
         raise AssertionError("contracted before the symmetry check")
 
-    monkeypatch.setattr("gghs.cli.peps_contract", contract)
+    monkeypatch.setattr("gghs.tensornet.peps_contract", contract)
     m = tmp_path / "rolled.json"
     m.write_text(matrix_json(np.roll(fourier(4).entries, 1, axis=0)))
     refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
@@ -571,6 +593,14 @@ def test_peps_check_refuses_a_non_symmetric_matrix_before_contracting(tmp_path, 
         pair = ("--graph", graph, "--hadamard", str(m))
         assert run(capsys, "peps-check", *pair) == (1, refused), graph
         assert run(capsys, "state", *pair) == (1, refused), graph
+
+
+def test_stabilizers_checks_the_graph_state_before_the_search(tmp_path, capsys):
+    # d = 257 is past the S-symmetry search's cap; the matrix's symmetry is named first.
+    m = tmp_path / "rolled.json"
+    m.write_text(matrix_json(np.roll(fourier(257).entries, 1, axis=0)))
+    refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
+    assert run(capsys, "stabilizers", "--graph", "line:2", "--hadamard", str(m)) == (1, refused)
 
 
 def test_code_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
