@@ -54,7 +54,7 @@ def run(graph: str) -> None:
         H = resolve_matrix(spec)
         psi = graph_state(G, H)
         dev = max(
-            float(np.max(np.abs(reduced_density(psi, [a]).mat - np.eye(H.d) / H.d)))
+            float(np.max(np.abs(reduced_density(psi, [a]) - np.eye(H.d) / H.d)))
             for a in range(G.n)
         )
         print(f"  {spec:<14} {dev:.3e}")

@@ -239,8 +239,7 @@ def cmd_invariant(args) -> dict:
     if args.schmidt is not None:
         return {"schmidt": schmidt_spectrum(s, _parse_ints(args.schmidt, "--schmidt"))}
     if args.rdm is not None:
-        rho = reduced_density(s, [args.rdm])
-        return {"site": args.rdm, "rdm": rho.mat}
+        return {"site": args.rdm, "rdm": reduced_density(s, [args.rdm])}
     return {"i6": i6(s)}
 
 
@@ -307,8 +306,8 @@ def cmd_decode_error(args) -> dict:
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
     E = resolve_operator(args.op, H.d)
-    res = decoded_error(G, H, LocalOperator(d=H.d, site=args.site, matrix=E))
-    return {"factorizes": res.factorizes, "residual": res.residual, "site_operator": res.site_operator}
+    ok, S, residual = decoded_error(G, H, LocalOperator(d=H.d, site=args.site, matrix=E))
+    return {"factorizes": ok, "residual": residual, "site_operator": S}
 
 
 # -------------------------------------------------------------------- driver

@@ -174,20 +174,15 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
     return C @ (scale * p) / K**2, C @ (scale * p[::-1]) / K
 
 
-@dataclass(frozen=True, eq=False)
-class DecodedError:
-    factorizes: bool
-    site_operator: Optional[np.ndarray]  # present when the residual is small
-    residual: float
-
-
-def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError:
+def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator):
     """Conjugate a single-site error by the encoding circuit.
 
     Computes M = U^dagger E_k U and tries to factor M as a single-site
     operator on E's own site k tensored with identity. Diagonal E commutes
     with every edge gate, so the factorization succeeds with site operator
-    (H/sqrt(d))^dagger E (H/sqrt(d)).
+    (H/sqrt(d))^dagger E (H/sqrt(d)). Returns (factorizes, site_operator,
+    residual): the residual is the largest entry of M minus its factored
+    form, and site_operator is None when it exceeds TOL_ENTRY.
 
     M is computed on the closed neighbourhood N[k] = {k} + neighbours(k)
     only. U = D u^(x n) with u = H/sqrt(d) and D the diagonal edge phases:
@@ -237,8 +232,4 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator) -> DecodedError
         # An inf or NaN anywhere in M or S reaches the residual.
         raise errors.Overflow(f"the decoded operator overflows float64 (residual {residual})")
     ok = residual <= TOL_ENTRY
-    return DecodedError(
-        factorizes=ok,
-        site_operator=S if ok else None,
-        residual=residual,
-    )
+    return ok, S if ok else None, residual

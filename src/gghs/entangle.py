@@ -8,7 +8,7 @@ graph_reduced_density, and its d**n register is never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -18,12 +18,6 @@ from ._tol import TOL_ENTRY
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
 from .qstate import StateVector, _check_graph_state, _check_normalized, _dense_size, _encode
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    dims: tuple
-    mat: np.ndarray
 
 
 def _check_keep(keep: Sequence[int], n: int) -> List[int]:
@@ -50,10 +44,10 @@ def _shape(s: State) -> Tuple[int, int]:
     return G.n, H.d
 
 
-def reduced_density(s: State, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over the complement of `keep` (a sorted site list),
-    capped before it is built. A StateVector must have norm 1 within 1e-6;
-    a (G, H) pair goes to graph_reduced_density."""
+def reduced_density(s: State, keep: Sequence[int]) -> np.ndarray:
+    """The reduced state on the m sites `keep` (ascending), a (d**m, d**m)
+    array capped before it is built. A StateVector must have norm 1 within
+    1e-6; a (G, H) pair goes to graph_reduced_density."""
     if not isinstance(s, StateVector):
         return graph_reduced_density(*s, keep)
     _check_normalized(s)
@@ -62,10 +56,10 @@ def reduced_density(s: State, keep: Sequence[int]) -> DensityMatrix:
     rest = [a for a in range(s.n) if a not in keep]
     T = s.tensor()
     rho = np.tensordot(T, T.conj(), axes=(rest, rest))
-    return DensityMatrix(dims=tuple(s.d for _ in keep), mat=rho.reshape(dk, dk))
+    return rho.reshape(dk, dk)
 
 
-def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> DensityMatrix:
+def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> np.ndarray:
     """Reduced state of graph_state(G, H) on the sites S = keep, in closed
     form from the edges at S; the d**n state is never built.
 
@@ -102,18 +96,20 @@ def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> D
         T *= (P @ P.conj().T / d).reshape(shape)
     rho = T.reshape(d**m, d**m)
     rho /= np.trace(rho).real
-    return DensityMatrix(dims=(d,) * m, mat=rho)
+    return rho
 
 
-def partial_transpose(rho: DensityMatrix, slot: int) -> np.ndarray:
-    """Transpose one tensor slot; result is Hermitian but may be non-PSD."""
-    m = len(rho.dims)
+def partial_transpose(rho: np.ndarray, dims: Sequence[int], slot: int) -> np.ndarray:
+    """Transpose one slot of rho, a square array on sites of dimensions
+    `dims`; the result is Hermitian but may be non-PSD."""
+    dims = tuple(dims)
+    size = math.prod(dims)
+    if np.shape(rho) != (size, size):
+        raise errors.DimensionMismatch(f"rho of shape {np.shape(rho)} is not square with side {size}")
+    m = len(dims)
     if not (0 <= slot < m):
         raise errors.BadSlot(f"slot {slot} out of range for {m} slots")
-    T = rho.mat.reshape(rho.dims + rho.dims)
-    T = np.swapaxes(T, slot, slot + m)
-    size = rho.mat.shape[0]
-    return T.reshape(size, size)
+    return np.swapaxes(np.reshape(rho, dims + dims), slot, slot + m).reshape(size, size)
 
 
 def i6(s: State) -> float:
@@ -123,10 +119,10 @@ def i6(s: State) -> float:
     odd power of a Hermitian matrix is real, and a StateVector off norm 1 by
     more than 1e-6 raises NotNormalized, so the imaginary part is round-off.
     """
-    n, _ = _shape(s)
+    n, d = _shape(s)
     if n < 3:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
-    pt = partial_transpose(reduced_density(s, [0, 1]), 0)
+    pt = partial_transpose(reduced_density(s, [0, 1]), (d, d), 0)
     return float(np.trace(pt @ pt @ pt).real)
 
 
@@ -144,7 +140,7 @@ def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
         raise errors.BadPartition("part must be a proper nonempty site subset")
     _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it
     side = part if 2 * len(part) <= n else [k for k in range(n) if k not in part]
-    rho = reduced_density(s, side).mat
+    rho = reduced_density(s, side)
     herm = (rho + rho.conj().T) / 2.0
     vals = np.linalg.eigvalsh(herm)
     if len(side) < len(part):

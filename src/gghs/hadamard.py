@@ -61,7 +61,7 @@ def _as_complex_square(entries) -> np.ndarray:
     return a
 
 
-GRAM_BLOCK = 2**20  # most entries in one temporary of the Gram check
+GRAM_BLOCK = 2**20  # most entries in one temporary of the Gram check or the forced-column search
 
 
 def _gram_deviation(V: np.ndarray, scale: float) -> float:
@@ -251,13 +251,19 @@ def _forced_columns(B: np.ndarray, A2: np.ndarray) -> list:
     Choosing q(0) = c forces a_i = B[i, c] / H2[i, 0] up to a scalar. Column j
     of diag(a) H2 must then be parallel to column q(j) of B, and the columns
     of B are orthogonal, so q(j) is the column of largest overlap. This gives
-    at most one candidate per c; `_forced_witness` decides which hold.
+    at most one candidate per c; `_forced_witness` decides which hold. The
+    anchors c are taken in blocks of d**2 entries each, so no temporary
+    holds more than GRAM_BLOCK entries (one anchor when d**2 exceeds it).
     """
     d = len(B)
     a = B / A2[:, :1]  # a[i, c]: the row phases forced by q(0) = c
-    # overlap[k, c*d + j] = |sum_i conj(B[i, k]) a[i, c] A2[i, j]|: two d**3 arrays
-    overlap = np.abs(B.conj().T @ (a[:, :, None] * A2[:, None, :]).reshape(d, d * d))
-    q_maps = np.argmax(overlap.reshape(d, d, d), axis=0).tolist()
+    step = max(1, GRAM_BLOCK // (d * d))
+    q_maps = []
+    for c0 in range(0, d, step):
+        # overlap[k, c, j] = |sum_i conj(B[i, k]) a[i, c] A2[i, j]| for the block's anchors c
+        block = (a[:, c0:c0 + step, None] * A2[:, None, :]).reshape(d, -1)
+        overlap = np.abs(B.conj().T @ block).reshape(d, -1, d)
+        q_maps += np.argmax(overlap, axis=0).tolist()
     return sorted({tuple(q) for q in q_maps if len(set(q)) == d})
 
 
@@ -347,8 +353,9 @@ def s_symmetries(H: HadamardMatrix) -> list:
     p, which leaves at most d candidates. D is then forced by P as
     D = (1/d) H^dagger P^T H, and the pair is kept iff that matrix is diagonal
     with unimodular diagonal. The identity pair is always present. The
-    candidates take two d**3 arrays, so d**3 > DENSE_AMP_CAP (d > 256) raises
-    TooLarge before any allocation.
+    candidates cost d**4 multiply-adds over d**3 overlaps, held one block of
+    at most GRAM_BLOCK entries at a time; d**3 > DENSE_AMP_CAP (d > 256)
+    bounds that work and raises TooLarge before any of it.
     """
     from .qstate import DENSE_AMP_CAP  # qstate imports this module
 

@@ -144,16 +144,18 @@ def _check_graph_state(
 ) -> Tuple[int, ...]:
     """The checks of graph_state, in its order: symmetry, digits, the d**n cap.
 
-    Returns the input digits, all zeros by default. Kernels that read the
-    state on a few sites run them first, so they refuse what graph_state
-    refuses, with the same error.
+    Returns the input digits; the default, all zeros, cannot fail the digit
+    check and is built after the cap. Kernels that read the state on a few
+    sites run them first, so they refuse what graph_state refuses, with the
+    same error.
     """
     if not H.symmetric:
         raise errors.NotSymmetric("graph states need a symmetric matrix")
-    digits = tuple(input_digits) if input_digits is not None else (0,) * G.n
-    _check_digits(G.n, H.d, digits)
+    if input_digits is not None:
+        input_digits = tuple(input_digits)
+        _check_digits(G.n, H.d, input_digits)
     _dense_size(G.n, H.d)
-    return digits
+    return (0,) * G.n if input_digits is None else input_digits
 
 
 def graph_state(

@@ -49,6 +49,8 @@ FILES = {
     ' [[1, 1], [-2, 0], [0, 0.25]]]}',
     "single_op.json": '{"d": 3, "entries": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]],'
     ' [[0, 0], [0, 0], [0, 0]]]}',
+    # 10**6 vertices in 29 bytes: refused by the d**n cap before anything n-sized is built.
+    "huge_n.json": '{"n": 1000000, "edges": []}',
 }
 
 PAIR = ["--graph", "triangle", "--hadamard", "fourier:3"]
@@ -89,6 +91,7 @@ SHAPES = [
     # S-symmetries at d > 8.
     ["symmetries", "fourier:9"],
     ["symmetries", "fourier:16"],
+    ["symmetries", "fourier:128"],  # two blocks of anchors in the candidate search
     ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:9"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "3"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "1"],
@@ -134,6 +137,8 @@ ERRORS = [
     ["code", "--graph", "complete:6", "--hadamard", "gram.json", "--classical", "gram_d2.txt"],
     ["decode-error", *PAIR, "--site", "0", "--op", "huge_op.json"],  # overflow
     ["invariant", "--state", "unnormalized.json"],  # not_normalized
+    ["state", "--graph", "huge_n.json", "--hadamard", "fourier:2"],  # too_large
+    ["invariant", "--graph", "huge_n.json", "--hadamard", "fourier:2", "--i6"],  # too_large
 ]
 
 

@@ -318,6 +318,10 @@ def test_huge_register_is_too_large(tmp_path, capsys):
     # d**n = 4**12 is at the state cap; two words pass it in the basis.
     two_words = tmp_path / "two.txt"
     two_words.write_text("0" * 12 + "\n" + "1" * 12 + "\n")
+    # A 30-byte graph file names 10**7 vertices; no n-sized object is built before the cap.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**7, "edges": []}))
+    huge_pair = ("--graph", str(huge), "--hadamard", "fourier:2")
     for argv in (
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
@@ -340,6 +344,11 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("invariant", "--state", "ghz:1:4097", "--rdm", "0"),
         # The register is checked before the S-symmetry search, which takes seconds at d = 256.
         ("stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:256"),
+        ("state", *huge_pair),
+        ("invariant", *huge_pair, "--i6"),
+        ("stabilizers", *huge_pair),
+        ("peps-check", *huge_pair),
+        ("state", "--graph", str(huge), "--hadamard", "fourier:1"),  # only MAX_SITES binds
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)

@@ -482,11 +482,11 @@ def test_weyl_operators_structure():
 
 
 def test_decoded_identity():
-    res = decoded_error(
+    ok, S, _ = decoded_error(
         family("triangle"), fourier(3), LocalOperator(d=3, site=0, matrix=np.eye(3))
     )
-    assert res.factorizes
-    np.testing.assert_allclose(res.site_operator, np.eye(3), atol=1e-9)
+    assert ok
+    np.testing.assert_allclose(S, np.eye(3), atol=1e-9)
 
 
 def test_decoded_diagonal_errors_factorize():
@@ -500,35 +500,43 @@ def test_decoded_diagonal_errors_factorize():
         ]
         for site in range(3):
             for Emat in diag_ops:
-                res = decoded_error(
+                ok, S, residual = decoded_error(
                     family("triangle"), H, LocalOperator(d=d, site=site, matrix=Emat)
                 )
-                assert res.factorizes, (H.d, site)
-                assert res.residual <= 1e-9
+                assert ok, (H.d, site)
+                assert residual <= 1e-9
                 u = H.entries / math.sqrt(d)
                 expect = u.conj().T @ Emat @ u
-                np.testing.assert_allclose(res.site_operator, expect, atol=1e-8)
+                np.testing.assert_allclose(S, expect, atol=1e-8)
 
 
 def test_decoded_z_for_fourier_is_a_shift():
     from gghs import pauli_xz
 
     X, Z = pauli_xz(3)
-    res = decoded_error(
+    ok, S, _ = decoded_error(
         family("triangle"), fourier(3), LocalOperator(d=3, site=0, matrix=Z)
     )
-    assert res.factorizes
-    np.testing.assert_allclose(res.site_operator, X.conj().T, atol=1e-9)
+    assert ok
+    np.testing.assert_allclose(S, X.conj().T, atol=1e-9)
 
 
 def test_decoded_shift_error_spreads_for_d6():
     X6 = np.roll(np.eye(6), -1, axis=0)
-    res = decoded_error(
+    ok, S, residual = decoded_error(
         family("triangle"), catalog("h_d6"), LocalOperator(d=6, site=0, matrix=X6)
     )
-    assert not res.factorizes
-    assert res.residual > 1e-3
-    assert res.site_operator is None
+    assert not ok
+    assert residual > 1e-3
+    assert S is None
+
+
+def test_decoded_error_is_a_tuple_with_no_operator_when_it_spreads():
+    X, _ = pauli_xz(3)
+    out = decoded_error(family("triangle"), fourier(3), LocalOperator(d=3, site=0, matrix=X))
+    assert type(out) is tuple and len(out) == 3
+    ok, S, residual = out
+    assert ok is False and S is None and residual > 1e-3
 
 
 def test_decoded_error_site_range():
@@ -567,11 +575,11 @@ def _assert_matches_whole_register(G, H, rng, label):
                      corner, np.zeros((d, d))):
             E = LocalOperator(d=d, site=site, matrix=Emat)
             ok, S, residual = _whole_register_decoded(U, G.n, d, E)
-            res = decoded_error(G, H, E)
-            assert res.factorizes == ok, (label, site)
-            assert abs(res.residual - residual) <= 1e-12, (label, site)
+            got_ok, got_S, got_residual = decoded_error(G, H, E)
+            assert got_ok == ok, (label, site)
+            assert abs(got_residual - residual) <= 1e-12, (label, site)
             if ok:
-                assert np.max(np.abs(res.site_operator - S)) <= 1e-12, (label, site)
+                assert np.max(np.abs(got_S - S)) <= 1e-12, (label, site)
 
 
 def test_decoded_error_matches_whole_register_on_grid():

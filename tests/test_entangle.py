@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gghs import (
-    DensityMatrix,
     LocalOperator,
     StateVector,
     apply_local,
@@ -46,24 +45,24 @@ def _random_unitary(rng, d):
 
 def test_reduced_density_examples():
     rho = reduced_density(ghz(3, 2), [0])
-    np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     rho = reduced_density(graph_state(family("triangle"), fourier(3)), [0])
-    np.testing.assert_allclose(rho.mat, np.eye(3) / 3, atol=1e-9)
+    np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-9)
 
     z = basis_state(3, 2, [0, 0, 0])
     rho = reduced_density(z, [0, 1])
     expect = np.zeros((4, 4))
     expect[0, 0] = 1.0
-    np.testing.assert_allclose(rho.mat, expect, atol=1e-12)
+    np.testing.assert_allclose(rho, expect, atol=1e-12)
 
 
 def test_reduced_density_is_a_state():
     s = graph_state(family("cycle", 4), catalog("h_alpha", PI / 5))
     rho = reduced_density(s, [1, 3])
-    assert np.max(np.abs(rho.mat - rho.mat.conj().T)) <= 1e-9
-    assert abs(np.trace(rho.mat) - 1.0) <= 1e-9
-    assert np.linalg.eigvalsh((rho.mat + rho.mat.conj().T) / 2).min() >= -1e-9
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9
+    assert abs(np.trace(rho) - 1.0) <= 1e-9
+    assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-9
 
 
 def test_reduced_density_errors():
@@ -75,18 +74,28 @@ def test_reduced_density_errors():
 
 def test_partial_transpose_diagonal_fixed():
     rho = reduced_density(ghz(3, 6), [0, 1])
-    np.testing.assert_allclose(partial_transpose(rho, 0), rho.mat, atol=1e-12)
+    np.testing.assert_allclose(partial_transpose(rho, (6, 6), 0), rho, atol=1e-12)
 
 
 def test_partial_transpose_bell_blocks():
     m = np.zeros((4, 4))
     m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = 0.5
-    rho = DensityMatrix(dims=(2, 2), mat=m.astype(np.complex128))
-    pt = partial_transpose(rho, 0)
+    rho = m.astype(np.complex128)
+    pt = partial_transpose(rho, (2, 2), 0)
     assert pt[1, 2] == 0.5 and pt[2, 1] == 0.5
     assert pt[0, 3] == 0.0 and pt[3, 0] == 0.0
     with pytest.raises(errors.BadSlot):
-        partial_transpose(rho, 2)
+        partial_transpose(rho, (2, 2), 2)
+
+
+def test_partial_transpose_wants_a_square_of_the_dims():
+    rho = reduced_density(ghz(3, 2), [0, 1])
+    for bad, dims in [(rho, (2,)), (rho, (2, 3)), (rho[:3], (2, 2)), (rho.reshape(2, 8), (2, 2)),
+                      (rho.reshape(-1), (2, 2))]:
+        with pytest.raises(errors.DimensionMismatch):
+            partial_transpose(bad, dims, 0)
+    with pytest.raises(errors.BadSlot):
+        partial_transpose(rho, (2, 2), -1)
 
 
 # ----------------------------------------------------------------------- i6
@@ -180,7 +189,7 @@ def test_schmidt_larger_part_reads_the_smaller_side():
         assert len(spec) == 4 ** len(part)
         pad = [0.0] * (4 ** len(part) - 4 ** len(rest))
         assert spec == sorted(schmidt_spectrum(s, rest) + pad, reverse=True)
-        full = np.linalg.eigvalsh(reduced_density(s, part).mat)[::-1]
+        full = np.linalg.eigvalsh(reduced_density(s, part))[::-1]
         np.testing.assert_allclose(spec, full, atol=1e-14)
 
 
@@ -215,8 +224,8 @@ def test_graph_reduced_density_matches_dense_on_grid():
                 break
             for S in itertools.combinations(range(G.n), m):
                 rho = graph_reduced_density(G, H, S)
-                assert rho.dims == (d,) * m
-                dev = np.max(np.abs(rho.mat - reduced_density(s, S).mat))
+                assert rho.shape == (d**m, d**m)
+                dev = np.max(np.abs(rho - reduced_density(s, S)))
                 assert dev <= 1e-14, (gname, label, S, dev)
                 cases += 1
     assert cases > 2000
@@ -301,7 +310,7 @@ def test_single_site_rdms_maximally_mixed(gname, G):
         s = graph_state(G, H)
         for a in range(G.n):
             rho = reduced_density(s, [a])
-            dev = np.max(np.abs(rho.mat - np.eye(H.d) / H.d))
+            dev = np.max(np.abs(rho - np.eye(H.d) / H.d))
             assert dev <= 1e-9, (gname, label, a)
 
 

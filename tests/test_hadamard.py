@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gghs import (
     validate,
 )
 from gghs import hadamard
-from helpers import df3d, full_catalog, s_symmetries_by_permutations
+from helpers import df3d, full_catalog, python_process, s_symmetries_by_permutations
 
 PI = math.pi
 
@@ -410,7 +411,53 @@ def test_s_symmetries_match_the_permutation_oracle():
 
 
 def test_s_symmetries_past_the_dense_cap():
-    """The candidates take d**3 entries: d = 257 is refused before allocation."""
+    """The candidates cost d**4 work: d = 257 is refused before any of it."""
     assert len(s_symmetries(fourier(9))) == 9
     with pytest.raises(errors.TooLarge, match="d=257"):
         s_symmetries(fourier(257))
+
+
+def _witness_bits(w):
+    if w is None:
+        return None
+    arrays = [a.tobytes() for a in (w.d1, w.d2) if a is not None]
+    return (w.kind, w.p1, w.p2, *arrays)
+
+
+def _search_results():
+    grid = full_catalog() + [("df3d", df3d())] + [(f"fourier:{d}", fourier(d)) for d in range(1, 9)]
+    out = {}
+    for label, H in grid:
+        out[label] = [_witness_bits(w) for w in s_symmetries(H)]
+        for label2, H2 in grid:
+            if H2.d == H.d:
+                kinds = [P_EQUIV] + ([GENERAL] if H.d <= 6 else [])
+                out[label, label2] = [_witness_bits(find_equivalence(H, H2, k)) for k in kinds]
+    return out
+
+
+def test_forced_columns_in_blocks_match_one_block(monkeypatch):
+    """Anchors taken a few at a time give the whole search's results, bit for bit."""
+    want = _search_results()
+    for block in (1, 50):  # one anchor per block, and uneven blocks at d = 3..7
+        monkeypatch.setattr(hadamard, "GRAM_BLOCK", block)
+        assert _search_results() == want, block
+
+
+# The child runs one request, then prints its exit code and peak RSS (kB) to stderr.
+PEAK = """
+import sys
+from gghs.cli import main
+code = main(sys.argv[1:])
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, peak.split()[1], file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_s_symmetry_search_at_the_cap_holds_one_block():
+    """d = 256 holds 16 anchors (2**20 entries) at a time, not two d**3 arrays (546 MB)."""
+    proc = python_process("-c", PEAK, "symmetries", "fourier:256")
+    code, peak_kb = proc.stderr.split()
+    assert code == "0" and '"count": 256' in proc.stdout
+    assert int(peak_kb) < 200 * 1024, peak_kb
