@@ -24,8 +24,8 @@ _EXPORTS = {
     "hadamard": ("GENERAL", "P_EQUIV", "S_SYMMETRY", "EquivalenceWitness", "HadamardMatrix",
                  "apply_witness", "catalog", "check_witness", "dephase", "find_equivalence",
                  "fourier", "s_symmetries", "tensor_product", "validate"),
-    "qstate": ("LocalOperator", "StateVector", "apply_local", "digits_to_index", "ghz",
-               "graph_state", "hamiltonian_ground_check", "overlap", "reorder_qudits"),
+    "qstate": ("LocalOperator", "apply_local", "ghz", "graph_state", "hamiltonian_ground_check",
+               "overlap", "reorder_qudits"),
     "symmetry": ("auto_bipartite_parts", "lu_witness_bipartite", "lu_witness_p_equiv", "pauli_xz",
                  "stabilizer_from_symmetry", "verify_stabilizer"),
     "tensornet": ("peps_contract",),

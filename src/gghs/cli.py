@@ -52,7 +52,6 @@ from .hadamard import (
 )
 from .qstate import (
     LocalOperator,
-    StateVector,
     _check_graph_state,
     _check_normalized,
     ghz,
@@ -156,7 +155,7 @@ def resolve_graph(spec: str) -> Graph:
     return _resolve(spec, _GRAPHS, "a graph shorthand", graph_from_obj)
 
 
-def resolve_state(spec: str) -> StateVector:
+def resolve_state(spec: str) -> np.ndarray:
     return _check_normalized(_resolve(spec, _STATES, "ghz:N:D", state_from_obj))
 
 
@@ -221,7 +220,7 @@ def cmd_state(args) -> dict:
                 fh.write("\n")
         except OSError as exc:
             raise Malformed(f"cannot write {args.out!r}: {exc}") from exc
-        return {"n": s.n, "d": s.d, "norm": s.norm(), "written": args.out}
+        return {"n": s.ndim, "d": s.shape[0], "norm": float(np.linalg.norm(s)), "written": args.out}
     return state_to_obj(s)
 
 

@@ -188,18 +188,19 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator):
     only. U = D u^(x n) with u = H/sqrt(d) and D the diagonal edge phases:
     edge gates not incident to k commute with E_k and cancel, and every site
     outside N[k] sees u^dagger u = I, so M = M_loc (x) I_rest. No U is built:
-    the edge gates are diagonal, so with h_v = H for k < v and H^T for v < k,
+    the edge gates are diagonal, so
         M_loc = sum_{E_ab != 0} E_ab (u^dagger |a><b| u)
-                (x) (x)_{v in N(k)} u^dagger diag(conj(h_v[a, :]) h_v[b, :]) u,
+                (x) (x)_{v in N(k)} u^dagger diag(conj(H[a, :]) H[b, :]) u,
     the factors in the vertex order of N[k]: one Kronecker product of
     d^(2m) entries per nonzero E_ab (at most d for a diagonal E), m = |N[k]|.
     Site operator, factorization and residual are read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
-    M is capped as the whole-register operator it stands for,
-    (d**n)**2 <= DENSE_AMP_CAP. An operator whose entries overflow float64
-    raises Overflow.
+    graph_state's checks run first, so H must be symmetric. M is capped as
+    the whole-register operator it stands for, (d**n)**2 <= DENSE_AMP_CAP.
+    An operator whose entries overflow float64 raises Overflow.
     """
+    _check_graph_state(G, H)
     n, d = G.n, H.d
     if E.d != d:
         raise errors.DimensionMismatch(f"error d={E.d}, matrix d={d}")
@@ -211,15 +212,14 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator):
     pre = d**site
     post = d ** (local.n - site - 1)
     Em = np.asarray(E.matrix)
-    u = H.entries / math.sqrt(d)
-    h = [H.entries.T if v < site else H.entries for v in range(local.n)]
+    h, u = H.entries, H.entries / math.sqrt(d)
     M = np.zeros((pre * d * post,) * 2, dtype=np.complex128)
     # An overflow is raised as Overflow below, not printed as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(*np.nonzero(Em)):
             factors = [
                 Em[a, b] * np.outer(u[a].conj(), u[b]) if v == site
-                else (u.conj().T * (h[v][a].conj() * h[v][b])) @ u
+                else (u.conj().T * (h[a].conj() * h[b])) @ u
                 for v in range(local.n)
             ]
             M += reduce(np.kron, factors)

@@ -1,9 +1,9 @@
 """Reduced density matrices, Schmidt spectra, the degree-6 invariant, and the
 Kraus-commutation obstruction to GHZ equivalence.
 
-The state-level functions take a StateVector, or a (Graph, HadamardMatrix)
-pair standing for its graph state: the pair's reduced states come from
-graph_reduced_density, and its d**n register is never built.
+The state-level functions take a state, a (d,)*n array, or a (Graph,
+HadamardMatrix) pair standing for its graph state: the pair's reduced states
+come from graph_reduced_density, and its d**n register is never built.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import errors
 from ._tol import TOL_ENTRY
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
-from .qstate import StateVector, _check_graph_state, _check_normalized, _dense_size, _encode
+from .qstate import _check_graph_state, _check_normalized, _dense_size, _encode
 
 
 def _check_keep(keep: Sequence[int], n: int) -> List[int]:
@@ -30,33 +30,39 @@ def _check_keep(keep: Sequence[int], n: int) -> List[int]:
     return keep
 
 
-State = Union[StateVector, Tuple[Graph, HadamardMatrix]]
+State = Union[np.ndarray, Tuple[Graph, HadamardMatrix]]
 
 
 def _shape(s: State) -> Tuple[int, int]:
-    """(n, d) of s, a StateVector of norm 1 within 1e-6; for a (G, H) pair
-    graph_state's checks run first, so its errors come before any site check."""
-    if isinstance(s, StateVector):
+    """(n, d) of s, an array whose axes share one length, of norm 1 within
+    1e-6; for a (G, H) pair graph_state's checks run first, so its errors come
+    before any site check. Each kernel runs this once, then _reduced."""
+    if isinstance(s, np.ndarray):
         _check_normalized(s)
-        return s.n, s.d
+        return s.ndim, (s.shape or (1,))[0]  # a state on no sites has one amplitude
     G, H = s
     _check_graph_state(G, H)
     return G.n, H.d
 
 
+def _reduced(s: State, keep: Sequence[int]) -> np.ndarray:
+    """reduced_density for a state that _shape has checked."""
+    if not isinstance(s, np.ndarray):
+        return graph_reduced_density(*s, keep)
+    keep = _check_keep(keep, s.ndim)
+    dk = _dense_size(len(keep), s.shape[0], axes=2)
+    rest = [a for a in range(s.ndim) if a not in keep]
+    rho = np.tensordot(s, s.conj(), axes=(rest, rest))
+    return rho.reshape(dk, dk)
+
+
 def reduced_density(s: State, keep: Sequence[int]) -> np.ndarray:
     """The reduced state on the m sites `keep` (ascending), a (d**m, d**m)
-    array capped before it is built. A StateVector must have norm 1 within
-    1e-6; a (G, H) pair goes to graph_reduced_density."""
-    if not isinstance(s, StateVector):
-        return graph_reduced_density(*s, keep)
-    _check_normalized(s)
-    keep = _check_keep(keep, s.n)
-    dk = _dense_size(len(keep), s.d, axes=2)
-    rest = [a for a in range(s.n) if a not in keep]
-    T = s.tensor()
-    rho = np.tensordot(T, T.conj(), axes=(rest, rest))
-    return rho.reshape(dk, dk)
+    array capped before it is built. An array must have axes of one length
+    and norm 1 within 1e-6; a (G, H) pair goes to graph_reduced_density."""
+    if isinstance(s, np.ndarray):
+        _check_normalized(s)
+    return _reduced(s, keep)
 
 
 def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> np.ndarray:
@@ -90,7 +96,7 @@ def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> n
         P = np.ones(d, np.complex128)  # P[i_a1, ..., i_ar, x] = prod_j h[i_aj, x]
         shape = [1] * (2 * m)
         for a in local.neighbors(v):
-            P = P[..., None, :] * (h if a < v else h.T)
+            P = P[..., None, :] * h
             shape[axis[a]] = shape[m + axis[a]] = d
         P = P.reshape(-1, d)
         T *= (P @ P.conj().T / d).reshape(shape)
@@ -116,13 +122,13 @@ def i6(s: State) -> float:
     """Tr((rho_01^{T_0})^3), the degree-6 local-unitary invariant.
 
     Sites {0, 1} are kept and the transpose acts on slot 0. The trace of an
-    odd power of a Hermitian matrix is real, and a StateVector off norm 1 by
+    odd power of a Hermitian matrix is real, and an array off norm 1 by
     more than 1e-6 raises NotNormalized, so the imaginary part is round-off.
     """
     n, d = _shape(s)
     if n < 3:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
-    pt = partial_transpose(reduced_density(s, [0, 1]), (d, d), 0)
+    pt = partial_transpose(_reduced(s, [0, 1]), (d, d), 0)
     return float(np.trace(pt @ pt @ pt).real)
 
 
@@ -140,7 +146,7 @@ def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
         raise errors.BadPartition("part must be a proper nonempty site subset")
     _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it
     side = part if 2 * len(part) <= n else [k for k in range(n) if k not in part]
-    rho = reduced_density(s, side)
+    rho = _reduced(s, side)
     herm = (rho + rho.conj().T) / 2.0
     vals = np.linalg.eigvalsh(herm)
     if len(side) < len(part):

@@ -2,7 +2,8 @@
 
 Matrix JSON:  {"d": d, "entries": [[[re, im], ...] x d] x d}
 Graph JSON:   {"n": n, "edges": [[u, v], ...]}
-State JSON:   {"n": n, "d": d, "amps": [[re, im], ...]}  (length d**n)
+State JSON:   {"n": n, "d": d, "amps": [[re, im], ...]}  (length d**n, C order
+              of the state's (d,)*n array)
 Classical code text: one digit word per line, '#' starts a comment.
 
 The integer fields (n, d and the edge endpoints) must be JSON integers:
@@ -31,7 +32,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # the readers import these when they run
     from .graphs import Graph
-    from .qstate import StateVector
 
 
 def _fmt_float(x: float) -> str:
@@ -148,12 +148,12 @@ def graph_from_obj(obj) -> Graph:
                      for u, v in obj["edges"]])
 
 
-def state_to_obj(s: StateVector) -> dict:
-    return {"n": s.n, "d": s.d, "amps": s.amps}
+def state_to_obj(s: np.ndarray) -> dict:
+    return {"n": s.ndim, "d": s.shape[0], "amps": s.reshape(-1)}
 
 
-def state_from_obj(obj) -> StateVector:
-    from .qstate import StateVector, _dense_size
+def state_from_obj(obj) -> np.ndarray:
+    from .qstate import _dense_size
 
     n = _json_int(obj["n"], "n")
     d = _json_int(obj["d"], "d")
@@ -162,4 +162,4 @@ def state_from_obj(obj) -> StateVector:
         raise ValueError(f"amps shape {amps.shape} does not match n={n}, d={d}")
     if not np.isfinite(amps).all():
         raise ValueError("amps hold a non-finite value")
-    return StateVector(n=n, d=d, amps=amps)
+    return amps.reshape((d,) * n)

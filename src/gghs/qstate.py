@@ -1,8 +1,10 @@
-"""Dense state-vector engine for n qudits of local dimension d.
+"""Dense state engine for n qudits of local dimension d.
 
-Basis index convention is big-endian: qudit 0 is the most significant digit,
-k = sum_k i_k * d^(n-1-k). States are compared by |overlap|, never
-componentwise, since every local-unitary statement is phase-insensitive.
+A state is a complex array of shape (d,)*n: axis k holds qudit k, so the
+amplitude at digits (i_1, ..., i_n) is psi[i_1, ..., i_n], and flattened in
+C order qudit 0 is the most significant digit. States are compared by
+|overlap|, never componentwise, since every local-unitary statement is
+phase-insensitive.
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ MAX_SITES = 32             # largest n: one tensor axis per site, numpy 1.x's ax
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    n: int
-    d: int
-    amps: np.ndarray  # (d**n,) complex128
-
-    def tensor(self) -> np.ndarray:
-        return self.amps.reshape((self.d,) * self.n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True, eq=False)
 class LocalOperator:
     """A d x d operator with finite entries acting on one site. Not necessarily unitary."""
 
@@ -51,19 +40,15 @@ class LocalOperator:
             raise errors.NonFinite("operator entries must be finite")
 
 
-def _check_normalized(s: StateVector) -> StateVector:
-    """s, or NotNormalized unless |norm(s) - 1| <= 1e-6 (a NaN norm fails)."""
-    nrm = s.norm()
+def _check_normalized(s: np.ndarray) -> np.ndarray:
+    """s, or DimensionMismatch unless its axes share one length, or
+    NotNormalized unless |norm(s) - 1| <= 1e-6 (a NaN norm fails)."""
+    if len(set(np.shape(s))) > 1:
+        raise errors.DimensionMismatch(f"state axes {np.shape(s)} differ in length")
+    nrm = float(np.linalg.norm(s))
     if not abs(nrm - 1.0) <= 1e-6:
         raise errors.NotNormalized(f"state norm {nrm:.6f} is not 1")
     return s
-
-
-def digits_to_index(d: int, digits: Sequence[int]) -> int:
-    k = 0
-    for x in digits:
-        k = k * d + int(x)
-    return k
 
 
 def _dense_size(n: int, d: int, axes: int = 1) -> int:
@@ -103,16 +88,6 @@ def _edge_phases(h: np.ndarray, edges, T: np.ndarray) -> None:
         T *= (h if a < b else h.T).reshape(shape)
 
 
-def _apply_site(op: np.ndarray, site: int, d: int, A: np.ndarray) -> np.ndarray:
-    """op on one site of A, whose leading axis is the big-endian register.
-
-    Trailing axes of A are independent columns and ride along.
-    """
-    T = A.reshape(d**site, d, -1)
-    out = np.einsum("ab,ibj->iaj", np.asarray(op, dtype=np.complex128), T)
-    return out.reshape(A.shape)
-
-
 def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     """Columns D u^(x n)|w> of the encoding circuit for the K words w (rows).
 
@@ -131,12 +106,15 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     return T
 
 
-def apply_local(U: LocalOperator, s: StateVector) -> StateVector:
-    if U.d != s.d:
-        raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.d}")
-    if not (0 <= U.site < s.n):
-        raise errors.SiteOutOfRange(f"site {U.site} out of range for n={s.n}")
-    return StateVector(n=s.n, d=s.d, amps=_apply_site(U.matrix, U.site, s.d, s.amps))
+def apply_local(U: LocalOperator, s: np.ndarray) -> np.ndarray:
+    """U's matrix on axis U.site of the state s; the other axes ride along."""
+    if not (0 <= U.site < s.ndim):
+        raise errors.SiteOutOfRange(f"site {U.site} out of range for n={s.ndim}")
+    if U.d != s.shape[U.site]:
+        raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.shape[U.site]}")
+    T = s.reshape(math.prod(s.shape[: U.site]), U.d, -1)
+    out = np.einsum("ab,ibj->iaj", np.asarray(U.matrix, dtype=np.complex128), T)
+    return out.reshape(s.shape)
 
 
 def _check_graph_state(
@@ -160,7 +138,7 @@ def _check_graph_state(
 
 def graph_state(
     G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
-) -> StateVector:
+) -> np.ndarray:
     """The graph state of G over H with input digits c (default all zeros).
 
     This is the encoding circuit's column for word c (see _encode), divided
@@ -168,36 +146,32 @@ def graph_state(
     validation admits.
     """
     digits = _check_graph_state(G, H, input_digits)
-    psi = _encode(G, H, [digits]).reshape(-1)
+    psi = _encode(G, H, [digits])[..., 0]
     psi /= np.linalg.norm(psi)
-    return StateVector(n=G.n, d=H.d, amps=psi)
+    return psi
 
 
-def ghz(n: int, d: int) -> StateVector:
+def ghz(n: int, d: int) -> np.ndarray:
     if n < 1 or d < 2:
         raise errors.BadSize("ghz needs n >= 1 and d >= 2")
-    amps = np.zeros(_dense_size(n, d), dtype=np.complex128)
+    psi = np.zeros(_dense_size(n, d), dtype=np.complex128).reshape((d,) * n)
     for i in range(d):
-        amps[digits_to_index(d, (i,) * n)] = 1.0 / math.sqrt(d)
-    return StateVector(n=n, d=d, amps=amps)
+        psi[(i,) * n] = 1.0 / math.sqrt(d)
+    return psi
 
 
-def overlap(s1: StateVector, s2: StateVector) -> complex:
-    if (s1.n, s1.d) != (s2.n, s2.d):
-        raise errors.DimensionMismatch(
-            f"states differ: (n={s1.n}, d={s1.d}) vs (n={s2.n}, d={s2.d})"
-        )
-    return complex(np.vdot(s1.amps, s2.amps))
+def overlap(s1: np.ndarray, s2: np.ndarray) -> complex:
+    if np.shape(s1) != np.shape(s2):
+        raise errors.DimensionMismatch(f"states differ: shape {np.shape(s1)} vs {np.shape(s2)}")
+    return complex(np.vdot(s1, s2))
 
 
-def reorder_qudits(s: StateVector, perm: Sequence[int]) -> StateVector:
+def reorder_qudits(s: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     """Relocate amplitudes so input qudit k becomes output qudit perm[k]."""
     perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(s.n)):
-        raise errors.BadPermutation(f"{perm} is not a permutation of 0..{s.n - 1}")
-    axes = np.argsort(perm)  # output axis m holds input axis axes[m]
-    T = s.tensor().transpose(axes)
-    return StateVector(n=s.n, d=s.d, amps=np.ascontiguousarray(T).reshape(-1))
+    if sorted(perm) != list(range(s.ndim)):
+        raise errors.BadPermutation(f"{perm} is not a permutation of 0..{s.ndim - 1}")
+    return np.ascontiguousarray(np.transpose(s, np.argsort(perm)))
 
 
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):

@@ -27,7 +27,7 @@ from .hadamard import (
     check_witness,
     dephase,
 )
-from .qstate import LocalOperator, StateVector, _check_normalized, apply_local, graph_state, overlap
+from .qstate import LocalOperator, _check_normalized, apply_local, graph_state, overlap
 
 
 def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -57,16 +57,16 @@ def stabilizer_from_symmetry(G: Graph, H: HadamardMatrix, w: EquivalenceWitness,
     return tuple(factors)
 
 
-def verify_stabilizer(factors: Sequence[np.ndarray], s: StateVector) -> Tuple[bool, float]:
+def verify_stabilizer(factors: Sequence[np.ndarray], s: np.ndarray) -> Tuple[bool, float]:
     """(fixed, ||K psi - psi||) for K, the product of the n site factors, and
     the normalized state psi."""
     _check_normalized(s)
-    if len(factors) != s.n:
-        raise errors.DimensionMismatch(f"operator of {len(factors)} sites vs state of n={s.n}")
+    if len(factors) != s.ndim:
+        raise errors.DimensionMismatch(f"operator of {len(factors)} sites vs state of n={s.ndim}")
     out = s
     for site, f in enumerate(factors):
-        out = apply_local(LocalOperator(d=s.d, site=site, matrix=f), out)
-    deviation = float(np.linalg.norm(out.amps - s.amps))
+        out = apply_local(LocalOperator(d=s.shape[0], site=site, matrix=f), out)
+    deviation = float(np.linalg.norm(out - s))
     return deviation <= TOL_ENTRY, deviation
 
 

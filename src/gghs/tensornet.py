@@ -12,10 +12,10 @@ import numpy as np
 from . import errors
 from .graphs import Graph
 from .hadamard import HadamardMatrix
-from .qstate import StateVector, _dense_size
+from .qstate import _dense_size
 
 
-def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
+def peps_contract(G: Graph, H: HadamardMatrix) -> np.ndarray:
     """Contract one bond tensor per edge with per-site leg-merging projectors.
 
     The projector at site s forces every leg incident to s to carry the same
@@ -40,9 +40,8 @@ def peps_contract(G: Graph, H: HadamardMatrix) -> StateVector:
     for f, sub in factors:
         out = sorted(set(axes).union(sub))
         T, axes = np.einsum(T, axes, f, sub, out), out
-    amps = T.reshape(-1)
-    nrm = np.linalg.norm(amps)
+    nrm = np.linalg.norm(T)
     if nrm <= 0:
         raise errors.NotHadamard("contraction produced the zero vector")
-    amps /= nrm
-    return StateVector(n=n, d=d, amps=amps)
+    T /= nrm
+    return T

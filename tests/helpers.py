@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from gghs import StateVector, catalog, digits_to_index, errors, family, fourier, pauli_xz, validate
+from gghs import catalog, errors, family, fourier, pauli_xz, validate
 from gghs.cli import main
 from gghs.hadamard import HadamardMatrix
 from gghs.qstate import _check_digits, _dense_size, _edge_phases
@@ -84,6 +84,14 @@ def cut_rank(G, part, p):
     return rank
 
 
+def digits_to_index(d: int, digits: Sequence[int]) -> int:
+    """The big-endian flat index of digits: qudit 0 is the most significant."""
+    k = 0
+    for x in digits:
+        k = k * d + int(x)
+    return k
+
+
 def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -92,27 +100,27 @@ def index_to_digits(n: int, d: int, k: int) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def basis_state(n: int, d: int, digits: Sequence[int]) -> StateVector:
+def basis_state(n: int, d: int, digits: Sequence[int]) -> np.ndarray:
     _check_digits(n, d, digits)
     amps = np.zeros(_dense_size(n, d), dtype=np.complex128)
     amps[digits_to_index(d, digits)] = 1.0
-    return StateVector(n=n, d=d, amps=amps)
+    return amps.reshape((d,) * n)
 
 
-def apply_ch(H: HadamardMatrix, s: StateVector, i: int, j: int) -> StateVector:
+def apply_ch(H: HadamardMatrix, s: np.ndarray, i: int, j: int) -> np.ndarray:
     """Diagonal two-qudit gate: amplitude at (.., a_i, .., a_j, ..) times h[a_i, a_j]."""
     if i == j:
         raise ValueError("the gate acts on two distinct sites")
-    if H.d != s.d:
-        raise errors.DimensionMismatch(f"matrix d={H.d}, state d={s.d}")
+    if H.d != s.shape[0]:
+        raise errors.DimensionMismatch(f"matrix d={H.d}, state d={s.shape[0]}")
     if not H.symmetric:
         raise errors.NotSymmetric("the gate requires a symmetric matrix")
     for site in (i, j):
-        if not (0 <= site < s.n):
-            raise errors.SiteOutOfRange(f"site {site} out of range for n={s.n}")
-    T = s.tensor().astype(np.complex128)
+        if not (0 <= site < s.ndim):
+            raise errors.SiteOutOfRange(f"site {site} out of range for n={s.ndim}")
+    T = s.astype(np.complex128)
     _edge_phases(H.entries, [(i, j)], T)
-    return StateVector(n=s.n, d=s.d, amps=T.reshape(-1))
+    return T
 
 
 def kron_circuit_unitary(G, H) -> np.ndarray:

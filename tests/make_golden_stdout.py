@@ -120,6 +120,8 @@ ERRORS = [
     ["code", "--graph", "triangle", "--hadamard", "skewed_f3.json", "--classical", "rep_d3.txt",
      "--distance", "2"],  # not_symmetric, as state
     ["peps-check", "--graph", "cycle:16", "--hadamard", "skewed_f3.json"],  # not_symmetric, as state
+    ["decode-error", "--graph", "triangle", "--hadamard", "skewed_f3.json", "--site", "0", "--op",
+     "X"],  # not_symmetric, as state
     ["equiv", "fourier:7", "fourier:7"],  # search_limit_exceeded
     ["state", "--graph", "self_loop.json", "--hadamard", "fourier:2"],
     ["state", "--graph", "out_of_range.json", "--hadamard", "fourier:2"],  # index_out_of_range

@@ -14,7 +14,6 @@ import numpy as np
 from gghs import (
     ClassicalCode,
     LocalOperator,
-    StateVector,
     apply_local,
     auto_bipartite_parts,
     build_code,
@@ -172,7 +171,7 @@ def test_criterion_06_star_and_line_closed_forms():
         for n in range(2, 6):
             expect = _star_closed_form(n, H)
             got = graph_state(family("star", n), H)
-            ov = abs(np.vdot(expect, got.amps))
+            ov = abs(np.vdot(expect, got.reshape(-1)))
             if ov < 1 - 1e-9:
                 failures.append(f"star({n}) {label}: overlap {ov}")
         cols = H.entries / math.sqrt(d)
@@ -180,7 +179,7 @@ def test_criterion_06_star_and_line_closed_forms():
         for j in range(d):
             expect += np.kron(cols[:, j], np.kron(np.eye(d)[j], cols[:, j])) / math.sqrt(d)
         got = graph_state(family("line", 3), H)
-        ov = abs(np.vdot(expect, got.amps))
+        ov = abs(np.vdot(expect, got.reshape(-1)))
         if ov < 1 - 1e-9:
             failures.append(f"line(3) {label}: overlap {ov}")
     finish(6, "star-line-closed-forms", failures)
@@ -203,14 +202,14 @@ def test_criterion_08_tensor_product_interleave():
     for gname, G in [("triangle", family("triangle")), ("cycle:4", family("cycle", 4))]:
         n = G.n
         s2 = graph_state(G, F2)
-        pair = np.kron(s2.amps, s2.amps)  # qudit order (0a..na, 0b..nb)
-        paired = StateVector(n=2 * n, d=2, amps=pair)
+        pair = np.kron(s2.reshape(-1), s2.reshape(-1))  # qudit order (0a..na, 0b..nb)
+        paired = pair.reshape((2,) * (2 * n))
         perm = [0] * (2 * n)
         for k in range(n):
             perm[k] = 2 * k          # a-copy qudit k -> slot 2k
             perm[n + k] = 2 * k + 1  # b-copy qudit k -> slot 2k+1
         interleaved = reorder_qudits(paired, perm)
-        s4 = StateVector(n=n, d=4, amps=interleaved.amps)
+        s4 = interleaved.reshape((4,) * n)
         ov = abs(overlap(s4, graph_state(G, F22)))
         if ov < 1 - 1e-9:
             failures.append(f"{gname}: overlap {ov}")
@@ -332,7 +331,7 @@ def test_criterion_11_triangle_necessary_conditions():
     for alpha in (PI / 5, 1.3):
         expect = _four_term_product_state(alpha)
         got = graph_state(family("triangle"), catalog("h_alpha", alpha))
-        ov = abs(np.vdot(expect, got.amps))
+        ov = abs(np.vdot(expect, got.reshape(-1)))
         if ov < 1 - 1e-9:
             failures.append(f"four-term decomposition at alpha={alpha}: overlap {ov}")
 

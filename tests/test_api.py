@@ -40,9 +40,7 @@ PUBLIC = [
     "tensor_product",
     "validate",
     "LocalOperator",
-    "StateVector",
     "apply_local",
-    "digits_to_index",
     "ghz",
     "graph_state",
     "hamiltonian_ground_check",
@@ -58,21 +56,22 @@ PUBLIC = [
     "__version__",
 ]
 
-# Kept out of the package: fixtures and oracles that live in tests/helpers.py,
-# the bond state, which nothing used, encode, which was graph_state with
-# input digits, and the result wrappers: a witness holds its permutations as
-# tuples and its diagonals as phase arrays, a stabilizer is the tuple of its
-# site factors, a reduced state is its array, and a decoded error is the tuple
+# Kept out of the package: fixtures and oracles that live in tests/helpers.py
+# (digits_to_index among them), the bond state, which nothing used, encode,
+# which was graph_state with input digits, and the wrappers: a state is its
+# (d,)*n array, indexed by digits, a witness holds its permutations as tuples
+# and its diagonals as phase arrays, a stabilizer is the tuple of its site
+# factors, a reduced state is its array, and a decoded error is the tuple
 # (factorizes, site_operator, residual).
 REMOVED = [
     "apply_ch", "basis_state", "index_to_digits", "weyl_operators", "BondState", "bond_state",
     "circuit_unitary", "encode", "Permutation", "DiagonalUnitary", "StabilizerOperator",
-    "DensityMatrix", "DecodedError",
+    "DensityMatrix", "DecodedError", "StateVector", "digits_to_index",
 ]
 
 
 def test_public_api_is_the_decided_list():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 47
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)

@@ -189,6 +189,13 @@ def test_shorthand_argument_counts_and_types(capsys, argv):
          "malformed_input", "does not match n=2, d=2"),
         (["state", "--graph", "{file}", "--hadamard", "fourier:2"], {"n": 0, "edges": []}, 1,
          "bad_size", "n must be >= 1"),
+        # A state on no sites is one amplitude with no axis to read d from.
+        (["invariant", "--state", "{file}", "--i6"], {"n": 0, "d": 3, "amps": [[1, 0]]}, 1,
+         "too_few_sites", "needs n >= 3"),
+        (["invariant", "--state", "{file}", "--schmidt", "0"], {"n": 0, "d": 3, "amps": [[1, 0]]},
+         1, "bad_partition", "proper nonempty site subset"),
+        (["invariant", "--state", "{file}", "--rdm", "0"], {"n": 0, "d": 3, "amps": [[1, 0]]}, 1,
+         "bad_site", "site 0 out of range for n=0"),
     ],
 )
 def test_input_refusals(tmp_path, capsys, argv, content, exit_code, error, detail):
@@ -648,6 +655,19 @@ def test_code_refuses_a_non_symmetric_matrix_as_state_does(tmp_path, capsys):
     pair = ("--graph", "triangle", "--hadamard", str(m))
     refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
     assert run(capsys, "code", *pair, "--classical", str(words), "--distance", "2") == (1, refused)
+    assert run(capsys, "state", *pair) == (1, refused)
+
+
+def test_decode_error_refuses_a_non_symmetric_matrix_as_state_does(tmp_path, capsys):
+    # fourier:4 with rows 0 and 1 swapped: the circuit that decode-error
+    # conjugates by is the graph state's, so the symmetry is named first,
+    # before the site too.
+    m = tmp_path / "swapped.json"
+    m.write_text(matrix_json(fourier(4).entries[[1, 0, 2, 3]]))
+    pair = ("--graph", "triangle", "--hadamard", str(m))
+    refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
+    for site in ("0", "7"):
+        assert run(capsys, "decode-error", *pair, "--site", site, "--op", "X") == (1, refused), site
     assert run(capsys, "state", *pair) == (1, refused)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gghs import (
     LocalOperator,
-    StateVector,
     apply_local,
     build,
     catalog,
@@ -24,6 +23,7 @@ from gghs import (
     reduced_density,
     schmidt_spectrum,
     validate,
+    verify_stabilizer,
 )
 from gghs import entangle
 from helpers import basis_state, connected_graphs, cut_rank, full_catalog
@@ -123,7 +123,7 @@ def test_i6_separates_triangle_d6_from_ghz():
 def test_i6_residue_of_a_state_far_from_norm_one_is_named():
     s = graph_state(family("triangle"), catalog("h_d6"))
     for scale in (1e2, 1e3, float("nan")):
-        far = StateVector(n=3, d=6, amps=s.amps * scale)
+        far = s * scale
         with pytest.raises(errors.NotNormalized):
             i6(far)
         with pytest.raises(errors.NotNormalized):
@@ -258,6 +258,41 @@ def test_graph_reduced_density_checks_in_graph_state_order():
         graph_reduced_density(G, fourier(2), [0, 3])
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        i6,
+        lambda s: schmidt_spectrum(s, [0]),
+        lambda s: reduced_density(s, [0]),
+        lambda s: verify_stabilizer([np.eye(2), np.eye(3), np.eye(2)], s),
+    ],
+    ids=["i6", "schmidt_spectrum", "reduced_density", "verify_stabilizer"],
+)
+def test_a_state_with_axes_of_unequal_length_is_a_dimension_mismatch(kernel):
+    # n and d are read off the array's shape, so its axes must share one
+    # length; the shape is checked before the norm (this array's is 0).
+    s = np.zeros((2, 3, 2), dtype=np.complex128)
+    with pytest.raises(errors.DimensionMismatch, match=r"state axes \(2, 3, 2\) differ"):
+        kernel(s)
+
+
+def test_each_state_kernel_reads_the_norm_once(monkeypatch):
+    seen = []
+    check = entangle._check_normalized
+    monkeypatch.setattr(entangle, "_check_normalized", lambda s: seen.append(s) or check(s))
+    s = graph_state(family("line", 4), fourier(3))
+    calls = {
+        "i6": lambda: i6(s),
+        "schmidt_spectrum": lambda: schmidt_spectrum(s, [0]),
+        "schmidt_spectrum, the larger side": lambda: schmidt_spectrum(s, [0, 1, 3]),
+        "reduced_density": lambda: reduced_density(s, [0, 2]),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert len(seen) == 1, name
+
+
 def test_reduced_states_past_the_cap_are_refused_before_allocation(monkeypatch):
     # rho_S holds d**(2|S|) entries: 65**4 and 4097**2 pass 2**24, though
     # 65**3 and 4097 amplitudes fit the state.
@@ -271,7 +306,7 @@ def test_reduced_states_past_the_cap_are_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(entangle, "_encode", dense_work)
     for s in states:
         with pytest.raises(errors.TooLarge):
-            reduced_density(s, range(min(s.n, 2)))
+            reduced_density(s, range(min(s.ndim, 2)))
     for G, H in pairs:
         with pytest.raises(errors.TooLarge):
             graph_reduced_density(G, H, [0, 1])

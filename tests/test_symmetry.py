@@ -9,7 +9,6 @@ from gghs import (
     S_SYMMETRY,
     EquivalenceWitness,
     LocalOperator,
-    StateVector,
     apply_local,
     apply_witness,
     auto_bipartite_parts,
@@ -144,7 +143,7 @@ def test_verify_stabilizer_refuses_an_unnormalized_state(scale):
     op = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
     psi = graph_state(G, H)
     with pytest.raises(errors.NotNormalized):
-        verify_stabilizer(op, StateVector(n=3, d=3, amps=psi.amps * scale))
+        verify_stabilizer(op, psi * scale)
 
 
 def test_a_witness_of_another_dimension_is_a_dimension_mismatch():

@@ -26,12 +26,12 @@ PI = math.pi
 
 def test_bond_state_qubit():
     s = peps_contract(family("line", 2), fourier(2))
-    np.testing.assert_allclose(s.amps, np.array([1, 1, 1, -1]) / 2, atol=1e-12)
+    np.testing.assert_allclose(s.reshape(-1), np.array([1, 1, 1, -1]) / 2, atol=1e-12)
 
 
 def test_bond_state_entry_lookup():
     s = peps_contract(family("line", 2), catalog("h_alpha", PI / 5))
-    np.testing.assert_allclose(s.amps[2 * 4 + 2], np.exp(1j * PI / 5) / 4, atol=1e-12)
+    np.testing.assert_allclose(s.reshape(-1)[2 * 4 + 2], np.exp(1j * PI / 5) / 4, atol=1e-12)
 
 
 def test_zero_contraction_is_not_hadamard():
@@ -43,15 +43,15 @@ def test_zero_contraction_is_not_hadamard():
 @pytest.mark.parametrize("label,H", full_catalog())
 def test_bond_state_norm(label, H):
     s = peps_contract(family("line", 2), H)
-    assert abs(s.norm() - 1.0) <= 1e-12
-    np.testing.assert_allclose(s.amps, H.entries.reshape(-1) / H.d, atol=1e-9)
+    assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+    np.testing.assert_allclose(s.reshape(-1), H.entries.reshape(-1) / H.d, atol=1e-9)
 
 
 def test_edge_contraction_is_maximally_entangled():
     H = catalog("tilde_b")
     s = peps_contract(family("line", 2), H)
     expect = H.entries.reshape(-1) / 4.0  # C^H applied to the uniform state
-    assert abs(abs(np.vdot(expect, s.amps)) - 1.0) <= 1e-9
+    assert abs(abs(np.vdot(expect, s.reshape(-1))) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("gname,G", connected_graphs(max_n=4))
@@ -87,4 +87,4 @@ def test_isolated_vertex_factor():
 def test_empty_graph_contraction():
     G = build(2, [])
     s = peps_contract(G, fourier(2))
-    np.testing.assert_allclose(s.amps, np.full(4, 0.5), atol=1e-12)
+    np.testing.assert_allclose(s.reshape(-1), np.full(4, 0.5), atol=1e-12)
