@@ -222,26 +222,19 @@ def _rank1_unimodular_factors(R: np.ndarray, tol: float):
 _SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8)}
 
 
-def _perm_matrix(p: tuple) -> np.ndarray:
-    """The operator P|i> = |p[i]> as a complex128 matrix."""
-    m = np.zeros((len(p), len(p)), dtype=np.complex128)
-    m[list(p), range(len(p))] = 1.0
-    return m
-
-
 def _witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
-    """Right-hand side of the witness's defining equation with H plugged in."""
+    """Right-hand side of the witness's defining equation at H: (P X)[i] = X[p^-1(i)]."""
     held = (w.p1, w.d1) + {GENERAL: (w.p2, w.d2), P_EQUIV: (w.d2,)}.get(w.kind, ())
     for part in held:  # every permutation and diagonal the witness's kind uses
         if len(part) != H.d:
             raise errors.DimensionMismatch(f"witness of d={len(part)} vs matrix of d={H.d}")
+    A, inv = H.entries, np.argsort(w.p1)  # a permutation gathers, a diagonal broadcasts
     if w.kind == GENERAL:
-        return np.diag(w.d1) @ _perm_matrix(w.p1) @ H.entries @ _perm_matrix(w.p2) @ np.diag(w.d2)
+        return w.d1[:, None] * A[inv][:, list(w.p2)] * w.d2
     if w.kind == P_EQUIV:
-        P = _perm_matrix(w.p1)
-        return P @ np.diag(w.d1) @ H.entries @ np.diag(w.d2) @ P.T
+        return (w.d1[:, None] * A * w.d2)[inv][:, inv]
     if w.kind == S_SYMMETRY:
-        return _perm_matrix(w.p1) @ H.entries @ np.diag(w.d1)
+        return A[inv] * w.d1
     raise errors.UnknownName(f"unknown witness kind {w.kind!r}")
 
 

@@ -80,12 +80,13 @@ def _check_digits(n: int, d: int, digits: Sequence[int]):
 
 
 def _edge_phases(h: np.ndarray, edges, T: np.ndarray) -> None:
-    """Multiply T (axis k is site k) in place by h[i_a, i_b] for each edge, in sorted order."""
+    """Multiply T (axis k is site k) in place by h[i_a, i_b] for each edge
+    (a, b), a < b, in the order given."""
     d = h.shape[0]
-    for a, b in sorted(edges):
+    for a, b in edges:
         shape = [1] * T.ndim
         shape[a] = shape[b] = d
-        T *= (h if a < b else h.T).reshape(shape)
+        T *= h.reshape(shape)
 
 
 def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:

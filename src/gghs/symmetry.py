@@ -22,7 +22,6 @@ from .hadamard import (
     S_SYMMETRY,
     EquivalenceWitness,
     HadamardMatrix,
-    _perm_matrix,
     apply_witness,
     check_witness,
     dephase,
@@ -51,7 +50,7 @@ def stabilizer_from_symmetry(G: Graph, H: HadamardMatrix, w: EquivalenceWitness,
         raise errors.BadVertex(f"vertex {a} out of range for n={G.n}")
     eye = np.eye(H.d, dtype=np.complex128)
     factors = [eye] * G.n
-    factors[a] = _perm_matrix(w.p1)
+    factors[a] = eye[:, list(w.p1)]  # P|i> = |p[i]>
     for b in G.neighbors(a):
         factors[b] = np.diag(w.d1)
     return tuple(factors)
@@ -59,13 +58,25 @@ def stabilizer_from_symmetry(G: Graph, H: HadamardMatrix, w: EquivalenceWitness,
 
 def verify_stabilizer(factors: Sequence[np.ndarray], s: np.ndarray) -> Tuple[bool, float]:
     """(fixed, ||K psi - psi||) for K, the product of the n site factors, and
-    the normalized state psi."""
+    the normalized state psi. Each factor must be monomial, as P and D are:
+    it acts as one gather along its axis and one phase."""
     _check_normalized(s)
     if len(factors) != s.ndim:
         raise errors.DimensionMismatch(f"operator of {len(factors)} sites vs state of n={s.ndim}")
+    mats = [LocalOperator(d=s.shape[k], site=k, matrix=f).matrix for k, f in enumerate(factors)]
     out = s
-    for site, f in enumerate(factors):
-        out = apply_local(LocalOperator(d=s.shape[0], site=site, matrix=f), out)
+    for site, f in enumerate(np.asarray(f, dtype=np.complex128) for f in mats):
+        d, nz = len(f), f != 0
+        if (nz.sum(axis=0) != 1).any() or (nz.sum(axis=1) != 1).any():
+            raise errors.BadPermutation(f"the factor at site {site} is not monomial")
+        rows, cols = np.arange(d), np.argmax(nz, axis=1)  # K|cols[a]> = phase[a] |a>
+        phase = f[rows, cols]
+        out = out.reshape(d**site, d, -1)  # one name: each step frees the one before
+        if (cols != rows).any():
+            out = np.take(out, cols, axis=1)
+        if (phase != 1).any():
+            out = np.einsum("a,iaj->iaj", phase, out)
+        out = out.reshape(s.shape)
     deviation = float(np.linalg.norm(out - s))
     return deviation <= TOL_ENTRY, deviation
 
@@ -113,7 +124,7 @@ def lu_witness_p_equiv(
     """
     if w.kind != P_EQUIV:
         raise errors.InvalidWitness("expected a P-equivalence witness")
-    M = _perm_matrix(w.p1)
+    M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
     c = w.p1.index(0)
     return _lu_witness(G, H1, w, lambda u: (M, c))
 
@@ -137,8 +148,8 @@ def lu_witness_bipartite(
     for a, b in G.edges:
         if not ((a in v1 and b in v2) or (a in v2 and b in v1)):
             raise errors.NotBipartite(f"edge ({a},{b}) stays inside one part")
-    M1 = _perm_matrix(w.p1)
-    NT = _perm_matrix(w.p2).T
+    M1 = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
+    NT = np.eye(len(w.p2), dtype=np.complex128)[:, list(w.p2)].T
     c1 = w.p1.index(0)
     c2 = w.p2[0]
     return _lu_witness(G, H1, w, lambda u: (M1, c2) if u in v1 else (NT, c1))

@@ -21,8 +21,8 @@ import numpy as np
 
 from gghs import catalog, errors, family, fourier, pauli_xz, validate
 from gghs.cli import main
-from gghs.hadamard import HadamardMatrix
-from gghs.qstate import _check_digits, _dense_size, _edge_phases
+from gghs.hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix
+from gghs.qstate import LocalOperator, _check_digits, _dense_size, _edge_phases, apply_local
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -119,7 +119,9 @@ def apply_ch(H: HadamardMatrix, s: np.ndarray, i: int, j: int) -> np.ndarray:
         if not (0 <= site < s.ndim):
             raise errors.SiteOutOfRange(f"site {site} out of range for n={s.ndim}")
     T = s.astype(np.complex128)
-    _edge_phases(H.entries, [(i, j)], T)
+    # _edge_phases takes a < b; a file matrix equals its transpose only within TOL_ENTRY.
+    h, edge = (H.entries, (i, j)) if i < j else (H.entries.T, (j, i))
+    _edge_phases(h, [edge], T)
     return T
 
 
@@ -195,6 +197,28 @@ def s_symmetries_by_permutations(H: HadamardMatrix) -> List[Tuple[Tuple[int, ...
         if np.max(np.abs(Dm - np.diag(ph))) <= 1e-9 and np.max(np.abs(np.abs(ph) - 1.0)) <= 1e-9:
             out.append((p, ph))
     return out
+
+
+def dense_stabilizer_deviation(factors, s: np.ndarray) -> float:
+    """||K psi - psi|| with each site factor of K applied as a dense d x d
+    matrix by apply_local: the oracle of verify_stabilizer's deviation."""
+    out = s
+    for site, f in enumerate(factors):
+        out = apply_local(LocalOperator(d=s.shape[site], site=site, matrix=f), out)
+    return float(np.linalg.norm(out - s))
+
+
+def dense_witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
+    """The right-hand side of the witness's defining equation at H, each
+    permutation and diagonal multiplied in as a dense d x d matrix."""
+    def perm(p):
+        return np.eye(len(p), dtype=np.complex128)[:, list(p)]  # P|i> = |p[i]>
+
+    if w.kind == GENERAL:
+        return np.diag(w.d1) @ perm(w.p1) @ H.entries @ perm(w.p2) @ np.diag(w.d2)
+    if w.kind == P_EQUIV:
+        return perm(w.p1) @ np.diag(w.d1) @ H.entries @ np.diag(w.d2) @ perm(w.p1).T
+    return perm(w.p1) @ H.entries @ np.diag(w.d1)
 
 
 def df3d() -> HadamardMatrix:

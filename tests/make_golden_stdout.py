@@ -19,13 +19,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import cli_stdout, matrix_json, skewed_f3
+import numpy as np
+
+from gghs import fourier
+from helpers import cli_stdout, df3d, matrix_json, skewed_f3
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
 
 GOLDEN = HERE / "golden_stdout.json"
+
+
+def pdf5dp() -> np.ndarray:
+    """P D F5 D P^T for a fixed permutation P and fixed phases D."""
+    P = np.eye(5)[:, [2, 0, 4, 1, 3]]
+    D = np.diag(np.exp(1j * np.array([0.2, 1.3, 2.9, 0.7, 4.1])))
+    return P @ D @ fourier(5).entries @ D @ P.T
+
 
 FILES = {
     "one_d2.txt": "101\n",
@@ -36,6 +47,9 @@ FILES = {
     "not_unimodular.json": '{"d": 2, "entries": [[[2, 0], [1, 0]], [[1, 0], [-1, 0]]]}',
     "not_hadamard.json": '{"d": 2, "entries": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}',
     "skewed_f3.json": matrix_json(skewed_f3()),
+    # Witnesses with phases off the roots of unity.
+    "df3d.json": matrix_json(df3d().entries),
+    "pdf5dp.json": matrix_json(pdf5dp()),
     "self_loop.json": '{"n": 2, "edges": [[1, 1]]}',
     "out_of_range.json": '{"n": 2, "edges": [[0, 2]]}',
     "unnormalized.json": '{"n": 1, "d": 2, "amps": [[1, 0], [1, 0]]}',
@@ -93,6 +107,10 @@ SHAPES = [
     ["symmetries", "fourier:16"],
     ["symmetries", "fourier:128"],  # two blocks of anchors in the candidate search
     ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:9"],
+    ["stabilizers", "--graph", "line:2", "--hadamard", "fourier:64", "--all-symmetries"],
+    ["stabilizers", "--graph", "star:4", "--hadamard", "fourier:9", "--all-symmetries"],
+    ["equiv", "df3d.json", "fourier:3"],
+    ["equiv", "pdf5dp.json", "fourier:5", "--p-equiv"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "3"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "1"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "1", "--text"],

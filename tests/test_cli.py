@@ -471,6 +471,19 @@ def test_stabilizers_tol_sets_the_verdict(monkeypatch, capsys):
         assert obj["all_verified"] is verified
 
 
+def test_stabilizers_answer_without_apply_local(monkeypatch, capsys):
+    # Each factor of a generator acts by gather and phase, not as a dense matrix.
+    def refuse(U, s):
+        raise AssertionError("apply_local was called")
+
+    monkeypatch.setattr("gghs.symmetry.apply_local", refuse)
+    argv = ["stabilizers", "--graph", "triangle", "--hadamard", "fourier:3", "--all-symmetries"]
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    assert len(obj["checked"]) == 3
+    assert obj["all_verified"] is True
+
+
 def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
     """Symmetry and the d**n cap are checked before the sites are parsed or
     checked, as when the whole state was built first."""

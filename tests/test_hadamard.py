@@ -24,7 +24,13 @@ from gghs import (
     validate,
 )
 from gghs import hadamard
-from helpers import df3d, full_catalog, python_process, s_symmetries_by_permutations
+from helpers import (
+    dense_witness_rhs,
+    df3d,
+    full_catalog,
+    python_process,
+    s_symmetries_by_permutations,
+)
 
 PI = math.pi
 
@@ -274,6 +280,29 @@ def test_scrambled_fourier_is_recovered(d, seed):
     w = find_equivalence(scrambled, fourier(d), GENERAL)
     assert w is not None
     assert check_witness(scrambled, fourier(d), w) <= 1e-9
+
+
+def test_check_witness_matches_the_dense_oracle():
+    """The gathered right-hand side is checked within 1e-15 of the dense
+    matmul chain: every S-symmetry of the catalog, and the General and
+    PEquiv witnesses of random conjugates D P H P D of each matrix."""
+    rng = np.random.default_rng(31)
+    for label, H in full_catalog():
+        d = H.d
+        pairs = [(H, w) for w in s_symmetries(H)]  # (H1, w) with H2 = H
+        for kind in (GENERAL, P_EQUIV):
+            P1, P2 = (np.eye(d)[rng.permutation(d)] for _ in range(2))
+            D1, D2 = (np.diag(np.exp(2j * PI * rng.random(d))) for _ in range(2))
+            if kind == GENERAL:
+                H1 = validate(D1 @ P1 @ H.entries @ P2 @ D2)
+            else:
+                H1 = validate(P1 @ D1 @ H.entries @ D2 @ P1.T)
+            w = find_equivalence(H1, H, kind)
+            assert w is not None, (label, kind)
+            pairs.append((H1, w))
+        for H1, w in pairs:
+            dense = float(np.max(np.abs(H1.entries - dense_witness_rhs(H, w))))
+            assert abs(check_witness(H1, H, w) - dense) <= 1e-15, (label, w.kind, w.p1)
 
 
 def test_fourier6_not_equivalent_to_h_d6():

@@ -141,6 +141,17 @@ def test_apply_ch_squared_relation():
     np.testing.assert_allclose(twice.reshape(-1), once.reshape(-1), atol=1e-12)
 
 
+def test_apply_ch_reads_the_matrix_in_site_order():
+    # Sites (i, j) = (1, 0) read h[x_1, x_0], of a matrix symmetric only within TOL_ENTRY.
+    a = fourier(3).entries.copy()
+    a[1, 2] *= np.exp(1e-12j)
+    H = validate(a)
+    assert H.symmetric and a[1, 2] != a[2, 1]
+    s = apply_ch(H, basis_state(2, 3, [2, 1]), 1, 0)
+    assert s[2, 1] == a[1, 2]
+    assert np.count_nonzero(s) == 1
+
+
 def test_apply_ch_errors():
     with pytest.raises(ValueError):
         apply_ch(fourier(2), ghz(2, 2), 0, 0)

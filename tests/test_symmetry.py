@@ -26,7 +26,7 @@ from gghs import (
     stabilizer_from_symmetry,
     verify_stabilizer,
 )
-from helpers import basis_state, connected_graphs, df3d
+from helpers import basis_state, connected_graphs, dense_stabilizer_deviation, df3d, full_catalog
 
 PI = math.pi
 
@@ -131,9 +131,34 @@ def test_verify_stabilizer_refuses_factors_of_another_shape():
     G, H = family("triangle"), fourier(3)
     factors = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
     psi = graph_state(G, H)
-    for bad in (factors[:2], factors + factors[:1], (np.eye(2),) * 3):
+    F2, F3 = fourier(2).entries / math.sqrt(2), fourier(3).entries / math.sqrt(3)
+    # The shape is checked before the monomial form, at every site.
+    for bad in (factors[:2], factors + factors[:1], (np.eye(2),) * 3, (F2,) + factors[1:],
+                (F3, np.eye(2), factors[2])):
         with pytest.raises(errors.DimensionMismatch):
             verify_stabilizer(bad, psi)
+
+
+def test_verify_stabilizer_refuses_a_factor_that_is_not_monomial():
+    psi = graph_state(family("line", 2), fourier(2))
+    with pytest.raises(errors.BadPermutation) as refusal:
+        verify_stabilizer((np.eye(2), fourier(2).entries / math.sqrt(2)), psi)
+    assert refusal.value.code == "bad_permutation"
+
+
+def test_verify_stabilizer_matches_the_dense_oracle_bit_for_bit():
+    """Gather and phase give the deviation of the dense einsum, bit for bit,
+    for every S-symmetry generator on the test grid."""
+    for gname, G in connected_graphs(4):
+        for label, H in full_catalog():
+            if not H.symmetric:
+                continue
+            psi = graph_state(G, H)
+            for w in s_symmetries(H):
+                for a in range(G.n):
+                    op = stabilizer_from_symmetry(G, H, w, a)
+                    dense = dense_stabilizer_deviation(op, psi)
+                    assert verify_stabilizer(op, psi)[1] == dense, (gname, label, w.p1, a)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-12])
