@@ -2,9 +2,9 @@
 
 An S-symmetry (P, D) of H with P H D = H yields, for every vertex a, the
 operator P at a times D at each neighbor of a, which fixes the graph state.
-The witness constructors turn equivalence witnesses between two Hadamard
-matrices into per-site unitaries mapping one graph state onto the other; the
-mapping is always verified numerically before it is returned.
+lu_witness turns an equivalence witness between two Hadamard matrices into
+per-site unitaries mapping one graph state onto the other; the mapping is
+always verified numerically before it is returned.
 """
 
 from __future__ import annotations
@@ -81,21 +81,39 @@ def verify_stabilizer(factors: Sequence[np.ndarray], s: np.ndarray) -> Tuple[boo
     return deviation <= TOL_ENTRY, deviation
 
 
-def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
-    """Per-site unitaries M @ diag(conj(H1'[:, c]))^deg for (M, c) = factor(site).
+def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.ndarray]:
+    """Per-site unitaries U with (U x ... x U') psi_{G,H1} = psi_{G,H2}, for
+    H2 = apply_witness(H1, w).
 
-    H1' is the dephased form of H1 and H2 = apply_witness(H1, w). Diagonal
-    corrections splice in when either matrix is not dephased. The composite
-    is verified by overlap before it is returned.
+    The witness's kind picks the rule. A P-equivalence (H2 = P D1 H1 D2 P^T)
+    works on any graph: every site gets P * diag(conj(H1'[:, c]))^deg with
+    c = P^{-1}(0), H1' being the dephased form of H1. A General witness
+    (H2 = D1 P1 H1 P2 D2) needs a bipartite graph, whose parts come from
+    bipartition(G): the part holding each component's lowest vertex carries
+    P1 * diag(conj(H1'[:, p2[0]]))^deg and the other P2^T *
+    diag(conj(H1'[:, P1^{-1}(0)]))^deg. Diagonal corrections splice in when
+    either matrix is not dephased. Both matrices must be symmetric, and the
+    composite is verified by overlap before it is returned.
     """
+    if w.kind == P_EQUIV:
+        M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
+        factors = [(M, w.p1.index(0))] * G.n
+    elif w.kind == GENERAL:
+        parts = bipartition(G)
+        if parts is None:
+            raise errors.NotBipartite("graph contains an odd cycle")
+        M1 = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
+        NT = np.eye(len(w.p2), dtype=np.complex128)[:, list(w.p2)].T
+        factors = [(M1, w.p2[0]) if u in parts[0] else (NT, w.p1.index(0)) for u in range(G.n)]
+    else:
+        raise errors.InvalidWitness("expected a P-equivalence or a General witness")
     H2 = apply_witness(H1, w)
     if not H2.symmetric or not H1.symmetric:
         raise errors.NotSymmetric("graph-state witnesses need symmetric matrices")
     H1d = H1 if H1.dephased else dephase(H1)[2]
     unitaries = []
-    for u in range(G.n):
+    for u, (M, c) in enumerate(factors):
         g = G.degree(u)
-        M, c = factor(u)
         site = M @ np.diag(H1d.entries[:, c].conj() ** g)
         if not H1.dephased:
             site = site @ np.diag(H1.entries[:, 0].conj() ** (g + 1))
@@ -109,54 +127,3 @@ def _lu_witness(G, H1, w, factor) -> List[np.ndarray]:
     if ov < 1 - TOL_ENTRY:
         raise errors.InvalidWitness(f"witness maps with |overlap| = {ov:.12f} < 1")
     return unitaries
-
-
-def lu_witness_p_equiv(
-    G: Graph, H1: HadamardMatrix, w: EquivalenceWitness
-) -> List[np.ndarray]:
-    """Per-site unitaries U with (U x ... x U') psi_{G,H1} = psi_{G,H2}.
-
-    H2 is the matrix the witness reconstructs from H1 (H2 = P D1 H1 D2 P^T).
-    On dephased forms the witness diagonals are forced by the permutation, so
-    each site gets P * diag(conj(H1'[:, c]))^deg with c = P^{-1}(0); diagonal
-    corrections splice in when either matrix is not dephased. The composite is
-    verified by overlap before it is returned.
-    """
-    if w.kind != P_EQUIV:
-        raise errors.InvalidWitness("expected a P-equivalence witness")
-    M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
-    c = w.p1.index(0)
-    return _lu_witness(G, H1, w, lambda u: (M, c))
-
-
-def lu_witness_bipartite(
-    G: Graph,
-    parts: Tuple[Sequence[int], Sequence[int]],
-    H1: HadamardMatrix,
-    w: EquivalenceWitness,
-) -> List[np.ndarray]:
-    """Per-site unitaries mapping psi_{G,H1} to psi_{G,H2} on a bipartite G.
-
-    H2 = D1 P1 H1 P2 D2 per the witness; V1 sites carry the P1-type factor and
-    V2 sites the P2-type factor. Both matrices must be symmetric.
-    """
-    if w.kind != GENERAL:
-        raise errors.InvalidWitness("expected a General witness")
-    v1, v2 = (frozenset(int(x) for x in parts[0]), frozenset(int(x) for x in parts[1]))
-    if v1 | v2 != frozenset(range(G.n)) or (v1 & v2):
-        raise errors.NotBipartite("parts must partition the vertex set")
-    for a, b in G.edges:
-        if not ((a in v1 and b in v2) or (a in v2 and b in v1)):
-            raise errors.NotBipartite(f"edge ({a},{b}) stays inside one part")
-    M1 = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
-    NT = np.eye(len(w.p2), dtype=np.complex128)[:, list(w.p2)].T
-    c1 = w.p1.index(0)
-    c2 = w.p2[0]
-    return _lu_witness(G, H1, w, lambda u: (M1, c2) if u in v1 else (NT, c1))
-
-
-def auto_bipartite_parts(G: Graph):
-    parts = bipartition(G)
-    if parts is None:
-        raise errors.NotBipartite("graph contains an odd cycle")
-    return parts

@@ -15,7 +15,6 @@ from gghs import (
     ClassicalCode,
     LocalOperator,
     apply_local,
-    auto_bipartite_parts,
     build_code,
     catalog,
     family,
@@ -26,8 +25,7 @@ from gghs import (
     i6,
     kl_distance,
     kraus_commutation_test,
-    lu_witness_bipartite,
-    lu_witness_p_equiv,
+    lu_witness,
     overlap,
     pauli_xz,
     peps_contract,
@@ -223,7 +221,7 @@ def test_criterion_09_lu_witnesses():
     w = find_equivalence(Hd, Hc, P_EQUIV)
     check(failures, w is not None, "tilde pair not P-equivalent")
     G = family("triangle")
-    unitaries = lu_witness_p_equiv(G, Hc, w)
+    unitaries = lu_witness(G, Hc, w)
     cnot = np.zeros((4, 4))
     cnot[[0, 1, 3, 2], range(4)] = 1.0
     for u in unitaries:
@@ -240,7 +238,7 @@ def test_criterion_09_lu_witnesses():
     wg = find_equivalence(H2, F3, GENERAL)
     check(failures, wg is not None, "d=3 pair not equivalent")
     Gc = family("cycle", 4)
-    us = lu_witness_bipartite(Gc, auto_bipartite_parts(Gc), F3, wg)
+    us = lu_witness(Gc, F3, wg)
     mapped = graph_state(Gc, F3)
     for site, u in enumerate(us):
         mapped = apply_local(LocalOperator(d=3, site=site, matrix=u), mapped)

@@ -46,9 +46,7 @@ PUBLIC = [
     "hamiltonian_ground_check",
     "overlap",
     "reorder_qudits",
-    "auto_bipartite_parts",
-    "lu_witness_bipartite",
-    "lu_witness_p_equiv",
+    "lu_witness",
     "pauli_xz",
     "stabilizer_from_symmetry",
     "verify_stabilizer",
@@ -62,16 +60,19 @@ PUBLIC = [
 # (d,)*n array, indexed by digits, a witness holds its permutations as tuples
 # and its diagonals as phase arrays, a stabilizer is the tuple of its site
 # factors, a reduced state is its array, and a decoded error is the tuple
-# (factorizes, site_operator, residual).
+# (factorizes, site_operator, residual). The three witness constructors are
+# lu_witness, which reads the relation from the witness and the parts from
+# the graph.
 REMOVED = [
     "apply_ch", "basis_state", "index_to_digits", "weyl_operators", "BondState", "bond_state",
     "circuit_unitary", "encode", "Permutation", "DiagonalUnitary", "StabilizerOperator",
-    "DensityMatrix", "DecodedError", "StateVector", "digits_to_index",
+    "DensityMatrix", "DecodedError", "StateVector", "digits_to_index", "auto_bipartite_parts",
+    "lu_witness_bipartite", "lu_witness_p_equiv",
 ]
 
 
 def test_public_api_is_the_decided_list():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 45
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)

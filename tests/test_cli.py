@@ -21,7 +21,7 @@ from gghs import (
     stabilizer_from_symmetry,
     verify_stabilizer,
 )
-from gghs.cli import main
+from gghs.cli import main, resolve_state
 from gghs.formats import render_json, state_to_obj
 from helpers import connected_graphs, cut_rank, entry_stdout, full_catalog, matrix_json, skewed_f3
 
@@ -533,6 +533,19 @@ def test_invariant_rejects_non_finite_state(tmp_path, capsys, bad):
     assert obj["error"] == "malformed_input"
 
 
+def test_resolve_state_checks_the_norm_of_a_file_only(tmp_path, monkeypatch):
+    # ghz:N:D is normalized by construction; a State JSON file is checked once.
+    calls = []
+    check = gghs.cli._check_normalized
+    monkeypatch.setattr("gghs.cli._check_normalized", lambda s: calls.append(s.shape) or check(s))
+    assert resolve_state("ghz:3:2").shape == (2, 2, 2)
+    assert calls == []
+    p = tmp_path / "ghz.json"
+    p.write_text(render_json(state_to_obj(ghz(3, 2))) + "\n")
+    assert resolve_state(str(p)).shape == (2, 2, 2)
+    assert calls == [(2, 2, 2)]
+
+
 # --------------------------------------------------------------- stabilizers
 
 
@@ -555,6 +568,19 @@ def test_stabilizers_all_symmetries(capsys):
     assert code == 0
     assert len(obj["checked"]) == 3
     assert obj["all_verified"] is True
+
+
+def test_stabilizers_build_each_local_state_once(monkeypatch, capsys):
+    # The graph state of N[a] depends on the vertex alone, so every chosen
+    # symmetry is checked on the one state built for it.
+    calls = []
+    monkeypatch.setattr("gghs.cli.graph_state", lambda *a: calls.append(a[0].n) or graph_state(*a))
+    argv = ["stabilizers", "--graph", "star:4", "--hadamard", "fourier:9", "--all-symmetries"]
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    assert len(obj["checked"]) == 9
+    assert obj["all_verified"] is True
+    assert calls == [4, 2, 2, 2]
 
 
 def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):

@@ -11,15 +11,14 @@ from gghs import (
     LocalOperator,
     apply_local,
     apply_witness,
-    auto_bipartite_parts,
+    build,
     catalog,
     errors,
     family,
     find_equivalence,
     fourier,
     graph_state,
-    lu_witness_bipartite,
-    lu_witness_p_equiv,
+    lu_witness,
     overlap,
     pauli_xz,
     s_symmetries,
@@ -175,10 +174,9 @@ def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
     G, F3 = family("triangle"), fourier(3)
     calls = [
         lambda: stabilizer_from_symmetry(G, F3, s_symmetries(fourier(4))[1], 0),
-        lambda: lu_witness_p_equiv(G, F3, find_equivalence(fourier(4), fourier(4), P_EQUIV)),
-        lambda: lu_witness_bipartite(
-            family("line", 3), ([0, 2], [1]), F3,
-            find_equivalence(catalog("tilde_a"), catalog("tilde_b"), GENERAL),
+        lambda: lu_witness(G, F3, find_equivalence(fourier(4), fourier(4), P_EQUIV)),
+        lambda: lu_witness(
+            family("line", 3), F3, find_equivalence(catalog("tilde_a"), catalog("tilde_b"), GENERAL)
         ),
     ]
     for call in calls:
@@ -213,7 +211,7 @@ def test_h_alpha_symmetry_parts_commute():
 def test_p_equiv_witness_tilde_pair_is_controlled_not():
     Hc, Hd = catalog("tilde_c"), catalog("tilde_d")
     w = find_equivalence(Hd, Hc, P_EQUIV)
-    unitaries = lu_witness_p_equiv(family("triangle"), Hc, w)
+    unitaries = lu_witness(family("triangle"), Hc, w)
     cnot = np.zeros((4, 4))
     cnot[[0, 1, 3, 2], range(4)] = 1.0
     assert len(unitaries) == 3
@@ -228,23 +226,23 @@ def test_p_equiv_witness_maps_states():
     Hc, Hd = catalog("tilde_c"), catalog("tilde_d")
     w = find_equivalence(Hd, Hc, P_EQUIV)
     for gname, G in connected_graphs(max_n=4):
-        unitaries = lu_witness_p_equiv(G, Hc, w)  # verified on construction
+        unitaries = lu_witness(G, Hc, w)  # verified on construction
         assert len(unitaries) == G.n, gname
 
 
 def test_p_equiv_witness_identity():
     H = catalog("h_alpha", PI / 3)
     w = find_equivalence(H, H, P_EQUIV)
-    unitaries = lu_witness_p_equiv(family("cycle", 4), H, w)
+    unitaries = lu_witness(family("cycle", 4), H, w)
     for u in unitaries:
         np.testing.assert_allclose(np.abs(u), np.eye(4), atol=1e-9)
 
 
 def test_p_equiv_witness_kind_checked():
-    H2 = catalog("qutrit_h2")
-    w = find_equivalence(H2, fourier(3), GENERAL)
+    # An S-symmetry relates H to itself: lu_witness takes no such witness.
+    w = s_symmetries(fourier(3))[1]
     with pytest.raises(errors.InvalidWitness):
-        lu_witness_p_equiv(family("triangle"), fourier(3), w)
+        lu_witness(family("triangle"), fourier(3), w)
 
 
 def _maps_states(G, H1, w, unitaries):
@@ -258,7 +256,7 @@ def test_bipartite_witness_d3_pair_on_square():
     F3, H2 = fourier(3), catalog("qutrit_h2")
     w = find_equivalence(H2, F3, GENERAL)
     G = family("cycle", 4)
-    unitaries = lu_witness_bipartite(G, auto_bipartite_parts(G), F3, w)
+    unitaries = lu_witness(G, F3, w)
     assert np.max(np.abs(apply_witness(F3, w).entries - H2.entries)) <= 1e-12
     assert _maps_states(G, F3, w, unitaries)
 
@@ -266,10 +264,9 @@ def test_bipartite_witness_d3_pair_on_square():
 def test_bipartite_witness_rejects_odd_cycle():
     F3, H2 = fourier(3), catalog("qutrit_h2")
     w = find_equivalence(H2, F3, GENERAL)
-    with pytest.raises(errors.NotBipartite):
-        lu_witness_bipartite(family("triangle"), ({0, 2}, {1}), F3, w)
-    with pytest.raises(errors.NotBipartite):
-        auto_bipartite_parts(family("cycle", 5))
+    for G in (family("triangle"), family("cycle", 5)):
+        with pytest.raises(errors.NotBipartite):
+            lu_witness(G, F3, w)
 
 
 def test_bipartite_witness_non_dephased_target():
@@ -280,7 +277,7 @@ def test_bipartite_witness_non_dephased_target():
     if w is None:
         pytest.skip("pair not equivalent")
     G = family("cycle", 4)
-    lu_witness_bipartite(G, auto_bipartite_parts(G), Hs, w)
+    lu_witness(G, Hs, w)
 
 
 def test_p_equiv_witness_from_a_non_dephased_source():
@@ -288,15 +285,45 @@ def test_p_equiv_witness_from_a_non_dephased_source():
     assert H1.symmetric and not H1.dephased
     w = find_equivalence(fourier(3), H1, P_EQUIV)
     G = family("cycle", 4)
-    assert _maps_states(G, H1, w, lu_witness_p_equiv(G, H1, w))
+    assert _maps_states(G, H1, w, lu_witness(G, H1, w))
 
 
 def test_bipartite_witness_to_a_non_dephased_target():
     w = find_equivalence(df3d(), fourier(3), GENERAL)
     assert not apply_witness(fourier(3), w).dephased
     G = family("cycle", 4)
-    unitaries = lu_witness_bipartite(G, auto_bipartite_parts(G), fourier(3), w)
+    unitaries = lu_witness(G, fourier(3), w)
     assert _maps_states(G, fourier(3), w, unitaries)
+
+
+def test_lu_witness_maps_every_grid_witness():
+    """Every P-equivalence and General witness between symmetric matrices of the
+    grid, on small graphs, disconnected ones among them: a General witness on a
+    graph with an odd cycle is refused, and every other witness maps the state."""
+    mats = [H for _, H in full_catalog() + [("df3d", df3d())] if H.symmetric]
+    graphs = connected_graphs(4) + [
+        ("2xline:2", build(4, [(0, 1), (2, 3)])),
+        ("edge+isolated", build(3, [(0, 1)])),
+    ]
+    odd = {"cycle:3", "complete:4"}
+    maps = refusals = 0
+    for kind in (P_EQUIV, GENERAL):
+        for A in mats:
+            for B in mats:
+                w = find_equivalence(A, B, kind) if A.d == B.d else None
+                if w is None:
+                    continue
+                for gname, G in graphs:
+                    if kind == GENERAL and gname in odd:
+                        with pytest.raises(errors.NotBipartite):
+                            lu_witness(G, B, w)
+                        refusals += 1
+                        continue
+                    unitaries = lu_witness(G, B, w)
+                    assert len(unitaries) == G.n, (kind, gname)
+                    assert _maps_states(G, B, w, unitaries), (kind, gname)
+                    maps += 1
+    assert maps > 0 and refusals > 0
 
 
 # ----------------------------------------------------- weighted-edge relation
