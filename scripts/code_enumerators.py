@@ -10,32 +10,25 @@ import math
 
 import numpy as np
 
-from gghs import (
-    ClassicalCode,
-    build_code,
-    catalog,
-    family,
-    fourier,
-    kl_distance,
-    weight_enumerators,
-)
+from gghs import build_code, catalog, family, fourier, kl_distance, weight_enumerators
 
 
-def report(label, Q, max_weight: int) -> np.ndarray:
-    V = Q.basis
-    gram = np.max(np.abs(V.conj().T @ V - np.eye(Q.K)))
-    dist = kl_distance(Q, max_weight=max_weight)
-    dist_text = f"> {min(max_weight, Q.graph.n)}" if dist is None else str(dist)
-    A, B = weight_enumerators(Q)
+def report(label, V, max_weight: int) -> np.ndarray:
+    n, K = V.ndim - 1, V.shape[-1]
+    flat = V.reshape(-1, K)
+    gram = np.max(np.abs(flat.conj().T @ flat - np.eye(K)))
+    dist = kl_distance(V, max_weight=max_weight)
+    dist_text = f"> {min(max_weight, n)}" if dist is None else str(dist)
+    A, B = weight_enumerators(V)
     print(f"{label}")
-    print(f"  K = {Q.K}, gram deviation {gram:.2e}, distance {dist_text}")
+    print(f"  K = {K}, gram deviation {gram:.2e}, distance {dist_text}")
     print("  A =", np.array2string(A, precision=7))
     print("  B =", np.array2string(B, precision=7))
     return np.concatenate([A, B])
 
 
 def run(alpha: float, max_weight: int) -> None:
-    C = ClassicalCode(n=3, d=4, words=((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
+    C = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
     G = family("triangle")
     ea = report(f"h_alpha({alpha:.6f}) repetition code", build_code(G, catalog("h_alpha", alpha), C), max_weight)
     print()

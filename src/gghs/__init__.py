@@ -16,16 +16,15 @@ __version__ = "0.1.0"
 # home module -> the public names it defines, in __all__ order.
 _EXPORTS = {
     "errors": ("errors",),
-    "codes": ("ClassicalCode", "QuantumCode", "build_code", "decoded_error", "kl_distance",
-              "weight_enumerators"),
+    "codes": ("build_code", "decoded_error", "kl_distance", "weight_enumerators"),
     "entangle": ("graph_reduced_density", "i6", "kraus_commutation_test", "partial_transpose",
                  "reduced_density", "schmidt_spectrum"),
     "graphs": ("Graph", "bipartition", "build", "family", "neighbourhood"),
     "hadamard": ("GENERAL", "P_EQUIV", "S_SYMMETRY", "EquivalenceWitness", "HadamardMatrix",
                  "apply_witness", "catalog", "check_witness", "dephase", "find_equivalence",
                  "fourier", "s_symmetries", "tensor_product", "validate"),
-    "qstate": ("LocalOperator", "apply_local", "ghz", "graph_state", "hamiltonian_ground_check",
-               "overlap", "reorder_qudits"),
+    "qstate": ("apply_local", "ghz", "graph_state", "hamiltonian_ground_check", "overlap",
+               "reorder_qudits"),
     "symmetry": ("lu_witness", "pauli_xz", "stabilizer_from_symmetry", "verify_stabilizer"),
     "tensornet": ("peps_contract",),
 }

@@ -36,6 +36,7 @@ from .formats import (
     render_text,
     state_from_obj,
     state_to_obj,
+    words_from_text,
 )
 from .graphs import FAMILIES, Graph, family, neighbourhood
 from .hadamard import (
@@ -50,14 +51,7 @@ from .hadamard import (
     s_symmetries,
     validate,
 )
-from .qstate import (
-    LocalOperator,
-    _check_graph_state,
-    _check_normalized,
-    ghz,
-    graph_state,
-    overlap,
-)
+from .qstate import _check_graph_state, _check_normalized, ghz, graph_state, overlap
 
 
 class Malformed(Exception):
@@ -282,21 +276,20 @@ def cmd_peps_check(args) -> dict:
 
 
 def cmd_code(args) -> dict:
-    from .codes import ClassicalCode, build_code, kl_distance, weight_enumerators
+    from .codes import build_code, kl_distance, weight_enumerators
 
     if args.distance is not None and args.distance < 1:
         raise Malformed(f"--distance wants a weight >= 1, got {args.distance}")
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
-    C = _read_file(args.classical, lambda text: ClassicalCode.from_text(text, H.d), text=True)
-    Q = build_code(G, H, C)
-    out: dict = {"n": Q.graph.n, "K": Q.K}
+    V = build_code(G, H, _read_file(args.classical, words_from_text, text=True))
+    out: dict = {"n": G.n, "K": V.shape[-1]}
     if args.distance is not None:
-        out["distance"] = kl_distance(Q, args.distance)
+        out["distance"] = kl_distance(V, args.distance)
         if out["distance"] is None:
-            out["distance_exceeds"] = min(args.distance, Q.graph.n)
+            out["distance_exceeds"] = min(args.distance, G.n)
     if args.enumerators:
-        out["A"], out["B"] = weight_enumerators(Q)
+        out["A"], out["B"] = weight_enumerators(V)
     return out
 
 
@@ -306,7 +299,7 @@ def cmd_decode_error(args) -> dict:
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
     E = resolve_operator(args.op, H.d)
-    ok, S, residual = decoded_error(G, H, LocalOperator(d=H.d, site=args.site, matrix=E))
+    ok, S, residual = decoded_error(G, H, E, args.site)
     return {"factorizes": ok, "residual": residual, "site_operator": S}
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Tuple
 
@@ -15,102 +14,73 @@ from . import errors
 from ._tol import TOL_ENTRY
 from .graphs import Graph, neighbourhood
 from .hadamard import HadamardMatrix, _gram_deviation
-from .qstate import (
-    DENSE_AMP_CAP,
-    LocalOperator,
-    _check_graph_state,
-    _dense_size,
-    _encode,
-)
+from .qstate import DENSE_AMP_CAP, _check_graph_state, _check_operator, _dense_size, _encode
 
 
-@dataclass(frozen=True)
-class ClassicalCode:
-    n: int
-    d: int
-    words: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.words:
-            raise errors.BadSize("no codewords in input")
-        seen = set()
-        for w in self.words:
-            if len(w) != self.n:
-                raise errors.BadSize(f"word {w} is not length {self.n}")
-            for x in w:
-                if not (0 <= x < self.d):
-                    raise errors.DigitOutOfRange(f"digit {x} out of range for d={self.d}")
-            if w in seen:
-                raise errors.BadSize(f"duplicate word {w}")
-            seen.add(w)
-
-    @staticmethod
-    def from_text(text: str, d: int) -> "ClassicalCode":
-        """One word per line, one ASCII digit 0..d-1 per site, '#' starts a comment."""
-        words = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if not (line.isascii() and line.isdigit()):
-                raise ValueError(f"word {line!r} is not a string of the ASCII digits 0-9")
-            words.append(tuple(int(ch) for ch in line))
-        return ClassicalCode(n=len(words[0]) if words else 0, d=d, words=tuple(words))
-
-
-@dataclass(frozen=True, eq=False)
-class QuantumCode:
-    graph: Graph
-    hadamard: HadamardMatrix
-    classical: ClassicalCode
-    basis: np.ndarray  # (d**n, K): column j encodes classical.words[j]
-
-    @property
-    def K(self) -> int:
-        return self.basis.shape[1]
-
-
-def build_code(G: Graph, H: HadamardMatrix, C: ClassicalCode) -> QuantumCode:
-    """Encode every word of C in one pass; the basis is read-only.
-
-    Column j is graph_state(G, H, input_digits=C.words[j]).amps: the circuit
-    of H as given, each column normalized on its own. The d**n * K amplitudes
-    are capped before any is built.
+def build_code(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
+    """The read-only (d,)*n + (K,) basis of the code of `words` (digit tuples
+    over 0..d-1 of one length n, no word twice): slice [..., j] is
+    graph_state(G, H, input_digits=words[j]), the circuit of H as given, each
+    slice normalized on its own. The words are checked in order (length,
+    digits, repeats) before the code length is matched to G, and the d**n * K
+    amplitudes are capped before any is built.
     """
-    n, d, K = G.n, H.d, len(C.words)
-    if C.n != n:
-        raise errors.DimensionMismatch(f"code length {C.n} != vertex count {n}")
-    if C.d != d:
-        raise errors.DimensionMismatch(f"code alphabet {C.d} != matrix dimension {d}")
+    words = tuple(map(tuple, words))
+    if not words:
+        raise errors.BadSize("no codewords in input")
+    n, d, K, m = G.n, H.d, len(words), len(words[0])
+    seen = set()
+    for w in words:
+        if len(w) != m:
+            raise errors.BadSize(f"word {w} is not length {m}")
+        for x in w:
+            if not (0 <= x < d):
+                raise errors.DigitOutOfRange(f"digit {x} out of range for d={d}")
+        if w in seen:
+            raise errors.BadSize(f"duplicate word {w}")
+        seen.add(w)
+    if m != n:
+        raise errors.DimensionMismatch(f"code length {m} != vertex count {n}")
     _check_graph_state(G, H)
     if d**n * K > DENSE_AMP_CAP:
         raise errors.TooLarge(
             f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}"
         )
-    V = _encode(G, H, C.words).reshape(-1, K)
+    T = _encode(G, H, words)
+    V = T.reshape(-1, K)  # a view: columns are normalized in T
     for col in V.T:
         col /= np.linalg.norm(col)
     gram_dev = _gram_deviation(V, 1)
     if gram_dev > TOL_ENTRY:
         raise errors.GramNotIdentity(f"gram deviates from identity by {gram_dev:.3e}")
-    V.flags.writeable = False
-    return QuantumCode(graph=G, hadamard=H, classical=C, basis=V)
+    T.flags.writeable = False
+    return T
 
 
-def _splits(Q: QuantumCode, weights):
-    """Yield (w, M) for each site subset S with |S| = w in weights.
-
-    M is the basis as a (d**w, d**(n-w), K) array over S, the rest and the
-    codeword. d = 1 has no nontrivial error and is refused before any work."""
-    d, n = Q.hadamard.d, Q.graph.n
+def _shape(V: np.ndarray) -> Tuple[int, int, int]:
+    """n, d, K of a (d,)*n + (K,) code basis. Site axes of unequal length are
+    a DimensionMismatch; d = 1 has no nontrivial error and is BadSize; the
+    code projector, (d**n)**2 entries, is capped."""
+    *sites, K = np.shape(V)
+    if len(set(sites)) != 1:
+        raise errors.DimensionMismatch(f"code site axes {tuple(sites)} differ in length")
+    n, d = len(sites), sites[0]
     if d < 2:
         raise errors.BadSize("codes need d >= 2")
-    _dense_size(n, d, axes=2)  # capped as the code projector P
-    T = Q.basis.reshape((d,) * n + (Q.K,))
+    _dense_size(n, d, axes=2)
+    return n, d, K
+
+
+def _splits(V: np.ndarray, weights):
+    """Yield (w, M) for each site subset S with |S| = w in weights.
+
+    M is the basis V, checked by _shape, as a (d**w, d**(n-w), K) array over
+    S, the rest and the codeword."""
+    n, d, K = V.ndim - 1, V.shape[0], V.shape[-1]
     for w in weights:
         for S in itertools.combinations(range(n), w):
             rest = [k for k in range(n) if k not in S]
-            yield w, T.transpose(list(S) + rest + [n]).reshape(d**w, -1, Q.K)
+            yield w, V.transpose(list(S) + rest + [n]).reshape(d**w, -1, K)
 
 
 def _kl_holds(M: np.ndarray) -> bool:
@@ -128,8 +98,9 @@ def _kl_holds(M: np.ndarray) -> bool:
     return True
 
 
-def kl_distance(Q: QuantumCode, max_weight: int) -> Optional[int]:
-    """Smallest error weight violating the Knill-Laflamme condition.
+def kl_distance(V: np.ndarray, max_weight: int) -> Optional[int]:
+    """Smallest error weight violating the Knill-Laflamme condition on the
+    code basis V, a (d,)*n + (K,) array such as build_code returns.
 
     Erasure form (Knill & Laflamme 1997): every error on a site set S obeys
     it iff X_ij = Tr_{S^c}|psi_i><psi_j| - delta_ij sigma_S vanishes, sigma_S
@@ -144,14 +115,16 @@ def kl_distance(Q: QuantumCode, max_weight: int) -> Optional[int]:
     """
     if max_weight < 1:
         raise errors.BadSize(f"max_weight must be >= 1, got {max_weight}")
-    for w, M in _splits(Q, range(1, min(max_weight, Q.graph.n) + 1)):
+    n = _shape(V)[0]
+    for w, M in _splits(V, range(1, min(max_weight, n) + 1)):
         if not _kl_holds(M):
             return w
     return None
 
 
-def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
-    """Shor-Laflamme enumerators over the Weyl basis.
+def weight_enumerators(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Shor-Laflamme enumerators over the Weyl basis of the code basis V, a
+    (d,)*n + (K,) array such as build_code returns.
 
     A_j = (1/K^2) sum_{wt(E)=j} |Tr(PE)|^2 and
     B_j = (1/K)   sum_{wt(E)=j} Tr(P E P E^dagger), P the code projector.
@@ -162,9 +135,9 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
     a_k / K^2, and B_j is the same over b_k = d^k sum_{|S|=n-k} Tr(P_S^2),
     divided by K. Each of the 2^n purities comes from the smaller Gram side.
     """
-    n, d, K = Q.graph.n, Q.hadamard.d, Q.K
+    n, d, K = _shape(V)
     p = np.zeros(n + 1)
-    for w, M in _splits(Q, range(n + 1)):
+    for w, M in _splits(V, range(n + 1)):
         flat = M.reshape(d**w, -1)
         gram = flat @ flat.conj().T if d**w <= flat.shape[1] else flat.conj().T @ flat
         p[w] += np.sum(np.abs(gram) ** 2)
@@ -174,12 +147,12 @@ def weight_enumerators(Q: QuantumCode) -> Tuple[np.ndarray, np.ndarray]:
     return C @ (scale * p) / K**2, C @ (scale * p[::-1]) / K
 
 
-def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator):
-    """Conjugate a single-site error by the encoding circuit.
+def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
+    """Conjugate the d x d error E on site k = `site` by the encoding circuit.
 
     Computes M = U^dagger E_k U and tries to factor M as a single-site
-    operator on E's own site k tensored with identity. Diagonal E commutes
-    with every edge gate, so the factorization succeeds with site operator
+    operator on site k tensored with identity. Diagonal E commutes with
+    every edge gate, so the factorization succeeds with site operator
     (H/sqrt(d))^dagger E (H/sqrt(d)). Returns (factorizes, site_operator,
     residual): the residual is the largest entry of M minus its factored
     form, and site_operator is None when it exceeds TOL_ENTRY.
@@ -196,29 +169,28 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: LocalOperator):
     Site operator, factorization and residual are read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
-    graph_state's checks run first, so H must be symmetric. M is capped as
-    the whole-register operator it stands for, (d**n)**2 <= DENSE_AMP_CAP.
+    E is checked first (d x d, finite), then graph_state's checks (H must be
+    symmetric), then the site. M is capped as the whole-register operator it
+    stands for, (d**n)**2 <= DENSE_AMP_CAP.
     An operator whose entries overflow float64 raises Overflow.
     """
-    _check_graph_state(G, H)
     n, d = G.n, H.d
-    if E.d != d:
-        raise errors.DimensionMismatch(f"error d={E.d}, matrix d={d}")
-    if not (0 <= E.site < n):
-        raise errors.SiteOutOfRange(f"site {E.site} out of range for n={n}")
+    Em = _check_operator(E, d)
+    _check_graph_state(G, H)
+    if not (0 <= site < n):
+        raise errors.SiteOutOfRange(f"site {site} out of range for n={n}")
     _dense_size(n, d, axes=2)
-    hood, local = neighbourhood(G, [E.site])
-    site = hood.index(E.site)
-    pre = d**site
-    post = d ** (local.n - site - 1)
-    Em = np.asarray(E.matrix)
+    hood, local = neighbourhood(G, [site])
+    at = hood.index(site)
+    pre = d**at
+    post = d ** (local.n - at - 1)
     h, u = H.entries, H.entries / math.sqrt(d)
     M = np.zeros((pre * d * post,) * 2, dtype=np.complex128)
     # An overflow is raised as Overflow below, not printed as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(*np.nonzero(Em)):
             factors = [
-                Em[a, b] * np.outer(u[a].conj(), u[b]) if v == site
+                Em[a, b] * np.outer(u[a].conj(), u[b]) if v == at
                 else (u.conj().T * (h[a].conj() * h[b])) @ u
                 for v in range(local.n)
             ]

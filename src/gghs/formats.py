@@ -4,7 +4,10 @@ Matrix JSON:  {"d": d, "entries": [[[re, im], ...] x d] x d}
 Graph JSON:   {"n": n, "edges": [[u, v], ...]}
 State JSON:   {"n": n, "d": d, "amps": [[re, im], ...]}  (length d**n, C order
               of the state's (d,)*n array)
-Classical code text: one digit word per line, '#' starts a comment.
+Code text:    one codeword per line, one ASCII digit 0-9 per site; '#' starts
+              a comment, and blank lines are skipped. words_from_text reads
+              it as digit tuples; build_code checks them against the graph
+              and the matrix.
 
 The integer fields (n, d and the edge endpoints) must be JSON integers:
 true, false and floats, 3.0 included, raise ValueError rather than being
@@ -146,6 +149,19 @@ def graph_from_obj(obj) -> Graph:
     n = _json_int(obj["n"], "n")
     return build(n, [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
                      for u, v in obj["edges"]])
+
+
+def words_from_text(text: str) -> tuple:
+    """The codewords of code text as digit tuples, in file order."""
+    words = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not (line.isascii() and line.isdigit()):
+            raise ValueError(f"word {line!r} is not a string of the ASCII digits 0-9")
+        words.append(tuple(int(ch) for ch in line))
+    return tuple(words)
 
 
 def state_to_obj(s: np.ndarray) -> dict:

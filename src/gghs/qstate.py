@@ -10,7 +10,6 @@ phase-insensitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,21 +22,14 @@ DENSE_AMP_CAP = 2**24      # most entries of a dense array an input sizes (256 M
 MAX_SITES = 32             # largest n: one tensor axis per site, numpy 1.x's axis limit
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """A d x d operator with finite entries acting on one site. Not necessarily unitary."""
-
-    d: int
-    site: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.matrix) != (self.d, self.d):
-            raise errors.DimensionMismatch(
-                f"operator shape {np.shape(self.matrix)} does not match d={self.d}"
-            )
-        if not np.isfinite(self.matrix).all():
-            raise errors.NonFinite("operator entries must be finite")
+def _check_operator(U, d: int) -> np.ndarray:
+    """U as an array, or DimensionMismatch unless it is d x d, or NonFinite
+    unless its entries are finite. U acts on one site; it need not be unitary."""
+    if np.shape(U) != (d, d):
+        raise errors.DimensionMismatch(f"operator shape {np.shape(U)} does not match d={d}")
+    if not np.isfinite(U).all():
+        raise errors.NonFinite("operator entries must be finite")
+    return np.asarray(U)
 
 
 def _check_normalized(s: np.ndarray) -> np.ndarray:
@@ -107,14 +99,14 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     return T
 
 
-def apply_local(U: LocalOperator, s: np.ndarray) -> np.ndarray:
-    """U's matrix on axis U.site of the state s; the other axes ride along."""
-    if not (0 <= U.site < s.ndim):
-        raise errors.SiteOutOfRange(f"site {U.site} out of range for n={s.ndim}")
-    if U.d != s.shape[U.site]:
-        raise errors.DimensionMismatch(f"operator d={U.d}, state d={s.shape[U.site]}")
-    T = s.reshape(math.prod(s.shape[: U.site]), U.d, -1)
-    out = np.einsum("ab,ibj->iaj", np.asarray(U.matrix, dtype=np.complex128), T)
+def apply_local(U: np.ndarray, site: int, s: np.ndarray) -> np.ndarray:
+    """The d x d operator U on axis `site` of the state s; the other axes ride along."""
+    if not (0 <= site < s.ndim):
+        raise errors.SiteOutOfRange(f"site {site} out of range for n={s.ndim}")
+    d = s.shape[site]
+    _check_operator(U, d)
+    T = s.reshape(math.prod(s.shape[:site]), d, -1)
+    out = np.einsum("ab,ibj->iaj", np.asarray(U, dtype=np.complex128), T)
     return out.reshape(s.shape)
 
 

@@ -26,7 +26,7 @@ from .hadamard import (
     check_witness,
     dephase,
 )
-from .qstate import LocalOperator, _check_normalized, apply_local, graph_state, overlap
+from .qstate import _check_normalized, _check_operator, apply_local, graph_state, overlap
 
 
 def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -63,7 +63,7 @@ def verify_stabilizer(factors: Sequence[np.ndarray], s: np.ndarray) -> Tuple[boo
     _check_normalized(s)
     if len(factors) != s.ndim:
         raise errors.DimensionMismatch(f"operator of {len(factors)} sites vs state of n={s.ndim}")
-    mats = [LocalOperator(d=s.shape[k], site=k, matrix=f).matrix for k, f in enumerate(factors)]
+    mats = [_check_operator(f, s.shape[k]) for k, f in enumerate(factors)]
     out = s
     for site, f in enumerate(np.asarray(f, dtype=np.complex128) for f in mats):
         d, nz = len(f), f != 0
@@ -122,7 +122,7 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
         unitaries.append(site)
     built = graph_state(G, H1)
     for site, u in enumerate(unitaries):
-        built = apply_local(LocalOperator(d=H1.d, site=site, matrix=u), built)
+        built = apply_local(u, site, built)
     ov = abs(overlap(built, graph_state(G, H2)))
     if ov < 1 - TOL_ENTRY:
         raise errors.InvalidWitness(f"witness maps with |overlap| = {ov:.12f} < 1")

@@ -22,7 +22,7 @@ import numpy as np
 from gghs import catalog, errors, family, fourier, pauli_xz, validate
 from gghs.cli import main
 from gghs.hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix
-from gghs.qstate import LocalOperator, _check_digits, _dense_size, _edge_phases, apply_local
+from gghs.qstate import _check_digits, _dense_size, _edge_phases, apply_local
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -204,7 +204,7 @@ def dense_stabilizer_deviation(factors, s: np.ndarray) -> float:
     matrix by apply_local: the oracle of verify_stabilizer's deviation."""
     out = s
     for site, f in enumerate(factors):
-        out = apply_local(LocalOperator(d=s.shape[site], site=site, matrix=f), out)
+        out = apply_local(f, site, out)
     return float(np.linalg.norm(out - s))
 
 

@@ -12,8 +12,6 @@ import time
 import numpy as np
 
 from gghs import (
-    ClassicalCode,
-    LocalOperator,
     apply_local,
     build_code,
     catalog,
@@ -106,13 +104,14 @@ def test_criterion_02_kraus_obstruction():
 def test_criterion_03_code_parameters():
     failures = []
     t0 = time.perf_counter()
-    C = ClassicalCode(n=3, d=4, words=((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
-    Q = build_code(family("triangle"), catalog("h_alpha", PI / 5), C)
-    check(failures, Q.K == 4, f"K = {Q.K} != 4")
-    V = Q.basis
-    gram_dev = np.max(np.abs(V.conj().T @ V - np.eye(4)))
+    C = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    V = build_code(family("triangle"), catalog("h_alpha", PI / 5), C)
+    K = V.shape[-1]
+    check(failures, K == 4, f"K = {K} != 4")
+    flat = V.reshape(-1, K)
+    gram_dev = np.max(np.abs(flat.conj().T @ flat - np.eye(4)))
     check(failures, gram_dev <= 1e-9, f"gram deviation {gram_dev}")
-    dist = kl_distance(Q, max_weight=3)
+    dist = kl_distance(V, max_weight=3)
     check(failures, dist == 2, f"kl_distance = {dist} != 2")
     elapsed = time.perf_counter() - t0
     check(failures, elapsed < 30.0, f"took {elapsed:.1f}s >= 30s")
@@ -122,11 +121,11 @@ def test_criterion_03_code_parameters():
 def test_criterion_04_non_additivity_evidence():
     failures = []
     t0 = time.perf_counter()
-    C = ClassicalCode(n=3, d=4, words=((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
-    Qa = build_code(family("triangle"), catalog("h_alpha", PI / 5), C)
-    Qf = build_code(family("triangle"), fourier(4), C)
-    Aa, Ba = weight_enumerators(Qa)
-    Af, Bf = weight_enumerators(Qf)
+    C = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    Va = build_code(family("triangle"), catalog("h_alpha", PI / 5), C)
+    Vf = build_code(family("triangle"), fourier(4), C)
+    Aa, Ba = weight_enumerators(Va)
+    Af, Bf = weight_enumerators(Vf)
     diff = max(float(np.max(np.abs(Aa - Af))), float(np.max(np.abs(Ba - Bf))))
     check(failures, diff > 1e-6, f"enumerator difference {diff} <= 1e-6")
     elapsed = time.perf_counter() - t0
@@ -230,7 +229,7 @@ def test_criterion_09_lu_witnesses():
             break
     mapped = graph_state(G, Hc)
     for site, u in enumerate(unitaries):
-        mapped = apply_local(LocalOperator(d=4, site=site, matrix=u), mapped)
+        mapped = apply_local(u, site, mapped)
     ov = abs(overlap(mapped, graph_state(G, Hd)))
     check(failures, ov >= 1 - 1e-9, f"p-equiv witness overlap {ov}")
 
@@ -241,7 +240,7 @@ def test_criterion_09_lu_witnesses():
     us = lu_witness(Gc, F3, wg)
     mapped = graph_state(Gc, F3)
     for site, u in enumerate(us):
-        mapped = apply_local(LocalOperator(d=3, site=site, matrix=u), mapped)
+        mapped = apply_local(u, site, mapped)
     ov = abs(overlap(mapped, graph_state(Gc, H2)))
     check(failures, ov >= 1 - 1e-9, f"bipartite witness overlap {ov}")
 
@@ -370,9 +369,7 @@ def test_criterion_14_decoded_diagonal_errors():
         ]
         for site in range(3):
             for E in diag_sets:
-                ok, S, residual = decoded_error(
-                    family("triangle"), H, LocalOperator(d=d, site=site, matrix=E)
-                )
+                ok, S, residual = decoded_error(family("triangle"), H, E, site)
                 if not ok or residual > 1e-9:
                     failures.append(f"{label} site {site}: residual {residual}")
                     continue

@@ -697,6 +697,40 @@ def test_code_refuses_a_non_symmetric_matrix_as_state_does(tmp_path, capsys):
     assert run(capsys, "state", *pair) == (1, refused)
 
 
+@pytest.mark.parametrize("matrix, text, error, detail", [
+    ("fourier:2", "# no words here\n", "bad_size", "no codewords in input"),
+    ("fourier:2", "000\n00\n", "bad_size", "word (0, 0) is not length 3"),
+    ("fourier:2", "002\n", "digit_out_of_range", "digit 2 out of range for d=2"),
+    ("fourier:2", "000\n000\n", "bad_size", "duplicate word (0, 0, 0)"),
+    ("fourier:2", "0000\n1111\n", "dimension_mismatch", "code length 4 != vertex count 3"),
+    # The words are checked before the matrix's symmetry.
+    ("skewed", "003\n", "digit_out_of_range", "digit 3 out of range for d=3"),
+    ("skewed", "0000\n1111\n", "dimension_mismatch", "code length 4 != vertex count 3"),
+])
+def test_code_file_refusals(tmp_path, capsys, matrix, text, error, detail):
+    if matrix == "skewed":
+        matrix = str(tmp_path / "skewed.json")
+        (tmp_path / "skewed.json").write_text(matrix_json(skewed_f3()))
+    words = tmp_path / "words.txt"
+    words.write_text(text)
+    argv = ("code", "--graph", "triangle", "--hadamard", matrix, "--classical", str(words))
+    assert run(capsys, *argv) == (1, render_json({"error": error, "detail": detail}) + "\n")
+
+
+def test_decode_error_checks_the_operator_then_the_symmetry_then_the_site(tmp_path, capsys):
+    m = tmp_path / "skewed.json"
+    m.write_text(matrix_json(skewed_f3()))
+    op = tmp_path / "op.json"
+    op.write_text(matrix_json(np.eye(2)))
+    pair = ("decode-error", "--graph", "triangle", "--hadamard", str(m))
+    assert run(capsys, *pair, "--site", "0", "--op", str(op)) == (
+        1, '{"error": "dimension_mismatch", "detail": "operator shape (2, 2) does not match d=3"}\n'
+    )
+    assert run(capsys, *pair, "--site", "7", "--op", "X") == (
+        1, '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
+    )
+
+
 def test_decode_error_refuses_a_non_symmetric_matrix_as_state_does(tmp_path, capsys):
     # fourier:4 with rows 0 and 1 swapped: the circuit that decode-error
     # conjugates by is the graph state's, so the symmetry is named first,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gghs import (
-    LocalOperator,
     apply_local,
     build,
     catalog,
@@ -146,7 +145,7 @@ def test_i6_local_unitary_invariant(seed, site):
     rng = np.random.default_rng(seed)
     s = graph_state(family("triangle"), fourier(3))
     u = _random_unitary(rng, 3)
-    t = apply_local(LocalOperator(d=3, site=site, matrix=u), s)
+    t = apply_local(u, site, s)
     assert abs(i6(t) - i6(s)) <= 1e-9
 
 

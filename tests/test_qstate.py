@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gghs import (
-    LocalOperator,
     apply_local,
     build,
     catalog,
+    decoded_error,
     errors,
     family,
     fourier,
@@ -21,6 +21,7 @@ from gghs import (
     pauli_xz,
     reorder_qudits,
     validate,
+    verify_stabilizer,
 )
 from gghs import qstate
 from gghs.qstate import DENSE_AMP_CAP
@@ -78,43 +79,52 @@ def test_basis_state_digit_range():
 
 def test_apply_local_identity():
     s = ghz(3, 2)
-    out = apply_local(LocalOperator(d=2, site=1, matrix=np.eye(2)), s)
+    out = apply_local(np.eye(2), 1, s)
     np.testing.assert_allclose(out.reshape(-1), s.reshape(-1))
 
 
 def test_apply_local_hadamard_on_zero():
     s = basis_state(1, 2, [0])
     u = fourier(2).entries / math.sqrt(2)
-    out = apply_local(LocalOperator(d=2, site=0, matrix=u), s)
+    out = apply_local(u, 0, s)
     np.testing.assert_allclose(out.reshape(-1), [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_apply_local_z3_phase():
     _, Z = pauli_xz(3)
     s = basis_state(1, 3, [1])
-    out = apply_local(LocalOperator(d=3, site=0, matrix=Z), s)
+    out = apply_local(Z, 0, s)
     w = np.exp(2j * PI / 3)
     np.testing.assert_allclose(out.reshape(-1), [0, w, 0], atol=1e-12)
 
 
-def test_mis_shaped_local_operator_is_a_dimension_mismatch():
-    # Refused when built, so neither apply_local nor decoded_error sees it.
+# Each consumer of a site operator runs the one check (d x d, finite entries)
+# before any work, so decoded_error cannot report a NaN as an overflow.
+OPERATOR_CONSUMERS = {
+    "apply_local": lambda U: apply_local(U, 0, ghz(3, 3)),
+    "decoded_error": lambda U: decoded_error(family("triangle"), fourier(3), U, 0),
+    "verify_stabilizer": lambda U: verify_stabilizer((U, np.eye(3), np.eye(3)), ghz(3, 3)),
+}
+
+
+@pytest.mark.parametrize("consumer", OPERATOR_CONSUMERS)
+def test_mis_shaped_local_operator_is_a_dimension_mismatch(consumer):
     with pytest.raises(errors.DimensionMismatch, match=r"operator shape \(2, 2\) does not match d=3"):
-        LocalOperator(d=3, site=0, matrix=np.eye(2))
+        OPERATOR_CONSUMERS[consumer](np.eye(2))
 
 
+@pytest.mark.parametrize("consumer", OPERATOR_CONSUMERS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_local_operator_is_refused_by_name(bad):
-    # Refused when built, so decoded_error cannot report it as an overflow.
+def test_non_finite_local_operator_is_refused_by_name(bad, consumer):
     E = np.eye(3, dtype=np.complex128)
     E[1, 2] = bad
     with pytest.raises(errors.NonFinite, match="operator entries must be finite"):
-        LocalOperator(d=3, site=0, matrix=E)
+        OPERATOR_CONSUMERS[consumer](E)
 
 
 def test_apply_local_site_range():
     with pytest.raises(errors.SiteOutOfRange):
-        apply_local(LocalOperator(d=2, site=3, matrix=np.eye(2)), ghz(3, 2))
+        apply_local(np.eye(2), 3, ghz(3, 2))
 
 
 def test_apply_ch_examples():
@@ -249,8 +259,8 @@ def test_local_symmetry_on_edge_graph():
         d = H.d
         s = graph_state(family("line", 2), H)
         u = H.entries / math.sqrt(d)
-        t = apply_local(LocalOperator(d=d, site=0, matrix=u), s)
-        t = apply_local(LocalOperator(d=d, site=1, matrix=u.conj()), t)
+        t = apply_local(u, 0, s)
+        t = apply_local(u.conj(), 1, t)
         assert abs(abs(overlap(t, s)) - 1.0) <= 1e-9, label
 
 

@@ -8,7 +8,6 @@ from gghs import (
     P_EQUIV,
     S_SYMMETRY,
     EquivalenceWitness,
-    LocalOperator,
     apply_local,
     apply_witness,
     build,
@@ -248,7 +247,7 @@ def test_p_equiv_witness_kind_checked():
 def _maps_states(G, H1, w, unitaries):
     built = graph_state(G, H1)
     for site, u in enumerate(unitaries):
-        built = apply_local(LocalOperator(d=H1.d, site=site, matrix=u), built)
+        built = apply_local(u, site, built)
     return abs(abs(overlap(built, graph_state(G, apply_witness(H1, w)))) - 1.0) <= 1e-9
 
 
