@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import errors
-from ._tol import TOL_ENTRY
+from ._limits import TOL_ENTRY
 from .formats import (
     graph_from_obj,
     matrix_entries_from_obj,

@@ -11,10 +11,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import errors
-from ._tol import TOL_ENTRY
+from ._limits import DENSE_AMP_CAP, TOL_ENTRY, _dense_size
 from .graphs import Graph, neighbourhood
 from .hadamard import HadamardMatrix, _gram_deviation
-from .qstate import DENSE_AMP_CAP, _check_graph_state, _check_operator, _dense_size, _encode
+from .qstate import _check_graph_state, _check_operator, _encode
 
 
 def build_code(G: Graph, H: HadamardMatrix, words) -> np.ndarray:

@@ -14,10 +14,10 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from . import errors
-from ._tol import TOL_ENTRY
+from ._limits import TOL_ENTRY, _dense_size
 from .graphs import Graph, build, neighbourhood
 from .hadamard import HadamardMatrix, dephase
-from .qstate import _check_graph_state, _check_normalized, _dense_size, _encode
+from .qstate import _check_graph_state, _check_normalized, _encode
 
 
 def _check_keep(keep: Sequence[int], n: int) -> List[int]:

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
-if TYPE_CHECKING:  # the readers import these when they run
-    from .graphs import Graph
+from ._limits import _dense_size
+from .graphs import Graph, build
 
 
 def _fmt_float(x: float) -> str:
@@ -122,8 +122,22 @@ def render_text(obj: Any) -> str:
 
 
 def pairs_to_complex(obj) -> np.ndarray:
-    a = np.asarray(obj, dtype=np.float64)
-    if a.shape[-1] != 2:
+    """[re, im] pairs as complex; ValueError unless each part is a JSON number.
+
+    An array numpy reads as integers or floats goes straight through; any
+    other (strings, booleans, null, integers past int64) is walked entry by
+    entry. A boolean among numbers is promoted by numpy and not caught."""
+    a = np.asarray(obj)
+    if a.dtype.kind not in "iuf":
+        a = np.asarray(obj, dtype=object)
+        for x in a.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"expected a number, got {x!r}")
+        try:
+            a = a.astype(np.float64)
+        except OverflowError as exc:
+            raise ValueError(f"a number is past the float range: {exc}") from exc
+    if a.ndim == 0 or a.shape[-1] != 2:
         raise ValueError("expected [re, im] pairs on the last axis")
     return a[..., 0] + 1j * a[..., 1]
 
@@ -144,8 +158,6 @@ def matrix_entries_from_obj(obj) -> np.ndarray:
 
 
 def graph_from_obj(obj) -> Graph:
-    from .graphs import build
-
     n = _json_int(obj["n"], "n")
     return build(n, [(_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"))
                      for u, v in obj["edges"]])
@@ -169,8 +181,6 @@ def state_to_obj(s: np.ndarray) -> dict:
 
 
 def state_from_obj(obj) -> np.ndarray:
-    from .qstate import _dense_size
-
     n = _json_int(obj["n"], "n")
     d = _json_int(obj["d"], "d")
     amps = pairs_to_complex(obj["amps"])

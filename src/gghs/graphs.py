@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import errors
-
-GRAPH_EDGE_CAP = 2**16  # most edges a named family may build
+from ._limits import GRAPH_EDGE_CAP
 
 
 @dataclass(frozen=True)

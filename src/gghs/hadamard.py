@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from ._tol import TOL_ENTRY
+from ._limits import DENSE_AMP_CAP, GRAM_BLOCK, SEARCH_CAPS, TOL_ENTRY
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,6 @@ def _as_complex_square(entries) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise errors.NotHadamard(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-GRAM_BLOCK = 2**20  # most entries in one temporary of the Gram check or the forced-column search
 
 
 def _gram_deviation(V: np.ndarray, scale: float) -> float:
@@ -112,8 +109,6 @@ def fourier(d: int) -> HadamardMatrix:
 
     Raises TooLarge for d**2 > DENSE_AMP_CAP (d > 4096) before any allocation.
     """
-    from .qstate import DENSE_AMP_CAP  # qstate imports this module
-
     if d < 1:
         raise errors.BadSize("d must be >= 1")
     if d * d > DENSE_AMP_CAP:
@@ -218,10 +213,6 @@ def _rank1_unimodular_factors(R: np.ndarray, tol: float):
     return a, b
 
 
-# Largest d each permutation search accepts, with the name its error message uses.
-_SEARCH_CAPS = {GENERAL: ("General", 6), P_EQUIV: ("PEquiv", 8)}
-
-
 def _witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:
     """Right-hand side of the witness's defining equation at H: (P X)[i] = X[p^-1(i)]."""
     held = (w.p1, w.d1) + {GENERAL: (w.p2, w.d2), P_EQUIV: (w.d2,)}.get(w.kind, ())
@@ -307,9 +298,9 @@ def _witnesses(H1: HadamardMatrix, H2: HadamardMatrix, kind: str):
     candidates for General.
     """
     d = H1.d
-    name, cap = _SEARCH_CAPS[kind]
+    cap = SEARCH_CAPS[kind]
     if d > cap:
-        raise errors.SearchLimitExceeded(f"{name} search supports d <= {cap}")
+        raise errors.SearchLimitExceeded(f"{kind} search supports d <= {cap}")
     A1, A2 = H1.entries, H2.entries
     for p in itertools.permutations(range(d)):
         B = A1[list(p), :]  # B[i, j] = H1[p(i), j]
@@ -350,8 +341,6 @@ def s_symmetries(H: HadamardMatrix) -> list:
     at most GRAM_BLOCK entries at a time; d**3 > DENSE_AMP_CAP (d > 256)
     bounds that work and raises TooLarge before any of it.
     """
-    from .qstate import DENSE_AMP_CAP  # qstate imports this module
-
     if H.d**3 > DENSE_AMP_CAP:
         raise errors.TooLarge(f"S-symmetry search d={H.d} exceeds the cap d**3 <= {DENSE_AMP_CAP}")
     A = H.entries

@@ -15,11 +15,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
+from ._limits import TOL_NORM, _dense_size
 from .graphs import Graph
 from .hadamard import HadamardMatrix
-
-DENSE_AMP_CAP = 2**24      # most entries of a dense array an input sizes (256 MiB of complex128)
-MAX_SITES = 32             # largest n: one tensor axis per site, numpy 1.x's axis limit
 
 
 def _check_operator(U, d: int) -> np.ndarray:
@@ -34,33 +32,13 @@ def _check_operator(U, d: int) -> np.ndarray:
 
 def _check_normalized(s: np.ndarray) -> np.ndarray:
     """s, or DimensionMismatch unless its axes share one length, or
-    NotNormalized unless |norm(s) - 1| <= 1e-6 (a NaN norm fails)."""
+    NotNormalized unless |norm(s) - 1| <= TOL_NORM (a NaN norm fails)."""
     if len(set(np.shape(s))) > 1:
         raise errors.DimensionMismatch(f"state axes {np.shape(s)} differ in length")
     nrm = float(np.linalg.norm(s))
-    if not abs(nrm - 1.0) <= 1e-6:
+    if not abs(nrm - 1.0) <= TOL_NORM:
         raise errors.NotNormalized(f"state norm {nrm:.6f} is not 1")
     return s
-
-
-def _dense_size(n: int, d: int, axes: int = 1) -> int:
-    """d**n for n >= 0 and d >= 1, or TooLarge when an array with `axes` axes
-    of d**n entries each (1: a vector on n sites, 2: an operator on them)
-    passes DENSE_AMP_CAP.
-
-    The product stops at the first factor past the cap, so a huge n never
-    builds a huge integer. n itself is capped at MAX_SITES, which binds only
-    for d = 1.
-    """
-    size = 1
-    for _ in range(n if d > 1 else 0):
-        size *= d
-        if size**axes > DENSE_AMP_CAP:
-            what = "d**n" if axes == 1 else f"(d**n)**{axes}"
-            raise errors.TooLarge(f"{what} with n={n}, d={d} exceeds the cap {DENSE_AMP_CAP}")
-    if n > MAX_SITES:
-        raise errors.TooLarge(f"n={n} sites exceeds the cap {MAX_SITES}")
-    return size
 
 
 def _check_digits(n: int, d: int, digits: Sequence[int]):

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from ._tol import TOL_ENTRY
+from ._limits import TOL_ENTRY
 from .graphs import Graph, bipartition
 from .hadamard import (
     GENERAL,

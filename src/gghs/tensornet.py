@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
+from ._limits import _dense_size
 from .graphs import Graph
 from .hadamard import HadamardMatrix
-from .qstate import _dense_size
 
 
 def peps_contract(G: Graph, H: HadamardMatrix) -> np.ndarray:

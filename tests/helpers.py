@@ -20,9 +20,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from gghs import catalog, errors, family, fourier, pauli_xz, validate
+from gghs._limits import _dense_size
 from gghs.cli import main
 from gghs.hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix
-from gghs.qstate import _check_digits, _dense_size, _edge_phases, apply_local
+from gghs.qstate import _check_digits, _edge_phases, apply_local
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parent.parent / "src")

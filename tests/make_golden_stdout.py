@@ -65,6 +65,12 @@ FILES = {
     ' [[0, 0], [0, 0], [0, 0]]]}',
     # 10**6 vertices in 29 bytes: refused by the d**n cap before anything n-sized is built.
     "huge_n.json": '{"n": 1000000, "edges": []}',
+    # Complex parts that are not JSON numbers, and an integer past the float range.
+    "string_parts.json": '{"d": 2, "entries": [[["1", "0"], [true, false]], [[1, 0], ["-1", 0]]]}',
+    "null_part.json": '{"d": 2, "entries": [[[null, 0], [1, 0]], [[1, 0], [-1, 0]]]}',
+    "huge_int.json": '{"d": 2, "entries": [[[1' + "0" * 400 + ', 0], [1, 0]], [[1, 0], [-1, 0]]]}',
+    "string_amps.json": '{"n": 1, "d": 2, "amps": [["0.7071067811865476", 0], [0.7071067811865476, "0"]]}',
+    "string_op.json": '{"d": 2, "entries": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}',
 }
 
 PAIR = ["--graph", "triangle", "--hadamard", "fourier:3"]
@@ -159,6 +165,12 @@ ERRORS = [
     ["invariant", "--state", "unnormalized.json"],  # not_normalized
     ["state", "--graph", "huge_n.json", "--hadamard", "fourier:2"],  # too_large
     ["invariant", "--graph", "huge_n.json", "--hadamard", "fourier:2", "--i6"],  # too_large
+    # malformed_input: each complex part must be a JSON number
+    ["validate", "string_parts.json"],
+    ["validate", "null_part.json"],
+    ["validate", "huge_int.json"],
+    ["invariant", "--state", "string_amps.json"],
+    ["decode-error", "--graph", "line:2", "--hadamard", "fourier:2", "--site", "0", "--op", "string_op.json"],
 ]
 
 

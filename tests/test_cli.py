@@ -84,6 +84,34 @@ def test_json_file_that_is_not_utf8_is_malformed(tmp_path, capsys, kind):
     assert obj["detail"].startswith(f"{str(p)!r} is not valid JSON")
 
 
+ONE = [1, 0]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "state", "operator"])
+@pytest.mark.parametrize("pairs, detail", [
+    ([ONE, ONE, ONE, ["-1", 0]], "expected a number, got '-1'"),
+    ([[True, False]] * 4, "expected a number, got True"),
+    ([ONE, ONE, ONE, [None, 0]], "expected a number, got None"),  # not NaN
+    ([ONE, ONE, ONE, [10**400, 0]], "a number is past the float range"),  # not an OverflowError
+], ids=["string", "boolean", "null", "past-float"])
+def test_complex_parts_must_be_json_numbers(tmp_path, capsys, kind, pairs, detail):
+    p = tmp_path / "parts.json"
+    if kind == "state":
+        p.write_text(json.dumps({"n": 2, "d": 2, "amps": pairs}))
+    else:
+        p.write_text(json.dumps({"d": 2, "entries": [pairs[:2], pairs[2:]]}))
+    argv = {
+        "matrix": ("validate", str(p)),
+        "state": ("invariant", "--state", str(p)),
+        "operator": ("decode-error", "--graph", "line:2", "--hadamard", "fourier:2",
+                     "--site", "0", "--op", str(p)),
+    }[kind]
+    code, obj = run_json(capsys, *argv)
+    assert code == 2
+    assert obj["error"] == "malformed_input"
+    assert obj["detail"].startswith(f"{str(p)!r}: {detail}")
+
+
 def test_validate_accepts_matrix_file(tmp_path, capsys):
     F = fourier(2).entries
     obj = {"d": 2, "entries": [[[float(F[i, j].real), float(F[i, j].imag)] for j in range(2)] for i in range(2)]}

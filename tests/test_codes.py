@@ -24,7 +24,7 @@ from gghs import (
     weight_enumerators,
 )
 from gghs import codes, hadamard
-from gghs._tol import TOL_ENTRY
+from gghs._limits import TOL_ENTRY
 from gghs.formats import words_from_text
 
 from helpers import (

@@ -57,3 +57,8 @@ def test_the_entry_point_prints_the_golden_bytes(golden_files):
     for want in picked.values():
         code, out = entry_stdout(want["argv"])
         assert (code, sha256(out)) == (want["exit"], want["sha256"]), want["argv"]
+
+
+def test_readme_states_the_request_count():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`tests/test_golden_stdout.py` replays {len(GOLDEN['requests'])} CLI requests" in readme

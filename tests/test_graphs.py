@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gghs import bipartition, build, errors, family, neighbourhood
-from gghs.graphs import GRAPH_EDGE_CAP
+from gghs._limits import GRAPH_EDGE_CAP
 
 
 def test_build_normalizes_and_dedups():

@@ -1,4 +1,5 @@
-"""No module imports a name that its code never uses.
+"""No module imports a name that its code never uses, and src/gghs keeps
+its imports at the top.
 
 Scans src/gghs, tests and scripts with the stdlib ast module. A package
 __init__.py is skipped: its imports are the re-exports.
@@ -41,3 +42,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source: str) -> list:
+    """(function name, line) of each import statement inside a function body."""
+    return sorted(
+        (fn.name, node.lineno)
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_the_check_sees_a_function_level_import():
+    source = "import os\ndef f():\n    from . import a\nclass C:\n    def g(self):\n        import b\n"
+    assert function_level_imports(source) == [("f", 3), ("g", 6)]
+
+
+def test_imports_inside_functions_are_only_the_lazy_subcommand_loads():
+    # cli loads each heavy module inside the subcommand (or the `_weyl`
+    # operator builder) that runs it; every other module imports at the top.
+    found = {
+        (path.name, name)
+        for path in FILES
+        if path.parent.name == "gghs"
+        for name, _ in function_level_imports(path.read_text(encoding="utf-8"))
+    }
+    lazy = {(file, name) for file, name in found
+            if file == "cli.py" and (name.startswith("cmd_") or name == "_weyl")}
+    assert found == lazy
+
+
+def test_limits_is_a_leaf_module():
+    # Every module reads its limits from _limits, so _limits imports no gghs
+    # module but errors (the package imports its own modules relatively).
+    tree = ast.parse((ROOT / "src/gghs/_limits.py").read_text(encoding="utf-8"))
+    relative = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == ["from . import errors"]

@@ -24,7 +24,7 @@ from gghs import (
     verify_stabilizer,
 )
 from gghs import qstate
-from gghs.qstate import DENSE_AMP_CAP
+from gghs._limits import DENSE_AMP_CAP, _dense_size
 from helpers import (
     apply_ch,
     basis_state,
@@ -436,16 +436,16 @@ def test_hamiltonian_check_rejects_non_symmetric_before_dense_work(monkeypatch):
 
 def test_dense_size_caps_each_array_kind():
     # One cap, DENSE_AMP_CAP entries: d**n for a vector, (d**n)**2 for an operator.
-    assert qstate._dense_size(12, 4) == DENSE_AMP_CAP
-    assert qstate._dense_size(6, 4, axes=2) == 4096
-    assert qstate._dense_size(1, 4096, axes=2) == 4096
+    assert _dense_size(12, 4) == DENSE_AMP_CAP
+    assert _dense_size(6, 4, axes=2) == 4096
+    assert _dense_size(1, 4096, axes=2) == 4096
     for n, d, axes in ((13, 4, 1), (7, 4, 2), (2, 65, 2), (1, 4097, 2), (10**18, 2, 2)):
         with pytest.raises(errors.TooLarge):
-            qstate._dense_size(n, d, axes)
+            _dense_size(n, d, axes)
     # The site cap counts the n sites, whatever the array.
-    assert qstate._dense_size(32, 1, axes=2) == 1
+    assert _dense_size(32, 1, axes=2) == 1
     with pytest.raises(errors.TooLarge):
-        qstate._dense_size(33, 1)
+        _dense_size(33, 1)
 
 
 def test_hamiltonian_check_size_cap():
