@@ -238,7 +238,7 @@ def cmd_invariant(args) -> dict:
 
 
 def cmd_stabilizers(args) -> dict:
-    from .symmetry import stabilizer_from_symmetry, verify_stabilizer
+    from .symmetry import verify_stabilizer
 
     G = resolve_graph(args.graph)
     H = resolve_matrix(args.hadamard)
@@ -256,7 +256,7 @@ def cmd_stabilizers(args) -> dict:
         hood, local = neighbourhood(G, [a])
         psi = graph_state(local, H)
         for (_, w), c in zip(chosen, checked):
-            dev = verify_stabilizer(stabilizer_from_symmetry(local, H, w, hood.index(a)), psi)[1]
+            dev = verify_stabilizer(local, w, hood.index(a), psi)[1]
             c["generators"].append({"vertex": a, "verified": dev <= args.tol, "deviation": dev})
         del psi  # the next vertex's state is built without this one held
     all_ok = all(g["verified"] for c in checked for g in c["generators"])

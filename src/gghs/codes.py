@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import reduce
 from typing import Optional, Tuple
 
@@ -34,7 +35,7 @@ def build_code(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
         if len(w) != m:
             raise errors.BadSize(f"word {w} is not length {m}")
         for x in w:
-            if not (0 <= x < d):
+            if not (0 <= operator.index(x) < d):
                 raise errors.DigitOutOfRange(f"digit {x} out of range for d={d}")
         if w in seen:
             raise errors.BadSize(f"duplicate word {w}")
@@ -177,6 +178,7 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
     n, d = G.n, H.d
     Em = _check_operator(E, d)
     _check_graph_state(G, H)
+    site = operator.index(site)
     if not (0 <= site < n):
         raise errors.SiteOutOfRange(f"site {site} out of range for n={n}")
     _dense_size(n, d, axes=2)

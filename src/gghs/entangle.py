@@ -9,6 +9,7 @@ come from graph_reduced_density, and its d**n register is never built.
 from __future__ import annotations
 
 import math
+import operator
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,7 +22,7 @@ from .qstate import _check_graph_state, _check_normalized, _encode
 
 
 def _check_keep(keep: Sequence[int], n: int) -> List[int]:
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(map(operator.index, keep)))
     if not keep:
         raise errors.EmptyKeep("keep at least one site")
     for k in keep:
@@ -141,7 +142,7 @@ def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
     exact zeros.
     """
     n, d = _shape(s)
-    part = sorted(set(int(k) for k in part))
+    part = sorted(set(map(operator.index, part)))
     if not part or len(part) >= n:
         raise errors.BadPartition("part must be a proper nonempty site subset")
     _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it

@@ -362,4 +362,6 @@ def check_witness(H1: HadamardMatrix, H2: HadamardMatrix, w: EquivalenceWitness)
 
     An S-symmetry relates H to itself, so it is checked with H1 = H2 = H.
     """
+    if H1.d != H2.d:
+        raise errors.DimensionMismatch(f"d mismatch: {H1.d} vs {H2.d}")
     return float(np.max(np.abs(H1.entries - _witness_rhs(H2, w))))

@@ -10,6 +10,7 @@ phase-insensitive.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +46,7 @@ def _check_digits(n: int, d: int, digits: Sequence[int]):
     if len(digits) != n:
         raise errors.DigitOutOfRange(f"expected {n} digits, got {len(digits)}")
     for x in digits:
-        if not (0 <= int(x) < d):
+        if not (0 <= operator.index(x) < d):
             raise errors.DigitOutOfRange(f"digit {x} out of range for d={d}")
 
 
@@ -139,7 +140,7 @@ def overlap(s1: np.ndarray, s2: np.ndarray) -> complex:
 
 def reorder_qudits(s: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     """Relocate amplitudes so input qudit k becomes output qudit perm[k]."""
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(operator.index(p) for p in perm)
     if sorted(perm) != list(range(s.ndim)):
         raise errors.BadPermutation(f"{perm} is not a permutation of 0..{s.ndim - 1}")
     return np.ascontiguousarray(np.transpose(s, np.argsort(perm)))

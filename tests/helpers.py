@@ -200,9 +200,16 @@ def s_symmetries_by_permutations(H: HadamardMatrix) -> List[Tuple[Tuple[int, ...
     return out
 
 
-def dense_stabilizer_deviation(factors, s: np.ndarray) -> float:
-    """||K psi - psi|| with each site factor of K applied as a dense d x d
-    matrix by apply_local: the oracle of verify_stabilizer's deviation."""
+def dense_stabilizer_deviation(G, w: EquivalenceWitness, a: int, s: np.ndarray) -> float:
+    """||K_a psi - psi|| for the generator of the S-symmetry w = (P, D) at
+    vertex a of G, built as n dense d x d site factors (P at a, D at each
+    neighbour of a, the identity elsewhere), each applied by apply_local:
+    the oracle of verify_stabilizer's deviation."""
+    eye = np.eye(len(w.p1), dtype=np.complex128)
+    factors = [eye] * G.n
+    factors[a] = eye[:, list(w.p1)]  # P|i> = |p[i]>
+    for b in G.neighbors(a):
+        factors[b] = np.diag(w.d1)
     out = s
     for site, f in enumerate(factors):
         out = apply_local(f, site, out)

@@ -47,7 +47,6 @@ PUBLIC = [
     "reorder_qudits",
     "lu_witness",
     "pauli_xz",
-    "stabilizer_from_symmetry",
     "verify_stabilizer",
     "peps_contract",
     "__version__",
@@ -57,25 +56,26 @@ PUBLIC = [
 # (digits_to_index among them), the bond state, which nothing used, encode,
 # which was graph_state with input digits, and the wrappers: a state is its
 # (d,)*n array, indexed by digits, a witness holds its permutations as tuples
-# and its diagonals as phase arrays, a stabilizer is the tuple of its site
-# factors, a reduced state is its array, and a decoded error is the tuple
-# (factorizes, site_operator, residual). A classical code is its words, as
-# digit tuples (formats.words_from_text reads them from code text), a quantum
-# code is its (d,)*n + (K,) basis array, and a site operator is its d x d
-# array, passed with its site; those three wrappers are not named below,
-# since the lazy lookup refuses every name outside PUBLIC. The three witness
-# constructors are lu_witness, which reads the relation from the witness and
-# the parts from the graph.
+# and its diagonals as phase arrays, a stabilizer generator is its S-symmetry
+# and its vertex, which verify_stabilizer(G, w, a, s) takes without building
+# site factors, a reduced state is its array, and a decoded error is the
+# tuple (factorizes, site_operator, residual). A classical code is its words,
+# as digit tuples (formats.words_from_text reads them from code text), a
+# quantum code is its (d,)*n + (K,) basis array, and a site operator is its
+# d x d array, passed with its site; those three wrappers are not named
+# below, since the lazy lookup refuses every name outside PUBLIC. The three
+# witness constructors are lu_witness, which reads the relation from the
+# witness and the parts from the graph.
 REMOVED = [
     "apply_ch", "basis_state", "index_to_digits", "weyl_operators", "BondState", "bond_state",
     "circuit_unitary", "encode", "Permutation", "DiagonalUnitary", "StabilizerOperator",
     "DensityMatrix", "DecodedError", "StateVector", "digits_to_index", "auto_bipartite_parts",
-    "lu_witness_bipartite", "lu_witness_p_equiv",
+    "lu_witness_bipartite", "lu_witness_p_equiv", "stabilizer_from_symmetry",
 ]
 
 
 def test_public_api_is_the_decided_list():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 41
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)

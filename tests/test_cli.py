@@ -18,7 +18,6 @@ from gghs import (
     ghz,
     graph_state,
     s_symmetries,
-    stabilizer_from_symmetry,
     verify_stabilizer,
 )
 from gghs.cli import main, resolve_state
@@ -489,7 +488,7 @@ def test_invariant_state_schmidt_of_the_larger_part():
 def test_stabilizers_tol_sets_the_verdict(monkeypatch, capsys):
     # A deviation of 1e-8 fails the default 1e-9 and passes --tol 1e-6.
     # The subcommand imports verify_stabilizer from its module when it runs.
-    monkeypatch.setattr("gghs.symmetry.verify_stabilizer", lambda op, s: (False, 1e-8))
+    monkeypatch.setattr("gghs.symmetry.verify_stabilizer", lambda G, w, a, s: (False, 1e-8))
     for tol, verified in ((None, False), ("1e-6", True)):
         argv = ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:3"]
         code, obj = run_json(capsys, *argv, *(["--tol", tol] if tol else []))
@@ -611,6 +610,19 @@ def test_stabilizers_build_each_local_state_once(monkeypatch, capsys):
     assert calls == [4, 2, 2, 2]
 
 
+def test_stabilizers_checks_each_symmetry_once_per_request(monkeypatch, capsys):
+    # s_symmetries checks each pair it finds; no generator checks it again.
+    # Every check_witness call evaluates _witness_rhs once, however a module
+    # imported check_witness, so the count sees each check.
+    calls = []
+    rhs = gghs.hadamard._witness_rhs
+    monkeypatch.setattr("gghs.hadamard._witness_rhs", lambda *a: calls.append(a) or rhs(*a))
+    argv = ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:5", "--all-symmetries"]
+    code, obj = run_json(capsys, *argv)
+    assert code == 0 and obj["all_verified"] is True
+    assert obj["available_symmetries"] == len(calls) == 5
+
+
 def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):
     """Each generator is checked on the graph state of N[a]; deviations and
     verdicts agree with verify_stabilizer on the whole register."""
@@ -628,8 +640,7 @@ def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):
             assert len(obj["checked"]) == len(syms)
             for entry, w in zip(obj["checked"], syms):
                 for gen in entry["generators"]:
-                    op = stabilizer_from_symmetry(G, H, w, gen["vertex"])
-                    ok, dev = verify_stabilizer(op, psi)
+                    ok, dev = verify_stabilizer(G, w, gen["vertex"], psi)
                     assert gen["verified"] == ok, (gname, label, gen)
                     assert gen["deviation"] == pytest.approx(dev, rel=1e-11, abs=1e-14)
 

@@ -20,6 +20,7 @@ from gghs import (
     kraus_commutation_test,
     partial_transpose,
     reduced_density,
+    s_symmetries,
     schmidt_spectrum,
     validate,
     verify_stabilizer,
@@ -263,7 +264,7 @@ def test_graph_reduced_density_checks_in_graph_state_order():
         i6,
         lambda s: schmidt_spectrum(s, [0]),
         lambda s: reduced_density(s, [0]),
-        lambda s: verify_stabilizer([np.eye(2), np.eye(3), np.eye(2)], s),
+        lambda s: verify_stabilizer(family("line", 3), s_symmetries(fourier(3))[1], 0, s),
     ],
     ids=["i6", "schmidt_spectrum", "reduced_density", "verify_stabilizer"],
 )

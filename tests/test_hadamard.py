@@ -210,6 +210,16 @@ def test_apply_witness_round_trip():
 def test_equivalence_dimension_mismatch():
     with pytest.raises(errors.DimensionMismatch):
         find_equivalence(fourier(2), fourier(3), GENERAL)
+    # check_witness compares the two dimensions before it reads the witness:
+    # numpy would broadcast a 1 x 1 right-hand side, or fail to broadcast.
+    calls = [
+        (lambda: check_witness(fourier(2), fourier(1), s_symmetries(fourier(1))[0]), "2 vs 1"),
+        (lambda: check_witness(fourier(3), fourier(4), find_equivalence(fourier(4), fourier(4))),
+         "3 vs 4"),
+    ]
+    for call, dims in calls:
+        with pytest.raises(errors.DimensionMismatch, match=f"d mismatch: {dims}"):
+            call()
 
 
 def test_witnesses_are_plain_data():

@@ -9,17 +9,22 @@ from hypothesis import strategies as st
 from gghs import (
     apply_local,
     build,
+    build_code,
     catalog,
     decoded_error,
     errors,
     family,
     fourier,
     ghz,
+    graph_reduced_density,
     graph_state,
     hamiltonian_ground_check,
     overlap,
     pauli_xz,
+    reduced_density,
     reorder_qudits,
+    s_symmetries,
+    schmidt_spectrum,
     validate,
     verify_stabilizer,
 )
@@ -103,7 +108,6 @@ def test_apply_local_z3_phase():
 OPERATOR_CONSUMERS = {
     "apply_local": lambda U: apply_local(U, 0, ghz(3, 3)),
     "decoded_error": lambda U: decoded_error(family("triangle"), fourier(3), U, 0),
-    "verify_stabilizer": lambda U: verify_stabilizer((U, np.eye(3), np.eye(3)), ghz(3, 3)),
 }
 
 
@@ -120,6 +124,30 @@ def test_non_finite_local_operator_is_refused_by_name(bad, consumer):
     E[1, 2] = bad
     with pytest.raises(errors.NonFinite, match="operator entries must be finite"):
         OPERATOR_CONSUMERS[consumer](E)
+
+
+# Each site, vertex or digit argument is read with operator.index, as
+# graphs.build reads vertices: numpy integers pass, and a float raises
+# TypeError instead of being truncated to the site or digit below it.
+INDEX_ARGUMENTS = {
+    "graph_state": lambda v: graph_state(family("line", 2), fourier(3), [0, v]),
+    "reorder_qudits": lambda v: reorder_qudits(ghz(2, 2), [v, 0]),
+    "build_code": lambda v: build_code(family("line", 2), fourier(3), [(0, v), (2, 2)]),
+    "reduced_density": lambda v: reduced_density(ghz(3, 2), [v]),
+    "graph_reduced_density": lambda v: graph_reduced_density(family("line", 3), fourier(2), [v]),
+    "schmidt_spectrum": lambda v: schmidt_spectrum(ghz(3, 2), [v]),
+    "decoded_error": lambda v: decoded_error(family("line", 3), fourier(2), pauli_xz(2)[0], v),
+    "verify_stabilizer": lambda v: verify_stabilizer(
+        family("line", 3), s_symmetries(fourier(2))[1], v, ghz(3, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_ARGUMENTS)
+def test_a_float_site_or_digit_is_refused_not_truncated(call):
+    INDEX_ARGUMENTS[call](np.int64(1))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        INDEX_ARGUMENTS[call](1.5)
 
 
 def test_apply_local_site_range():

@@ -21,7 +21,6 @@ from gghs import (
     overlap,
     pauli_xz,
     s_symmetries,
-    stabilizer_from_symmetry,
     verify_stabilizer,
 )
 from helpers import basis_state, connected_graphs, dense_stabilizer_deviation, df3d, full_catalog
@@ -64,14 +63,13 @@ def test_pauli_x_shifts_down():
 
 
 def test_fourier_stabilizer_matches_weyl_form():
+    # The shift symmetry's P is X^dagger and its D is Z, so K_a is X^dagger
+    # at a and Z at each neighbour of a.
     for d in (2, 3, 5):
         w = _weyl_symmetry(d)
         X, Z = pauli_xz(d)
-        G = family("star", 3)
-        op = stabilizer_from_symmetry(G, fourier(d), w, 0)
-        np.testing.assert_allclose(op[0], X.conj().T, atol=1e-12)
-        np.testing.assert_allclose(op[1], Z, atol=1e-12)
-        np.testing.assert_allclose(op[2], Z, atol=1e-12)
+        np.testing.assert_allclose(np.eye(d)[:, list(w.p1)], X.conj().T, atol=1e-12)
+        np.testing.assert_allclose(np.diag(w.d1), Z, atol=1e-12)
 
 
 def test_qubit_graph_state_generators():
@@ -80,8 +78,7 @@ def test_qubit_graph_state_generators():
     for gname, G in [("triangle", family("triangle")), ("star:4", family("star", 4))]:
         psi = graph_state(G, fourier(2))
         for a in range(G.n):
-            op = stabilizer_from_symmetry(G, fourier(2), w, a)
-            ok, dev = verify_stabilizer(op, psi)
+            ok, dev = verify_stabilizer(G, w, a, psi)
             assert ok, (gname, a, dev)
 
 
@@ -91,62 +88,88 @@ def test_h_alpha_symmetry_operators_fix_triangle_state():
     psi = graph_state(family("triangle"), H)
     for w in syms:
         for a in range(3):
-            op = stabilizer_from_symmetry(family("triangle"), H, w, a)
-            ok, dev = verify_stabilizer(op, psi)
+            ok, dev = verify_stabilizer(family("triangle"), w, a, psi)
             assert ok, (w.p1, a, dev)
 
 
 def test_identity_witness_gives_identity_operator():
-    H = fourier(3)
-    ident = s_symmetries(H)[0]
-    op = stabilizer_from_symmetry(family("triangle"), H, ident, 1)
-    for f in op:
-        np.testing.assert_allclose(f, np.eye(3), atol=1e-12)
+    # The search's first pair is the identity, and the identity pair fixes
+    # every state exactly, not only graph states.
+    first = s_symmetries(fourier(3))[0]
+    assert first.p1 == (0, 1, 2)
+    np.testing.assert_allclose(first.d1, np.ones(3), atol=1e-12)
+    ident = EquivalenceWitness(kind=S_SYMMETRY, p1=(0, 1, 2), d1=np.ones(3, dtype=np.complex128))
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    s /= np.linalg.norm(s)
+    for a in range(3):
+        assert verify_stabilizer(family("triangle"), ident, a, s) == (True, 0.0)
 
 
 def test_stabilizer_witness_validation():
-    H = fourier(3)
+    G, H = family("triangle"), fourier(3)
+    psi = graph_state(G, H)
+    # P H D != H for this pair: it is not re-checked, and it moves the state.
     bogus = EquivalenceWitness(
         kind=S_SYMMETRY,
         p1=(1, 2, 0),
         d1=np.ones(3, dtype=np.complex128),
     )
-    with pytest.raises(errors.InvalidWitness):
-        stabilizer_from_symmetry(family("triangle"), H, bogus, 0)
+    for a in range(3):
+        fixed, dev = verify_stabilizer(G, bogus, a, psi)
+        assert fixed is False
+        assert dev == pytest.approx(math.sqrt(2), abs=1e-12)
     good = s_symmetries(H)[1]
-    with pytest.raises(errors.BadVertex):
-        stabilizer_from_symmetry(family("triangle"), H, good, 5)
+    with pytest.raises(errors.BadVertex, match="vertex 5 out of range for n=3"):
+        verify_stabilizer(G, good, 5, psi)
+    with pytest.raises(errors.InvalidWitness, match="expected an S-symmetry witness"):
+        verify_stabilizer(G, find_equivalence(H, H, P_EQUIV), 0, psi)
 
 
 def test_verify_stabilizer_detects_motion():
     X, _ = pauli_xz(2)
-    ok, dev = verify_stabilizer((X,), basis_state(1, 2, [0]))
+    w = EquivalenceWitness(kind=S_SYMMETRY, p1=(1, 0), d1=np.ones(2, dtype=np.complex128))
+    ok, dev = verify_stabilizer(build(1, []), w, 0, basis_state(1, 2, [0]))
     assert not ok
     assert abs(dev - math.sqrt(2)) <= 1e-12
 
 
-def test_verify_stabilizer_refuses_factors_of_another_shape():
+def test_verify_stabilizer_refuses_a_witness_or_graph_of_another_shape():
     G, H = family("triangle"), fourier(3)
-    factors = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
     psi = graph_state(G, H)
-    F2, F3 = fourier(2).entries / math.sqrt(2), fourier(3).entries / math.sqrt(3)
-    # The shape is checked before the monomial form, at every site.
-    for bad in (factors[:2], factors + factors[:1], (np.eye(2),) * 3, (F2,) + factors[1:],
-                (F3, np.eye(2), factors[2])):
-        with pytest.raises(errors.DimensionMismatch):
-            verify_stabilizer(bad, psi)
+    w = s_symmetries(H)[1]
+    with pytest.raises(errors.DimensionMismatch, match="graph of n=4 vs state of n=3"):
+        verify_stabilizer(family("line", 4), w, 0, psi)
+    too_short = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1[:2], d1=w.d1)
+    too_long = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1, d1=np.ones(4, dtype=np.complex128))
+    for bad, d in ((too_short, 2), (too_long, 4), (s_symmetries(fourier(4))[1], 4)):
+        with pytest.raises(errors.DimensionMismatch, match=f"witness of d={d} vs state of d=3"):
+            verify_stabilizer(G, bad, 0, psi)
 
 
-def test_verify_stabilizer_refuses_a_factor_that_is_not_monomial():
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_stabilizer_refuses_a_non_finite_phase(bad):
+    G, H = family("triangle"), fourier(3)
+    w = s_symmetries(H)[1]
+    phases = w.d1.copy()
+    phases[1] = bad
+    with pytest.raises(errors.NonFinite) as refusal:
+        verify_stabilizer(G, EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1, d1=phases), 0,
+                          graph_state(G, H))
+    assert refusal.value.code == "non_finite"
+
+
+def test_verify_stabilizer_refuses_a_p1_that_is_not_a_permutation():
     psi = graph_state(family("line", 2), fourier(2))
+    w = EquivalenceWitness(kind=S_SYMMETRY, p1=(0, 0), d1=np.ones(2, dtype=np.complex128))
     with pytest.raises(errors.BadPermutation) as refusal:
-        verify_stabilizer((np.eye(2), fourier(2).entries / math.sqrt(2)), psi)
+        verify_stabilizer(family("line", 2), w, 0, psi)
     assert refusal.value.code == "bad_permutation"
 
 
 def test_verify_stabilizer_matches_the_dense_oracle_bit_for_bit():
-    """Gather and phase give the deviation of the dense einsum, bit for bit,
-    for every S-symmetry generator on the test grid."""
+    """Gather and phase give the verdict and the deviation of the dense
+    einsum, bit for bit, for every S-symmetry generator on the test grid."""
     for gname, G in connected_graphs(4):
         for label, H in full_catalog():
             if not H.symmetric:
@@ -154,25 +177,23 @@ def test_verify_stabilizer_matches_the_dense_oracle_bit_for_bit():
             psi = graph_state(G, H)
             for w in s_symmetries(H):
                 for a in range(G.n):
-                    op = stabilizer_from_symmetry(G, H, w, a)
-                    dense = dense_stabilizer_deviation(op, psi)
-                    assert verify_stabilizer(op, psi)[1] == dense, (gname, label, w.p1, a)
+                    dense = dense_stabilizer_deviation(G, w, a, psi)
+                    got = verify_stabilizer(G, w, a, psi)
+                    assert got == (dense <= 1e-9, dense), (gname, label, w.p1, a)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-12])
 def test_verify_stabilizer_refuses_an_unnormalized_state(scale):
     # K psi - psi scales with psi, so a tiny or zero state would pass any K.
     G, H = family("triangle"), fourier(3)
-    op = stabilizer_from_symmetry(G, H, s_symmetries(H)[1], 0)
     psi = graph_state(G, H)
     with pytest.raises(errors.NotNormalized):
-        verify_stabilizer(op, psi * scale)
+        verify_stabilizer(G, s_symmetries(H)[1], 0, psi * scale)
 
 
 def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
     G, F3 = family("triangle"), fourier(3)
     calls = [
-        lambda: stabilizer_from_symmetry(G, F3, s_symmetries(fourier(4))[1], 0),
         lambda: lu_witness(G, F3, find_equivalence(fourier(4), fourier(4), P_EQUIV)),
         lambda: lu_witness(
             family("line", 3), F3, find_equivalence(catalog("tilde_a"), catalog("tilde_b"), GENERAL)
@@ -191,8 +212,7 @@ def test_stabilizer_suite_across_graphs():
             psi = graph_state(G, H)
             for w in syms:
                 for a in range(G.n):
-                    op = stabilizer_from_symmetry(G, H, w, a)
-                    ok, dev = verify_stabilizer(op, psi)
+                    ok, dev = verify_stabilizer(G, w, a, psi)
                     assert ok, (d, gname, w.p1, a, dev)
 
 
