@@ -134,7 +134,10 @@ def test_verify_stabilizer_detects_motion():
     assert abs(dev - math.sqrt(2)) <= 1e-12
 
 
-def test_verify_stabilizer_refuses_a_witness_or_graph_of_another_shape():
+def test_verify_stabilizer_refuses_factors_of_another_shape():
+    """K_a has one factor per vertex: P at a, a power of D at each neighbour.
+    A graph of another n, or a witness whose P and D differ in length, gives
+    factors that do not fit the state."""
     G, H = family("triangle"), fourier(3)
     psi = graph_state(G, H)
     w = s_symmetries(H)[1]
@@ -142,9 +145,17 @@ def test_verify_stabilizer_refuses_a_witness_or_graph_of_another_shape():
         verify_stabilizer(family("line", 4), w, 0, psi)
     too_short = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1[:2], d1=w.d1)
     too_long = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1, d1=np.ones(4, dtype=np.complex128))
-    for bad, d in ((too_short, 2), (too_long, 4), (s_symmetries(fourier(4))[1], 4)):
+    for bad, d in ((too_short, 2), (too_long, 4)):
         with pytest.raises(errors.DimensionMismatch, match=f"witness of d={d} vs state of d=3"):
             verify_stabilizer(G, bad, 0, psi)
+
+
+def test_verify_stabilizer_refuses_a_witness_of_another_d():
+    G, H = family("triangle"), fourier(3)
+    psi = graph_state(G, H)
+    for d in (2, 4):
+        with pytest.raises(errors.DimensionMismatch, match=f"witness of d={d} vs state of d=3"):
+            verify_stabilizer(G, s_symmetries(fourier(d))[1], 0, psi)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
