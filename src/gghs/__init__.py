@@ -26,7 +26,6 @@ _EXPORTS = {
     "qstate": ("apply_local", "ghz", "graph_state", "hamiltonian_ground_check", "overlap",
                "reorder_qudits"),
     "symmetry": ("lu_witness", "pauli_xz", "verify_stabilizer"),
-    "tensornet": ("peps_contract",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

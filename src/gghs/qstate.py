@@ -159,12 +159,15 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     space (ground_dim = 1) and the gap is 1, or inf for d = 1. Both are read
     off in closed form, which holds because u is unitary within validation's
     tolerance and the edge entries are unimodular. The graph state is
-    psi = U|0>/||U|0>||, so the fidelity |(U^dagger psi)_0| is ||U|0>||, the
-    norm of the column _encode builds: O((|E| + n) d^n), and neither U nor
-    the Hamiltonian is built.
+    psi = U|0>/||U|0>||, so the fidelity |(U^dagger psi)_0| is ||U|0>||.
+    Its amplitude at digits i is prod_k u[i_k, 0] times one edge entry per
+    edge, so with unimodular entries ||U|0>|| = ||u[:, 0]||^n, which is
+    (||H[:, 0]||^2 / d)^(n/2). With every |h_ij| within eps = TOL_ENTRY of
+    1, the norm of the column _encode would build differs from this by a
+    factor within [(1 - eps)^|E|, (1 + eps)^|E|]. Neither U, the
+    Hamiltonian nor the state is built.
     """
-    digits = _check_graph_state(G, H)
-    _dense_size(G.n, H.d, axes=2)  # capped as the parent Hamiltonian it checks
-    fidelity = float(np.linalg.norm(_encode(G, H, [digits])))
+    _check_graph_state(G, H)  # the register it stands for is capped as a state
+    fidelity = (float(np.linalg.norm(H.entries[:, 0])) / math.sqrt(H.d)) ** G.n
     gap = 1.0 if H.d > 1 else float("inf")
     return gap, 1, fidelity

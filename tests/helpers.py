@@ -22,6 +22,7 @@ import numpy as np
 from gghs import catalog, errors, family, fourier, pauli_xz, validate
 from gghs._limits import _dense_size
 from gghs.cli import main
+from gghs.graphs import Graph
 from gghs.hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix
 from gghs.qstate import _check_digits, _edge_phases, apply_local
 
@@ -135,6 +136,38 @@ def kron_circuit_unitary(G, H) -> np.ndarray:
     phases = np.ones((d,) * n, dtype=np.complex128)
     _edge_phases(H.entries, G.edges, phases)
     return U * phases.reshape(-1, 1)
+
+
+def peps_contract(G: Graph, H: HadamardMatrix) -> np.ndarray:
+    """Contract one bond tensor per edge with per-site leg-merging projectors.
+
+    The projector at site s forces every leg incident to s to carry the same
+    index, so the contraction is a product over edges with one free index per
+    vertex. Every site also carries the circuit's input column H[:, 0]
+    (uniform for a dephased matrix): on its first bond, or as a factor of its
+    own at a vertex of degree 0. The factors are folded into the running
+    tensor one einsum call each; no index is summed, so each amplitude is
+    the product of its factors taken in order. The result is normalized.
+    """
+    n, d = G.n, H.d
+    _dense_size(n, d)
+    col, ones = H.entries[:, 0], np.ones(d)
+    bare = set(range(n))  # sites whose column is in no factor yet
+    factors = []
+    for u, v in G.edges:
+        left, right = (col if u in bare else ones), (col if v in bare else ones)
+        bare -= {u, v}
+        factors.append((left[:, None] * H.entries * right, [u, v]))
+    factors += [(col, [s]) for s in sorted(bare)]
+    T, axes = np.ones((), dtype=np.complex128), []
+    for f, sub in factors:
+        out = sorted(set(axes).union(sub))
+        T, axes = np.einsum(T, axes, f, sub, out), out
+    nrm = np.linalg.norm(T)
+    if nrm <= 0:
+        raise errors.NotHadamard("contraction produced the zero vector")
+    T /= nrm
+    return T
 
 
 def weyl_operators(d: int) -> List[Tuple[Tuple[int, int], np.ndarray]]:

@@ -26,7 +26,6 @@ from gghs import (
     lu_witness,
     overlap,
     pauli_xz,
-    peps_contract,
     reduced_density,
     reorder_qudits,
     s_symmetries,
@@ -37,7 +36,7 @@ from gghs import (
 )
 from gghs.cli import main as cli_main
 from gghs.hadamard import GENERAL, P_EQUIV
-from helpers import connected_graphs, full_catalog
+from helpers import connected_graphs, full_catalog, peps_contract
 
 PI = math.pi
 

@@ -48,12 +48,12 @@ PUBLIC = [
     "lu_witness",
     "pauli_xz",
     "verify_stabilizer",
-    "peps_contract",
     "__version__",
 ]
 
 # Kept out of the package: fixtures and oracles that live in tests/helpers.py
-# (digits_to_index among them), the bond state, which nothing used, encode,
+# (digits_to_index among them, and peps_contract, the PEPS contraction, which
+# checks the circuit kernel), the bond state, which nothing used, encode,
 # which was graph_state with input digits, and the wrappers: a state is its
 # (d,)*n array, indexed by digits, a witness holds its permutations as tuples
 # and its diagonals as phase arrays, a stabilizer generator is its S-symmetry
@@ -70,12 +70,12 @@ REMOVED = [
     "apply_ch", "basis_state", "index_to_digits", "weyl_operators", "BondState", "bond_state",
     "circuit_unitary", "encode", "Permutation", "DiagonalUnitary", "StabilizerOperator",
     "DensityMatrix", "DecodedError", "StateVector", "digits_to_index", "auto_bipartite_parts",
-    "lu_witness_bipartite", "lu_witness_p_equiv", "stabilizer_from_symmetry",
+    "lu_witness_bipartite", "lu_witness_p_equiv", "stabilizer_from_symmetry", "peps_contract",
 ]
 
 
 def test_public_api_is_the_decided_list():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert gghs.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(gghs, name)
@@ -126,7 +126,7 @@ def test_import_gghs_loads_no_submodule():
 
 
 PAIR = ["--graph", "line:3", "--hadamard", "fourier:3"]
-OPTIONAL = {"gghs.codes", "gghs.entangle", "gghs.symmetry", "gghs.tensornet"}
+OPTIONAL = {"gghs.codes", "gghs.entangle", "gghs.symmetry"}
 
 
 @pytest.mark.parametrize("argv, optional", [
@@ -136,7 +136,7 @@ OPTIONAL = {"gghs.codes", "gghs.entangle", "gghs.symmetry", "gghs.tensornet"}
     (["state", *PAIR], set()),
     (["invariant", *PAIR, "--i6"], {"gghs.entangle"}),
     (["stabilizers", *PAIR], {"gghs.symmetry"}),
-    (["peps-check", *PAIR], {"gghs.tensornet"}),
+    (["peps-check", *PAIR], set()),
     (["code", *PAIR, "--classical", "rep.txt", "--distance", "2"], {"gghs.codes"}),
     (["decode-error", *PAIR, "--site", "0", "--op", "Z"], {"gghs.codes", "gghs.symmetry"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)

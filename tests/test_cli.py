@@ -17,12 +17,23 @@ from gghs import (
     fourier,
     ghz,
     graph_state,
+    overlap,
+    qstate,
     s_symmetries,
     verify_stabilizer,
 )
-from gghs.cli import main, resolve_state
+from gghs.cli import main, resolve_graph, resolve_matrix, resolve_state
 from gghs.formats import render_json, state_to_obj
-from helpers import connected_graphs, cut_rank, entry_stdout, full_catalog, matrix_json, skewed_f3
+from helpers import (
+    SRC,
+    connected_graphs,
+    cut_rank,
+    entry_stdout,
+    full_catalog,
+    matrix_json,
+    peps_contract,
+    skewed_f3,
+)
 
 PI = math.pi
 
@@ -318,6 +329,23 @@ def test_entry_point_writes_the_whole_state_file(tmp_path):
     assert json.loads(stdout)["written"] == str(out)
     want = render_json(state_to_obj(graph_state(family("line", 8), fourier(4)))) + "\n"
     assert out.read_text(encoding="utf-8") == want
+
+
+def test_entry_point_exits_quietly_when_stdout_closes():
+    # symmetries fourier:64 prints about 146 KB, more than a pipe holds, so
+    # the process is still writing when its reader closes after 100 bytes.
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gghs.cli", "symmetries", "fourier:64"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{"count": ')
+    assert stderr == b""
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):
@@ -647,12 +675,11 @@ def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tol_must_be_finite_and_non_negative(capsys, tol):
-    for cmd in ("peps-check", "stabilizers"):
-        code, obj = run_json(
-            capsys, cmd, "--graph", "triangle", "--hadamard", "fourier:3", "--tol", tol
-        )
-        assert code == 2, (cmd, tol)
-        assert obj["error"] == "malformed_input"
+    code, obj = run_json(
+        capsys, "stabilizers", "--graph", "triangle", "--hadamard", "fourier:3", "--tol", tol
+    )
+    assert code == 2, tol
+    assert obj["error"] == "malformed_input"
 
 
 # ---------------------------------------------------------------- peps / code
@@ -678,7 +705,7 @@ def test_peps_check_refuses_a_non_symmetric_matrix_before_contracting(tmp_path, 
     def contract(*args):
         raise AssertionError("contracted before the symmetry check")
 
-    monkeypatch.setattr("gghs.tensornet.peps_contract", contract)
+    monkeypatch.setattr(qstate, "_encode", contract)
     m = tmp_path / "rolled.json"
     m.write_text(matrix_json(np.roll(fourier(4).entries, 1, axis=0)))
     refused = '{"error": "not_symmetric", "detail": "graph states need a symmetric matrix"}\n'
@@ -687,6 +714,37 @@ def test_peps_check_refuses_a_non_symmetric_matrix_before_contracting(tmp_path, 
         pair = ("--graph", graph, "--hadamard", str(m))
         assert run(capsys, "peps-check", *pair) == (1, refused), graph
         assert run(capsys, "state", *pair) == (1, refused), graph
+
+
+def test_peps_check_prints_what_the_contraction_gives(tmp_path, capsys):
+    # The closed-form answer is, byte for byte, the fidelity of the PEPS
+    # contraction against the circuit, on the grid and at a matrix that is
+    # symmetric but not dephased, whose input column is not uniform.
+    cases = [(g, m) for m, H in full_catalog() if H.symmetric
+             for g, G in connected_graphs(5) if H.d**G.n <= 2**16]
+    df3 = tmp_path / "df3.json"
+    D = np.diag([1, 1j, np.exp(0.7j)])
+    df3.write_text(matrix_json(D @ fourier(3).entries @ D))
+    for name, n, edges in (("pair", 3, [[0, 1]]), ("single", 1, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        cases.append((str(path), str(df3)))
+    cases += [("triangle", str(df3)), ("star:4", str(df3))]
+    for graph, matrix in cases:
+        G, H = resolve_graph(graph), resolve_matrix(matrix)
+        want = {"fidelity": abs(overlap(peps_contract(G, H), graph_state(G, H))), "pass": True}
+        argv = ("peps-check", "--graph", graph, "--hadamard", matrix)
+        assert run(capsys, *argv) == (0, render_json(want) + "\n"), (graph, matrix)
+
+
+def test_peps_check_builds_no_state(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("peps-check built a state")
+
+    monkeypatch.setattr(qstate, "_encode", build)
+    monkeypatch.setattr(qstate, "graph_state", build)
+    code, out = run(capsys, "peps-check", "--graph", "cycle:10", "--hadamard", "fourier:4")
+    assert (code, out) == (0, '{"fidelity": 1, "pass": true}\n')
 
 
 def test_stabilizers_checks_the_graph_state_before_the_search(tmp_path, capsys):
@@ -992,9 +1050,9 @@ def test_bad_alpha_expression(capsys):
 
 def test_tol_flag_before_and_after_subcommand(capsys):
     # Options follow the subcommand; placed before it they are usage errors.
-    argv = ["peps-check", "--graph", "triangle", "--hadamard", "fourier:2"]
+    argv = ["stabilizers", "--graph", "triangle", "--hadamard", "fourier:2"]
     code, obj = run_json(capsys, *argv, "--tol", "1e-6")
-    assert code == 0 and obj["pass"] is True
+    assert code == 0 and obj["all_verified"] is True
     for before in (["--tol", "1e-6"], ["--text"]):
         with pytest.raises(SystemExit) as exc:
             main(before + argv)
@@ -1024,10 +1082,10 @@ def test_tol_only_where_it_is_read(tmp_path, capsys, cmd):
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--help"])
     assert exc.value.code == 0
-    assert ("--tol" in capsys.readouterr().out) == (cmd in ("stabilizers", "peps-check"))
+    assert ("--tol" in capsys.readouterr().out) == (cmd == "stabilizers")
     assert run(capsys, *argv, "--text")[0] == 0
     extras = [["--json"]]
-    if cmd not in ("stabilizers", "peps-check"):
+    if cmd != "stabilizers":
         extras.append(["--tol", "1e-3"])
     for extra in extras:
         with pytest.raises(SystemExit) as exc:

@@ -476,6 +476,13 @@ def test_dense_size_caps_each_array_kind():
         _dense_size(33, 1)
 
 
-def test_hamiltonian_check_size_cap():
-    with pytest.raises(errors.TooLarge):
-        hamiltonian_ground_check(family("line", 5), fourier(6))
+def test_hamiltonian_check_answers_past_the_operator_cap():
+    # (d**n)**2 is past the cap for both, d**n is not: the closed-form fidelity
+    # matches the norm of the circuit column, the route that built d**n numbers.
+    for G, H in ((family("line", 5), fourier(6)), (family("line", 6), catalog("h_d6"))):
+        assert (H.d**G.n) ** 2 > DENSE_AMP_CAP >= H.d**G.n
+        gap, dim, fid = hamiltonian_ground_check(G, H)
+        assert (gap, dim) == (1.0, 1)
+        assert abs(fid - np.linalg.norm(qstate._encode(G, H, [(0,) * G.n]))) <= 1e-12
+    with pytest.raises(errors.TooLarge):  # d**n = 2**26 is still refused
+        hamiltonian_ground_check(family("line", 13), fourier(4))

@@ -12,10 +12,9 @@ from gghs import (
     fourier,
     graph_state,
     overlap,
-    peps_contract,
     validate,
 )
-from helpers import connected_graphs, full_catalog
+from helpers import connected_graphs, full_catalog, peps_contract
 
 PI = math.pi
 
