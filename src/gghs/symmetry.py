@@ -1,7 +1,7 @@
 """Stabilizer generators from S-symmetries and explicit local-unitary witnesses.
 
 An S-symmetry (P, D) of H with P H D = H yields, for every vertex a, the
-generator P at a times D at each neighbor of a, which fixes the graph state.
+generator K_a, P at a times D at each neighbor of a: K_a psi = psi/D_0.
 lu_witness turns an equivalence witness between two Hadamard matrices into
 per-site unitaries mapping one graph state onto the other; the mapping is
 always verified numerically before it is returned.

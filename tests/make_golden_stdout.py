@@ -50,6 +50,8 @@ FILES = {
     # Witnesses with phases off the roots of unity.
     "df3d.json": matrix_json(df3d().entries),
     "pdf5dp.json": matrix_json(pdf5dp()),
+    # An S-symmetry with D_0 = -1: each generator moves the state by |1 - D_0| = 2.
+    "neg_d0.json": matrix_json([[1, -1], [-1, -1]]),
     "self_loop.json": '{"n": 2, "edges": [[1, 1]]}',
     "out_of_range.json": '{"n": 2, "edges": [[0, 2]]}',
     "unnormalized.json": '{"n": 1, "d": 2, "amps": [[1, 0], [1, 0]]}',
@@ -115,6 +117,8 @@ SHAPES = [
     ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:9"],
     ["stabilizers", "--graph", "line:2", "--hadamard", "fourier:64", "--all-symmetries"],
     ["stabilizers", "--graph", "star:4", "--hadamard", "fourier:9", "--all-symmetries"],
+    ["stabilizers", "--graph", "line:3", "--hadamard", "neg_d0.json"],
+    ["stabilizers", "--graph", "line:3", "--hadamard", "neg_d0.json", "--tol", "2"],
     ["equiv", "df3d.json", "fourier:3"],
     ["equiv", "pdf5dp.json", "fourier:5", "--p-equiv"],
     ["code", *PAIR[:3], "fourier:2", "--classical", "zero_d2.txt", "--distance", "3"],

@@ -135,7 +135,7 @@ OPTIONAL = {"gghs.codes", "gghs.entangle", "gghs.symmetry"}
     (["symmetries", "fourier:3"], set()),
     (["state", *PAIR], set()),
     (["invariant", *PAIR, "--i6"], {"gghs.entangle"}),
-    (["stabilizers", *PAIR], {"gghs.symmetry"}),
+    (["stabilizers", *PAIR], set()),
     (["peps-check", *PAIR], set()),
     (["code", *PAIR, "--classical", "rep.txt", "--distance", "2"], {"gghs.codes"}),
     (["decode-error", *PAIR, "--site", "0", "--op", "Z"], {"gghs.codes", "gghs.symmetry"}),

@@ -22,7 +22,7 @@ from gghs import (
     s_symmetries,
     verify_stabilizer,
 )
-from gghs.cli import main, resolve_graph, resolve_matrix, resolve_state
+from gghs.cli import build_parser, main, resolve_graph, resolve_matrix, resolve_state
 from gghs.formats import render_json, state_to_obj
 from helpers import (
     SRC,
@@ -513,21 +513,26 @@ def test_invariant_state_schmidt_of_the_larger_part():
     assert spec[4:] == [0] * (4**7 - 4)
 
 
-def test_stabilizers_tol_sets_the_verdict(monkeypatch, capsys):
-    # A deviation of 1e-8 fails the default 1e-9 and passes --tol 1e-6.
-    # The subcommand imports verify_stabilizer from its module when it runs.
-    monkeypatch.setattr("gghs.symmetry.verify_stabilizer", lambda G, w, a, s: (False, 1e-8))
-    for tol, verified in ((None, False), ("1e-6", True)):
-        argv = ["stabilizers", "--graph", "line:3", "--hadamard", "fourier:3"]
+def test_stabilizers_tol_sets_the_verdict(tmp_path, capsys):
+    # The symmetry of [[1, -1], [-1, -1]] has D_0 = -1, so each generator
+    # moves the state by |1 - D_0| = 2: it fails the default 1e-9 and passes
+    # --tol 2.
+    m = tmp_path / "neg.json"
+    m.write_text(matrix_json([[1, -1], [-1, -1]]))
+    for tol, verified in ((None, False), ("2", True)):
+        argv = ["stabilizers", "--graph", "line:3", "--hadamard", str(m)]
         code, obj = run_json(capsys, *argv, *(["--tol", tol] if tol else []))
         assert code == 0
         gens = obj["checked"][0]["generators"]
+        assert [g["deviation"] for g in gens] == [2] * 3
         assert [g["verified"] for g in gens] == [verified] * 3
         assert obj["all_verified"] is verified
 
 
 def test_stabilizers_answer_without_apply_local(monkeypatch, capsys):
-    # Each factor of a generator acts by gather and phase, not as a dense matrix.
+    # The command reads each deviation off its symmetry, and its oracle,
+    # verify_stabilizer, acts by gather and phase: neither applies a factor
+    # of a generator as a dense matrix.
     def refuse(U, s):
         raise AssertionError("apply_local was called")
 
@@ -537,6 +542,9 @@ def test_stabilizers_answer_without_apply_local(monkeypatch, capsys):
     assert code == 0
     assert len(obj["checked"]) == 3
     assert obj["all_verified"] is True
+    G, H = family("triangle"), fourier(3)
+    psi = graph_state(G, H)
+    assert all(verify_stabilizer(G, w, a, psi)[0] for w in s_symmetries(H) for a in range(G.n))
 
 
 def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
@@ -625,17 +633,17 @@ def test_stabilizers_all_symmetries(capsys):
     assert obj["all_verified"] is True
 
 
-def test_stabilizers_build_each_local_state_once(monkeypatch, capsys):
-    # The graph state of N[a] depends on the vertex alone, so every chosen
-    # symmetry is checked on the one state built for it.
-    calls = []
-    monkeypatch.setattr("gghs.cli.graph_state", lambda *a: calls.append(a[0].n) or graph_state(*a))
+def test_stabilizers_build_no_state(monkeypatch, capsys):
+    # Each deviation is read off its S-symmetry, so no amplitude is computed.
+    def refuse(*args):
+        raise AssertionError("_encode was called")
+
+    monkeypatch.setattr("gghs.qstate._encode", refuse)
     argv = ["stabilizers", "--graph", "star:4", "--hadamard", "fourier:9", "--all-symmetries"]
     code, obj = run_json(capsys, *argv)
     assert code == 0
     assert len(obj["checked"]) == 9
     assert obj["all_verified"] is True
-    assert calls == [4, 2, 2, 2]
 
 
 def test_stabilizers_checks_each_symmetry_once_per_request(monkeypatch, capsys):
@@ -651,26 +659,42 @@ def test_stabilizers_checks_each_symmetry_once_per_request(monkeypatch, capsys):
     assert obj["available_symmetries"] == len(calls) == 5
 
 
-def test_stabilizers_on_neighbourhoods_match_dense_on_grid(capsys):
-    """Each generator is checked on the graph state of N[a]; deviations and
-    verdicts agree with verify_stabilizer on the whole register."""
+def test_stabilizers_on_neighbourhoods_match_dense_on_grid(tmp_path):
+    """Each generator's deviation is |1 - D_0|, read from its printed phases,
+    and agrees with verify_stabilizer on the whole register within 1e-14,
+    with the same verdict. Besides the catalog, two matrices have
+    symmetries with D_0 != 1: [[1, -1], [-1, -1]] (D_0 = -1) and
+    Delta F3 Delta with delta_i = omega**i, geometric along the 3-cycle of
+    p, which gives D_0 = omega and omega**2."""
+    delta = np.exp(2j * PI * np.arange(3) / 3)
+    extra = {"neg.json": [[1, -1], [-1, -1]], "dfd.json": delta[:, None] * fourier(3).entries * delta}
+    matrices = list(full_catalog())
+    for name, entries in extra.items():
+        (tmp_path / name).write_text(matrix_json(entries))
+        matrices.append((str(tmp_path / name), resolve_matrix(str(tmp_path / name))))
+    seen = set()  # deviations, to show the D_0 != 1 cases ran
     for gname, G in connected_graphs(5):
-        for label, H in full_catalog():
+        for label, H in matrices:
             if not H.symmetric or H.d**G.n > 4096:
                 continue
-            code, obj = run_json(
-                capsys, "stabilizers", "--graph", gname, "--hadamard", label,
-                "--all-symmetries",
+            # The answer before and after rendering at 12 digits.
+            args = build_parser().parse_args(
+                ["stabilizers", "--graph", gname, "--hadamard", label, "--all-symmetries"]
             )
-            assert code == 0
+            raw = args.fn(args)
+            printed = json.loads(render_json(raw))
             psi = graph_state(G, H)
             syms = s_symmetries(H)
-            assert len(obj["checked"]) == len(syms)
-            for entry, w in zip(obj["checked"], syms):
-                for gen in entry["generators"]:
+            assert len(raw["checked"]) == len(syms)
+            for entry, shown, w in zip(raw["checked"], printed["checked"], syms):
+                d0 = complex(*shown["d"][0])
+                for gen, gen_shown in zip(entry["generators"], shown["generators"]):
+                    assert gen_shown["deviation"] == pytest.approx(abs(1 - d0), rel=1e-11, abs=1e-15)
                     ok, dev = verify_stabilizer(G, w, gen["vertex"], psi)
                     assert gen["verified"] == ok, (gname, label, gen)
-                    assert gen["deviation"] == pytest.approx(dev, rel=1e-11, abs=1e-14)
+                    assert abs(gen["deviation"] - dev) <= 1e-14, (gname, label, gen, dev)
+                    seen.add(round(dev, 9))
+    assert {2, round(math.sqrt(3), 9)} <= seen  # |1 - D_0| at D_0 = -1 and omega
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
