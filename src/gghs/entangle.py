@@ -126,6 +126,8 @@ def i6(s: State) -> float:
     odd power of a Hermitian matrix is real, and an array off norm 1 by
     more than 1e-6 raises NotNormalized, so the imaginary part is round-off.
     """
+    if isinstance(s, np.ndarray) and s.ndim >= 3 and len(set(s.shape)) == 1:
+        _dense_size(2, s.shape[0], axes=2)  # rho_01's cap, before the O(d**n) norm
     n, d = _shape(s)
     if n < 3:
         raise errors.TooFewSites("the invariant convention needs n >= 3")
@@ -135,11 +137,12 @@ def i6(s: State) -> float:
 
 def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
     """The d**|part| squared Schmidt coefficients across (part | rest),
-    descending, read from the side with fewer sites.
-
-    rho_part and rho_rest share their nonzero spectrum, so when part holds
-    more than half the sites the eigenvalues of rho_rest are padded with
-    exact zeros.
+    descending, read from the side with fewer sites, or for a (G, H) pair
+    from the smaller end set of its cut graph, the edges with one end in
+    part (the other edges are local unitaries). rho_part and rho_rest share
+    their nonzero spectrum, so the eigenvalues read are padded with exact
+    zeros; a part no edge crosses is a product state, [1, 0, ...]. An
+    eigenvalue below 0 is round-off of a PSD spectrum and prints as 0.
     """
     n, d = _shape(s)
     part = sorted(set(map(operator.index, part)))
@@ -147,12 +150,15 @@ def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
         raise errors.BadPartition("part must be a proper nonempty site subset")
     _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it
     side = part if 2 * len(part) <= n else [k for k in range(n) if k not in part]
-    rho = _reduced(s, side)
-    herm = (rho + rho.conj().T) / 2.0
-    vals = np.linalg.eigvalsh(herm)
-    if len(side) < len(part):
-        vals = np.sort(np.concatenate([vals, np.zeros(d ** len(part) - len(vals))]))
-    return [float(x) for x in vals[::-1]]
+    if not isinstance(s, np.ndarray):
+        cut = build(n, [(a, b) for a, b in s[0].edges if (a in part) != (b in part)])
+        ends = {v for edge in cut.edges for v in edge}
+        side, s = min(ends & set(part), ends - set(part), key=len), (cut, s[1])
+    rho = _reduced(s, side) if side else np.ones((1, 1))
+    vals = np.zeros(d ** len(part))
+    top = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[::-1]
+    vals[: len(top)] = np.maximum(top, 0)
+    return [float(x) for x in vals]
 
 
 def kraus_commutation_test(H: HadamardMatrix):

@@ -2,7 +2,9 @@
 
 Each request is one `gghs` argv, run in-process through `gghs.cli.main` with
 the input files of FILES in its working directory; the file records its
-exit code and the SHA-256 of its stdout. The requests are every
+exit code and the SHA-256 of its stdout. Before it overwrites the file, the
+script prints every request whose exit code or digest moved, and every
+request added or dropped. The requests are every
 reference-checked job of perfbench/workloads.py (which this script imports)
 plus the fixed-input requests below. A digest may only change in a change
 that lists the requests whose stdout it changes.
@@ -73,6 +75,8 @@ FILES = {
     "huge_int.json": '{"d": 2, "entries": [[[1' + "0" * 400 + ', 0], [1, 0]], [[1, 0], [-1, 0]]]}',
     "string_amps.json": '{"n": 1, "d": 2, "amps": [["0.7071067811865476", 0], [0.7071067811865476, "0"]]}',
     "string_op.json": '{"d": 2, "entries": [[["0", 0], [1, 0]], [[1, 0], [0, 0]]]}',
+    # No edge crosses the cut {0, 1} | {2, 3}.
+    "cut_free.json": '{"n": 4, "edges": [[0, 1], [2, 3]]}',
 }
 
 PAIR = ["--graph", "triangle", "--hadamard", "fourier:3"]
@@ -138,6 +142,14 @@ SHAPES = [
     for op in ("X", "Z", "weyl:1:2", "full_op.json", "single_op.json")
 ]
 
+# Schmidt spectra of graph inputs, read off the edges that cross the cut: a
+# product state, and one cut edge in a register of 2**24 amplitudes.
+CUTS = [
+    ["invariant", "--graph", "cut_free.json", "--hadamard", "fourier:3", "--schmidt", "0,1"],
+    ["invariant", "--graph", "line:24", "--hadamard", "fourier:2", "--schmidt",
+     ",".join(map(str, range(12)))],
+]
+
 # One request for each error code the CLI prints.
 ERRORS = [
     ["equiv", "fourier:2", "fourier:3"],  # dimension_mismatch
@@ -180,13 +192,29 @@ ERRORS = [
 
 def requests():
     """Every argv, in order, each once."""
-    argvs = [job["argv"] for job in workloads.reference_jobs()] + FIXED + SHAPES + ERRORS
+    argvs = [job["argv"] for job in workloads.reference_jobs()] + FIXED + SHAPES + CUTS + ERRORS
     return list({tuple(argv): argv for argv in argvs}.values())
 
 
 def digest(argv) -> dict:
     code, out = cli_stdout(argv)
     return {"argv": argv, "exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+def report_moves(entries) -> None:
+    """Print each request whose exit code or digest differs from the file on
+    disk, and each request added or dropped, so a change can list them."""
+    old = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text(encoding="utf-8"))["requests"]}
+    new = {tuple(e["argv"]): e for e in entries}
+    for argv, e in new.items():
+        was = old.get(argv)
+        if was is None:
+            print(f"added: gghs {' '.join(argv)} (exit {e['exit']})")
+        elif (was["exit"], was["sha256"]) != (e["exit"], e["sha256"]):
+            print(f"moved: gghs {' '.join(argv)} (exit {was['exit']} -> {e['exit']})")
+    for argv, e in old.items():
+        if argv not in new:
+            print(f"dropped: gghs {' '.join(argv)} (exit {e['exit']})")
 
 
 def main() -> None:
@@ -199,6 +227,8 @@ def main() -> None:
             entries = [digest(argv) for argv in requests()]
         finally:
             os.chdir(cwd)
+    if GOLDEN.exists():
+        report_moves(entries)
     rows = ",\n".join(" " + json.dumps(entry) for entry in entries)
     GOLDEN.write_text(
         '{"files": ' + json.dumps(FILES) + ',\n"requests": [\n' + rows + "\n]}\n", encoding="utf-8"

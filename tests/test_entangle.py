@@ -132,6 +132,17 @@ def test_i6_residue_of_a_state_far_from_norm_one_is_named():
             reduced_density(far, [0])
 
 
+def test_i6_caps_rho_01_before_it_reads_the_norm(monkeypatch):
+    # rho_01 of 65**3 amplitudes holds 65**4 entries, past the cap. This array
+    # is also off norm 1; the cap is checked first.
+    monkeypatch.setattr(entangle, "_check_normalized", lambda s: pytest.fail("norm read"))
+    with pytest.raises(errors.TooLarge, match=r"\(d\*\*n\)\*\*2 with n=2, d=65 "):
+        i6(np.zeros((65,) * 3, np.complex128))
+    monkeypatch.undo()
+    with pytest.raises(errors.DimensionMismatch):
+        i6(np.zeros((65, 65, 66), np.complex128))
+
+
 def test_i6_needs_three_sites():
     with pytest.raises(errors.TooFewSites):
         i6(ghz(2, 2))
@@ -241,6 +252,42 @@ def test_graph_pair_matches_its_state_on_grid():
             np.testing.assert_allclose(
                 schmidt_spectrum((G, H), part), schmidt_spectrum(s, part), atol=1e-14
             )
+
+
+def test_graph_schmidt_spectrum_matches_its_state_on_grid():
+    # The pair path reads the cut graph, the array path the smaller side of
+    # the built state; both print no coefficient below 0.
+    cases = 0
+    for (gname, G), (label, H) in itertools.product(connected_graphs(5), full_catalog()):
+        if not H.symmetric or H.d**G.n > 4096:
+            continue
+        s = graph_state(G, H)
+        for m in range(1, G.n):
+            for part in itertools.combinations(range(G.n), m):
+                spec = schmidt_spectrum((G, H), part)
+                dense = schmidt_spectrum(s, part)
+                assert min(spec) >= 0 and min(dense) >= 0, (gname, label, part)
+                dev = np.max(np.abs(np.subtract(spec, dense)))
+                assert dev <= 1e-15, (gname, label, part, dev)
+                cases += 1
+    assert cases == 2504
+
+
+def test_graph_schmidt_spectrum_reads_only_the_cut_ends(monkeypatch):
+    asked = []
+    reduced = entangle.graph_reduced_density
+    monkeypatch.setattr(
+        entangle, "graph_reduced_density", lambda G, H, keep: asked.append(len(keep)) or reduced(G, H, keep)
+    )
+    # One edge, (11, 12), crosses the cut of a 2**24-amplitude register.
+    spec = schmidt_spectrum((family("line", 24), fourier(2)), range(12))
+    assert asked == [1]
+    assert spec == [0.5, 0.5] + [0.0] * (2**12 - 2)
+    # No edge crosses {0, 1} | {2, 3}: a product state, read from no site.
+    asked.clear()
+    spec = schmidt_spectrum((build(4, [(0, 1), (2, 3)]), fourier(3)), [0, 1])
+    assert asked == []
+    assert spec == [1.0] + [0.0] * 8
 
 
 def test_graph_reduced_density_checks_in_graph_state_order():
