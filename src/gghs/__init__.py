@@ -17,15 +17,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("errors",),
     "codes": ("build_code", "decoded_error", "kl_distance", "weight_enumerators"),
-    "entangle": ("graph_reduced_density", "i6", "kraus_commutation_test", "partial_transpose",
-                 "reduced_density", "schmidt_spectrum"),
+    "entangle": ("i6", "kraus_commutation_test", "partial_transpose", "reduced_density",
+                 "schmidt_spectrum"),
     "graphs": ("Graph", "bipartition", "build", "family", "neighbourhood"),
     "hadamard": ("GENERAL", "P_EQUIV", "S_SYMMETRY", "EquivalenceWitness", "HadamardMatrix",
                  "apply_witness", "catalog", "check_witness", "dephase", "find_equivalence",
                  "fourier", "s_symmetries", "tensor_product", "validate"),
     "qstate": ("apply_local", "ghz", "graph_state", "hamiltonian_ground_check", "overlap",
-               "reorder_qudits"),
-    "symmetry": ("lu_witness", "pauli_xz", "verify_stabilizer"),
+               "pauli_xz", "reorder_qudits"),
+    "symmetry": ("lu_witness", "verify_stabilizer"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,7 +18,6 @@ significant digits in a fixed key order.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -51,7 +50,7 @@ from .hadamard import (
     s_symmetries,
     validate,
 )
-from .qstate import _check_graph_state, _check_normalized, ghz, graph_state
+from .qstate import _check_graph_state, _check_normalized, ghz, graph_state, pauli_xz
 
 
 class Malformed(Exception):
@@ -99,8 +98,6 @@ def _parse_ints(text: str, option: str) -> list:
 
 def _weyl(d: int, a: int, b: int) -> np.ndarray:
     """X^a Z^b on d levels."""
-    from .symmetry import pauli_xz
-
     X, Z = pauli_xz(d)
     return np.linalg.matrix_power(X, a % d) @ np.linalg.matrix_power(Z, b % d)
 
@@ -399,19 +396,18 @@ def main(argv=None) -> int:
 
 def _entry() -> None:
     """`python -m gghs.cli` and the `gghs` console script: main() on sys.argv,
-    then exit with its code. A reader that closes stdout early ends the run
-    at exit 1 with nothing on stderr: stdout is pointed at devnull, so the
-    interpreter's own flush at exit cannot fail again. gc.freeze() leaves
-    the interpreter's exit-time collections nothing to walk; main() never
-    freezes, so in-process callers keep their collector as it was."""
+    then flush stdout and stderr and leave with its code through os._exit,
+    which skips the interpreter's exit-time collections and teardown. A
+    reader that closes stdout early ends the run at exit 1 with nothing on
+    stderr, since no flush at exit retries the write. Usage errors and -h
+    leave earlier, through argparse's SystemExit."""
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    gc.freeze()
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

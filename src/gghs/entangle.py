@@ -2,8 +2,8 @@
 Kraus-commutation obstruction to GHZ equivalence.
 
 The state-level functions take a state, a (d,)*n array, or a (Graph,
-HadamardMatrix) pair standing for its graph state: the pair's reduced states
-come from graph_reduced_density, and its d**n register is never built.
+HadamardMatrix) pair standing for its graph state: _reduced reads the pair's
+reduced states in closed form, and its d**n register is never built.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ State = Union[np.ndarray, Tuple[Graph, HadamardMatrix]]
 def _shape(s: State) -> Tuple[int, int]:
     """(n, d) of s, an array whose axes share one length, of norm 1 within
     1e-6; for a (G, H) pair graph_state's checks run first, so its errors come
-    before any site check. Each kernel runs this once, then _reduced."""
+    before any site check. Each kernel runs this once, then _reduced, so a
+    pair is checked once per call."""
     if isinstance(s, np.ndarray):
         _check_normalized(s)
         return s.ndim, (s.shape or (1,))[0]  # a state on no sites has one amplitude
@@ -47,44 +48,29 @@ def _shape(s: State) -> Tuple[int, int]:
 
 
 def _reduced(s: State, keep: Sequence[int]) -> np.ndarray:
-    """reduced_density for a state that _shape has checked."""
-    if not isinstance(s, np.ndarray):
-        return graph_reduced_density(*s, keep)
-    keep = _check_keep(keep, s.ndim)
-    dk = _dense_size(len(keep), s.shape[0], axes=2)
-    rest = [a for a in range(s.ndim) if a not in keep]
-    rho = np.tensordot(s, s.conj(), axes=(rest, rest))
-    return rho.reshape(dk, dk)
+    """The reduced state on the m sites `keep` (ascending) of a state that
+    _shape has checked, a (d**m, d**m) array capped before it is built.
 
-
-def reduced_density(s: State, keep: Sequence[int]) -> np.ndarray:
-    """The reduced state on the m sites `keep` (ascending), a (d**m, d**m)
-    array capped before it is built. An array must have axes of one length
-    and norm 1 within 1e-6; a (G, H) pair goes to graph_reduced_density."""
-    if isinstance(s, np.ndarray):
-        _check_normalized(s)
-    return _reduced(s, keep)
-
-
-def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> np.ndarray:
-    """Reduced state of graph_state(G, H) on the sites S = keep, in closed
-    form from the edges at S; the d**n state is never built.
-
-    Edge gates with both ends outside S are unitary on S^c and drop out of
-    the trace, and every site outside S carries |u[i, 0]|^2 = 1/d for
+    An array is traced over the other sites. A (G, H) pair is read in closed
+    form from the edges at S = keep; its d**n state is never built. Edge
+    gates with both ends outside S are unitary on S^c and drop out of the
+    trace, and every site outside S carries |u[i, 0]|^2 = 1/d for
     u = H/sqrt(d). What is left is phi_S, the encoding column of the graph
     induced on S, and one factor per boundary vertex v in N(S) - S:
         rho_S(i, i') = phi_S(i) conj(phi_S(i')) prod_v kappa_v(i, i'),
         kappa_v(i, i') = (1/d) sum_x prod_{a in S, a~v} h[i_a, x] conj(h[i'_a, x]),
     divided by its trace as graph_state divides by the norm. This is exact
     when u is unitary and the entries are unimodular, within validation's
-    tolerance. graph_state's checks, the d**n cap among them, run before the
-    site checks, and the d**(2|S|) result is capped before it is built.
+    tolerance.
     """
-    _check_graph_state(G, H)
-    keep = _check_keep(keep, G.n)
-    d, m = H.d, len(keep)
-    _dense_size(m, d, axes=2)
+    array = isinstance(s, np.ndarray)
+    keep = _check_keep(keep, s.ndim if array else s[0].n)
+    d, m = s.shape[0] if array else s[1].d, len(keep)
+    dk = _dense_size(m, d, axes=2)
+    if array:
+        rest = [a for a in range(s.ndim) if a not in keep]
+        return np.tensordot(s, s.conj(), axes=(rest, rest)).reshape(dk, dk)
+    G, H = s
     hood, local = neighbourhood(G, keep)
     axis = {hood.index(k): j for j, k in enumerate(keep)}  # local vertex -> axis of phi_S
     inner = build(m, [(axis[a], axis[b]) for a, b in local.edges if a in axis and b in axis])
@@ -101,9 +87,19 @@ def graph_reduced_density(G: Graph, H: HadamardMatrix, keep: Sequence[int]) -> n
             shape[axis[a]] = shape[m + axis[a]] = d
         P = P.reshape(-1, d)
         T *= (P @ P.conj().T / d).reshape(shape)
-    rho = T.reshape(d**m, d**m)
+    rho = T.reshape(dk, dk)
     rho /= np.trace(rho).real
     return rho
+
+
+def reduced_density(s: State, keep: Sequence[int]) -> np.ndarray:
+    """The reduced state on the m sites `keep` (ascending), a (d**m, d**m)
+    array capped before it is built. An array must have axes of one length
+    and norm 1 within 1e-6; a (G, H) pair is read in closed form from the
+    edges at keep, after graph_state's checks (the d**n cap among them) and
+    without building its d**n state."""
+    _shape(s)
+    return _reduced(s, keep)
 
 
 def partial_transpose(rho: np.ndarray, dims: Sequence[int], slot: int) -> np.ndarray:

@@ -89,6 +89,15 @@ def apply_local(U: np.ndarray, site: int, s: np.ndarray) -> np.ndarray:
     return out.reshape(s.shape)
 
 
+def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Generalized Pauli pair: X|i> = |i-1 mod d>, Z|i> = q^i |i>, XZ = qZX."""
+    if d < 2:
+        raise errors.BadSize("pauli_xz needs d >= 2")
+    X = np.roll(np.eye(d, dtype=np.complex128), -1, axis=0)
+    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return X, Z
+
+
 def _check_graph_state(
     G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
 ) -> Tuple[int, ...]:

@@ -29,15 +29,6 @@ from .hadamard import (
 from .qstate import _check_normalized, apply_local, graph_state, overlap
 
 
-def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Generalized Pauli pair: X|i> = |i-1 mod d>, Z|i> = q^i |i>, XZ = qZX."""
-    if d < 2:
-        raise errors.BadSize("pauli_xz needs d >= 2")
-    X = np.roll(np.eye(d, dtype=np.complex128), -1, axis=0)
-    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return X, Z
-
-
 def verify_stabilizer(G: Graph, w: EquivalenceWitness, a: int, s: np.ndarray) -> Tuple[bool, float]:
     """(fixed, ||K_a psi - psi||) for the normalized state psi and the
     generator K_a of the S-symmetry w = (P, D) at vertex a of G: P at a, D

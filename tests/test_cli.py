@@ -321,8 +321,8 @@ def test_state_digits_and_out_file(tmp_path, capsys):
 
 
 def test_entry_point_writes_the_whole_state_file(tmp_path):
-    # The process exits through gc.freeze() and sys.exit: the 2**16-amplitude
-    # file must hold every byte that main() writes in-process.
+    # The process exits through os._exit, which flushes no open file: the
+    # 2**16-amplitude file must hold every byte that main() writes in-process.
     out = tmp_path / "state.json"
     code, stdout = entry_stdout(["state", "--graph", "line:8", "--hadamard", "fourier:4", "--out", str(out)])
     assert code == 0
@@ -349,7 +349,7 @@ def test_entry_point_exits_quietly_when_stdout_closes():
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):
-    # Only the process entry point freezes; in-process callers keep their GC.
+    # Nothing in gghs freezes the collector; in-process callers keep their GC.
     frozen = gc.get_freeze_count()
     assert run(capsys, "validate", "fourier:2")[0] == 0
     assert gc.get_freeze_count() == frozen

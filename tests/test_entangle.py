@@ -14,7 +14,6 @@ from gghs import (
     family,
     fourier,
     ghz,
-    graph_reduced_density,
     graph_state,
     i6,
     kraus_commutation_test,
@@ -234,7 +233,7 @@ def test_graph_reduced_density_matches_dense_on_grid():
             if d ** (2 * m) > 4096:
                 break
             for S in itertools.combinations(range(G.n), m):
-                rho = graph_reduced_density(G, H, S)
+                rho = reduced_density((G, H), S)
                 assert rho.shape == (d**m, d**m)
                 dev = np.max(np.abs(rho - reduced_density(s, S)))
                 assert dev <= 1e-14, (gname, label, S, dev)
@@ -275,10 +274,8 @@ def test_graph_schmidt_spectrum_matches_its_state_on_grid():
 
 def test_graph_schmidt_spectrum_reads_only_the_cut_ends(monkeypatch):
     asked = []
-    reduced = entangle.graph_reduced_density
-    monkeypatch.setattr(
-        entangle, "graph_reduced_density", lambda G, H, keep: asked.append(len(keep)) or reduced(G, H, keep)
-    )
+    reduced = entangle._reduced
+    monkeypatch.setattr(entangle, "_reduced", lambda s, keep: asked.append(len(keep)) or reduced(s, keep))
     # One edge, (11, 12), crosses the cut of a 2**24-amplitude register.
     spec = schmidt_spectrum((family("line", 24), fourier(2)), range(12))
     assert asked == [1]
@@ -294,15 +291,15 @@ def test_graph_reduced_density_checks_in_graph_state_order():
     G = family("line", 3)
     nonsym = validate(fourier(4).entries[[1, 0, 2, 3]])
     with pytest.raises(errors.NotSymmetric):
-        graph_reduced_density(G, nonsym, [7])
+        reduced_density((G, nonsym), [7])
     with pytest.raises(errors.NotSymmetric):
         schmidt_spectrum((G, nonsym), [0, 1, 2])
     with pytest.raises(errors.TooLarge):
-        graph_reduced_density(family("line", 13), fourier(4), [99])
+        reduced_density((family("line", 13), fourier(4)), [99])
     with pytest.raises(errors.EmptyKeep):
-        graph_reduced_density(G, fourier(2), [])
+        reduced_density((G, fourier(2)), [])
     with pytest.raises(errors.BadSite):
-        graph_reduced_density(G, fourier(2), [0, 3])
+        reduced_density((G, fourier(2)), [0, 3])
 
 
 @pytest.mark.parametrize(
@@ -340,6 +337,25 @@ def test_each_state_kernel_reads_the_norm_once(monkeypatch):
         assert len(seen) == 1, name
 
 
+def test_each_state_kernel_checks_a_pair_once(monkeypatch):
+    # _shape runs graph_state's checks; _reduced, the Schmidt cut graph among
+    # its inputs, does not run them again.
+    seen = []
+    check = entangle._check_graph_state
+    monkeypatch.setattr(entangle, "_check_graph_state", lambda G, H: seen.append((G, H)) or check(G, H))
+    pair = (family("line", 4), fourier(3))
+    calls = {
+        "i6": lambda: i6(pair),
+        "schmidt_spectrum": lambda: schmidt_spectrum(pair, [0]),
+        "schmidt_spectrum, the larger side": lambda: schmidt_spectrum(pair, [0, 1, 3]),
+        "reduced_density": lambda: reduced_density(pair, [0, 2]),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert seen == [pair], name
+
+
 def test_reduced_states_past_the_cap_are_refused_before_allocation(monkeypatch):
     # rho_S holds d**(2|S|) entries: 65**4 and 4097**2 pass 2**24, though
     # 65**3 and 4097 amplitudes fit the state.
@@ -356,7 +372,7 @@ def test_reduced_states_past_the_cap_are_refused_before_allocation(monkeypatch):
             reduced_density(s, range(min(s.ndim, 2)))
     for G, H in pairs:
         with pytest.raises(errors.TooLarge):
-            graph_reduced_density(G, H, [0, 1])
+            reduced_density((G, H), [1, 2])
         with pytest.raises(errors.TooLarge):
             reduced_density((G, H), [0, 1])
         with pytest.raises(errors.TooLarge):

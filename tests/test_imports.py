@@ -61,16 +61,15 @@ def test_the_check_sees_a_function_level_import():
 
 
 def test_imports_inside_functions_are_only_the_lazy_subcommand_loads():
-    # cli loads each heavy module inside the subcommand (or the `_weyl`
-    # operator builder) that runs it; every other module imports at the top.
+    # cli loads each heavy module inside the subcommand that runs it; every
+    # other module imports at the top.
     found = {
         (path.name, name)
         for path in FILES
         if path.parent.name == "gghs"
         for name, _ in function_level_imports(path.read_text(encoding="utf-8"))
     }
-    lazy = {(file, name) for file, name in found
-            if file == "cli.py" and (name.startswith("cmd_") or name == "_weyl")}
+    lazy = {(file, name) for file, name in found if file == "cli.py" and name.startswith("cmd_")}
     assert found == lazy
 
 

@@ -16,7 +16,6 @@ from gghs import (
     family,
     fourier,
     ghz,
-    graph_reduced_density,
     graph_state,
     hamiltonian_ground_check,
     overlap,
@@ -134,7 +133,7 @@ INDEX_ARGUMENTS = {
     "reorder_qudits": lambda v: reorder_qudits(ghz(2, 2), [v, 0]),
     "build_code": lambda v: build_code(family("line", 2), fourier(3), [(0, v), (2, 2)]),
     "reduced_density": lambda v: reduced_density(ghz(3, 2), [v]),
-    "graph_reduced_density": lambda v: graph_reduced_density(family("line", 3), fourier(2), [v]),
+    "graph_reduced_density": lambda v: reduced_density((family("line", 3), fourier(2)), [v]),
     "schmidt_spectrum": lambda v: schmidt_spectrum(ghz(3, 2), [v]),
     "decoded_error": lambda v: decoded_error(family("line", 3), fourier(2), pauli_xz(2)[0], v),
     "verify_stabilizer": lambda v: verify_stabilizer(

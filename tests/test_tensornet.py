@@ -1,3 +1,10 @@
+"""The PEPS contraction oracle, helpers.peps_contract, against the encoding
+circuit: bond states, their norms, and fidelity 1 with graph_state.
+
+The file keeps the name of the deleted tensornet module, so that its test
+ids do not change.
+"""
+
 import math
 
 import numpy as np
