@@ -23,9 +23,8 @@ _EXPORTS = {
     "hadamard": ("GENERAL", "P_EQUIV", "S_SYMMETRY", "EquivalenceWitness", "HadamardMatrix",
                  "apply_witness", "catalog", "check_witness", "dephase", "find_equivalence",
                  "fourier", "s_symmetries", "tensor_product", "validate"),
-    "qstate": ("apply_local", "ghz", "graph_state", "hamiltonian_ground_check", "overlap",
-               "pauli_xz", "reorder_qudits"),
-    "symmetry": ("lu_witness", "verify_stabilizer"),
+    "qstate": ("ghz", "graph_state", "hamiltonian_ground_check", "pauli_xz"),
+    "symmetry": ("lu_witness",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

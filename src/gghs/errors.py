@@ -61,10 +61,6 @@ class SiteOutOfRange(GGHSError):
     code = "site_out_of_range"
 
 
-class BadPermutation(GGHSError):
-    code = "bad_permutation"
-
-
 class TooLarge(GGHSError):
     code = "too_large"
 
@@ -91,10 +87,6 @@ class BadPartition(GGHSError):
 
 class InvalidWitness(GGHSError):
     code = "invalid_witness"
-
-
-class BadVertex(GGHSError):
-    code = "bad_vertex"
 
 
 class NotBipartite(GGHSError):

@@ -2,9 +2,7 @@
 
 A state is a complex array of shape (d,)*n: axis k holds qudit k, so the
 amplitude at digits (i_1, ..., i_n) is psi[i_1, ..., i_n], and flattened in
-C order qudit 0 is the most significant digit. States are compared by
-|overlap|, never componentwise, since every local-unitary statement is
-phase-insensitive.
+C order qudit 0 is the most significant digit.
 """
 
 from __future__ import annotations
@@ -78,17 +76,6 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     return T
 
 
-def apply_local(U: np.ndarray, site: int, s: np.ndarray) -> np.ndarray:
-    """The d x d operator U on axis `site` of the state s; the other axes ride along."""
-    if not (0 <= site < s.ndim):
-        raise errors.SiteOutOfRange(f"site {site} out of range for n={s.ndim}")
-    d = s.shape[site]
-    _check_operator(U, d)
-    T = s.reshape(math.prod(s.shape[:site]), d, -1)
-    out = np.einsum("ab,ibj->iaj", np.asarray(U, dtype=np.complex128), T)
-    return out.reshape(s.shape)
-
-
 def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Generalized Pauli pair: X|i> = |i-1 mod d>, Z|i> = q^i |i>, XZ = qZX."""
     if d < 2:
@@ -139,20 +126,6 @@ def ghz(n: int, d: int) -> np.ndarray:
     for i in range(d):
         psi[(i,) * n] = 1.0 / math.sqrt(d)
     return psi
-
-
-def overlap(s1: np.ndarray, s2: np.ndarray) -> complex:
-    if np.shape(s1) != np.shape(s2):
-        raise errors.DimensionMismatch(f"states differ: shape {np.shape(s1)} vs {np.shape(s2)}")
-    return complex(np.vdot(s1, s2))
-
-
-def reorder_qudits(s: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Relocate amplitudes so input qudit k becomes output qudit perm[k]."""
-    perm = tuple(operator.index(p) for p in perm)
-    if sorted(perm) != list(range(s.ndim)):
-        raise errors.BadPermutation(f"{perm} is not a permutation of 0..{s.ndim - 1}")
-    return np.ascontiguousarray(np.transpose(s, np.argsort(perm)))
 
 
 def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):

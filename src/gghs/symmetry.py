@@ -1,61 +1,67 @@
-"""Stabilizer generators from S-symmetries and explicit local-unitary witnesses.
+"""Explicit local-unitary witnesses between graph states.
 
-An S-symmetry (P, D) of H with P H D = H yields, for every vertex a, the
-generator K_a, P at a times D at each neighbor of a: K_a psi = psi/D_0.
 lu_witness turns an equivalence witness between two Hadamard matrices into
-per-site unitaries mapping one graph state onto the other; the mapping is
-always verified numerically before it is returned.
+per-site unitaries mapping one graph state onto the other. Each unitary is
+monomial, so the map is checked in closed form, edge by edge and site by
+site, before it is returned; no state is built.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import List, Tuple
+import math
+from typing import List
 
 import numpy as np
 
 from . import errors
 from ._limits import TOL_ENTRY
 from .graphs import Graph, bipartition
-from .hadamard import (
-    GENERAL,
-    P_EQUIV,
-    S_SYMMETRY,
-    EquivalenceWitness,
-    HadamardMatrix,
-    apply_witness,
-    dephase,
-)
-from .qstate import _check_normalized, apply_local, graph_state, overlap
+from .hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix, apply_witness, dephase
+from .qstate import _check_graph_state
 
 
-def verify_stabilizer(G: Graph, w: EquivalenceWitness, a: int, s: np.ndarray) -> Tuple[bool, float]:
-    """(fixed, ||K_a psi - psi||) for the normalized state psi and the
-    generator K_a of the S-symmetry w = (P, D) at vertex a of G: P at a, D
-    at each neighbour of a. P acts as one gather along axis a and D as one
-    phase along each neighbour's axis; P H D = H is not re-checked, and a
-    pair that breaks it shows as a state K_a moves."""
-    _check_normalized(s)
-    if w.kind != S_SYMMETRY:
-        raise errors.InvalidWitness("expected an S-symmetry witness")
-    if G.n != s.ndim:
-        raise errors.DimensionMismatch(f"graph of n={G.n} vs state of n={s.ndim}")
-    a = operator.index(a)
-    if not (0 <= a < G.n):
-        raise errors.BadVertex(f"vertex {a} out of range for n={G.n}")
-    d = s.shape[a]
-    for part in (w.p1, w.d1):
-        if len(part) != d:
-            raise errors.DimensionMismatch(f"witness of d={len(part)} vs state of d={d}")
-    if sorted(w.p1) != list(range(d)):
-        raise errors.BadPermutation(f"{tuple(w.p1)} is not a permutation of 0..{d - 1}")
-    if not np.isfinite(w.d1).all():
-        raise errors.NonFinite("witness phases must be finite")
-    out = np.take(s, np.argsort(w.p1), axis=a)  # P|i> = |p[i]>
-    for b in G.neighbors(a):
-        out = np.einsum("a,iaj->iaj", w.d1, out.reshape(d**b, d, -1)).reshape(s.shape)
-    deviation = float(np.linalg.norm(out - s))
-    return deviation <= TOL_ENTRY, deviation
+def _check_map(G: Graph, H1: HadamardMatrix, H2: HadamardMatrix, unitaries) -> None:
+    """InvalidWitness unless (U_0 x ... x U_{n-1}) psi_{G,H1} is a multiple
+    of psi_{G,H2}, checked in closed form: no state is built.
+
+    Each U_v is taken to be monomial, U_v|x> = delta_v(x)|pi_v(x)>, as
+    lu_witness builds it; pi_v and delta_v are read off its columns. Then
+    U psi1 = c psi2 iff R(i) = psi2(pi(i)) / (prod_v delta_v(i_v) psi1(i)) is
+    constant in the digits i. R is one ratio r_e[x, y] =
+    h2[pi_a(x), pi_b(y)] / h1[x, y] per edge (a, b) times one site ratio
+    s_v(x) = h2[pi_v(x), 0] / (delta_v(x) h1[x, 0]) per vertex. In a simple
+    graph only edge (a, b) couples i_a and i_b, so R is constant iff every
+    r_e is rank 1 and every t_v, s_v times its share of each r_e (r_e[x, 0]
+    at a, r_e[0, y] / r_e[0, 0] at b), is constant. Every factor is reduced
+    to its phase: the entries are unimodular within TOL_ENTRY, and a
+    modulus off by eps moves the overlap only by O(eps^2).
+
+    The deviation dev is the sum over edges of max |q_e - 1|, q_e the rank-1
+    defect r_e[x, y] r_e[0, 0] / (r_e[x, 0] r_e[0, y]), and over vertices
+    of max |t_v(x) / t_v(0) - 1|. It bounds max_i |R(i) / R(0) - 1|, so
+    |<U psi1, psi2>| >= 1 - dev^2 / 2 for the normalized states. The map is
+    accepted when dev^2 / 2 <= TOL_ENTRY, the threshold of the dense
+    |overlap| >= 1 - TOL_ENTRY check that this one replaces. A map that is
+    exact has dev at round-off. O(|E| d^2 + n d) work.
+    """
+    def phase(z):
+        return z / np.abs(z)
+
+    h1, h2 = H1.entries, H2.entries
+    cols = np.arange(H1.d)
+    perms = [np.argmax(np.abs(U), axis=0) for U in unitaries]
+    t = [phase(h2[p, 0] / (U[p, cols] * h1[:, 0])) for U, p in zip(unitaries, perms)]
+    dev = 0.0
+    for a, b in G.edges:
+        r = phase(h2[np.ix_(perms[a], perms[b])] / h1)
+        dev += float(np.max(np.abs(r * r[0, 0] - np.outer(r[:, 0], r[0, :]))))
+        t[a] = t[a] * r[:, 0]
+        t[b] = t[b] * r[0, :] / r[0, 0]
+    dev += sum(float(np.max(np.abs(tv - tv[0]))) for tv in t)
+    if not dev**2 / 2 <= TOL_ENTRY:
+        raise errors.InvalidWitness(
+            f"witness maps with phase deviation {dev:.3g} > {math.sqrt(2 * TOL_ENTRY):.3g}"
+        )
 
 
 def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.ndarray]:
@@ -69,8 +75,9 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
     bipartition(G): the part holding each component's lowest vertex carries
     P1 * diag(conj(H1'[:, p2[0]]))^deg and the other P2^T *
     diag(conj(H1'[:, P1^{-1}(0)]))^deg. Diagonal corrections splice in when
-    either matrix is not dephased. Both matrices must be symmetric, and the
-    composite is verified by overlap before it is returned.
+    either matrix is not dephased. Both matrices must be symmetric, the pair
+    must pass graph_state's checks, and the composite is checked in closed
+    form (_check_map) before it is returned.
     """
     if w.kind == P_EQUIV:
         M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
@@ -97,10 +104,6 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
         if not H2.dephased:
             site = np.diag(H2.entries[:, 0] ** (g + 1)) @ site
         unitaries.append(site)
-    built = graph_state(G, H1)
-    for site, u in enumerate(unitaries):
-        built = apply_local(u, site, built)
-    ov = abs(overlap(built, graph_state(G, H2)))
-    if ov < 1 - TOL_ENTRY:
-        raise errors.InvalidWitness(f"witness maps with |overlap| = {ov:.12f} < 1")
+    _check_graph_state(G, H1)  # the register gate, where building the states ran it
+    _check_map(G, H1, H2, unitaries)
     return unitaries

@@ -24,7 +24,7 @@ from gghs._limits import _dense_size
 from gghs.cli import main
 from gghs.graphs import Graph
 from gghs.hadamard import GENERAL, P_EQUIV, EquivalenceWitness, HadamardMatrix
-from gghs.qstate import _check_digits, _edge_phases, apply_local
+from gghs.qstate import _check_digits, _check_operator, _edge_phases
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -107,6 +107,17 @@ def basis_state(n: int, d: int, digits: Sequence[int]) -> np.ndarray:
     amps = np.zeros(_dense_size(n, d), dtype=np.complex128)
     amps[digits_to_index(d, digits)] = 1.0
     return amps.reshape((d,) * n)
+
+
+def apply_local(U: np.ndarray, site: int, s: np.ndarray) -> np.ndarray:
+    """The d x d operator U on axis `site` of the state s; the other axes ride along."""
+    if not (0 <= site < s.ndim):
+        raise errors.SiteOutOfRange(f"site {site} out of range for n={s.ndim}")
+    d = s.shape[site]
+    _check_operator(U, d)
+    T = s.reshape(math.prod(s.shape[:site]), d, -1)
+    out = np.einsum("ab,ibj->iaj", np.asarray(U, dtype=np.complex128), T)
+    return out.reshape(s.shape)
 
 
 def apply_ch(H: HadamardMatrix, s: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -237,7 +248,7 @@ def dense_stabilizer_deviation(G, w: EquivalenceWitness, a: int, s: np.ndarray) 
     """||K_a psi - psi|| for the generator of the S-symmetry w = (P, D) at
     vertex a of G, built as n dense d x d site factors (P at a, D at each
     neighbour of a, the identity elsewhere), each applied by apply_local:
-    the oracle of verify_stabilizer's deviation."""
+    the oracle of the deviation |1 - D_0| that `gghs stabilizers` prints."""
     eye = np.eye(len(w.p1), dtype=np.complex128)
     factors = [eye] * G.n
     factors[a] = eye[:, list(w.p1)]  # P|i> = |p[i]>

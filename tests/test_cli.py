@@ -17,10 +17,8 @@ from gghs import (
     fourier,
     ghz,
     graph_state,
-    overlap,
     qstate,
     s_symmetries,
-    verify_stabilizer,
 )
 from gghs.cli import build_parser, main, resolve_graph, resolve_matrix, resolve_state
 from gghs.formats import render_json, state_to_obj
@@ -28,6 +26,7 @@ from helpers import (
     SRC,
     connected_graphs,
     cut_rank,
+    dense_stabilizer_deviation,
     entry_stdout,
     full_catalog,
     matrix_json,
@@ -530,21 +529,21 @@ def test_stabilizers_tol_sets_the_verdict(tmp_path, capsys):
 
 
 def test_stabilizers_answer_without_apply_local(monkeypatch, capsys):
-    # The command reads each deviation off its symmetry, and its oracle,
-    # verify_stabilizer, acts by gather and phase: neither applies a factor
-    # of a generator as a dense matrix.
-    def refuse(U, s):
-        raise AssertionError("apply_local was called")
+    # The command reads each deviation off its symmetry: it builds no state,
+    # so it applies no factor of a generator to one.
+    def refuse(*args):
+        raise AssertionError("a state was built")
 
-    monkeypatch.setattr("gghs.symmetry.apply_local", refuse)
+    monkeypatch.setattr(qstate, "_encode", refuse)
     argv = ["stabilizers", "--graph", "triangle", "--hadamard", "fourier:3", "--all-symmetries"]
     code, obj = run_json(capsys, *argv)
     assert code == 0
     assert len(obj["checked"]) == 3
     assert obj["all_verified"] is True
+    monkeypatch.undo()
     G, H = family("triangle"), fourier(3)
     psi = graph_state(G, H)
-    assert all(verify_stabilizer(G, w, a, psi)[0] for w in s_symmetries(H) for a in range(G.n))
+    assert all(dense_stabilizer_deviation(G, w, a, psi) <= 1e-9 for w in s_symmetries(H) for a in range(G.n))
 
 
 def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
@@ -661,7 +660,7 @@ def test_stabilizers_checks_each_symmetry_once_per_request(monkeypatch, capsys):
 
 def test_stabilizers_on_neighbourhoods_match_dense_on_grid(tmp_path):
     """Each generator's deviation is |1 - D_0|, read from its printed phases,
-    and agrees with verify_stabilizer on the whole register within 1e-14,
+    and agrees with the dense oracle on the whole register within 1e-14,
     with the same verdict. Besides the catalog, two matrices have
     symmetries with D_0 != 1: [[1, -1], [-1, -1]] (D_0 = -1) and
     Delta F3 Delta with delta_i = omega**i, geometric along the 3-cycle of
@@ -690,8 +689,8 @@ def test_stabilizers_on_neighbourhoods_match_dense_on_grid(tmp_path):
                 d0 = complex(*shown["d"][0])
                 for gen, gen_shown in zip(entry["generators"], shown["generators"]):
                     assert gen_shown["deviation"] == pytest.approx(abs(1 - d0), rel=1e-11, abs=1e-15)
-                    ok, dev = verify_stabilizer(G, w, gen["vertex"], psi)
-                    assert gen["verified"] == ok, (gname, label, gen)
+                    dev = dense_stabilizer_deviation(G, w, gen["vertex"], psi)
+                    assert gen["verified"] == (dev <= 1e-9), (gname, label, gen)
                     assert abs(gen["deviation"] - dev) <= 1e-14, (gname, label, gen, dev)
                     seen.add(round(dev, 9))
     assert {2, round(math.sqrt(3), 9)} <= seen  # |1 - D_0| at D_0 = -1 and omega
@@ -756,7 +755,7 @@ def test_peps_check_prints_what_the_contraction_gives(tmp_path, capsys):
     cases += [("triangle", str(df3)), ("star:4", str(df3))]
     for graph, matrix in cases:
         G, H = resolve_graph(graph), resolve_matrix(matrix)
-        want = {"fidelity": abs(overlap(peps_contract(G, H), graph_state(G, H))), "pass": True}
+        want = {"fidelity": abs(np.vdot(peps_contract(G, H), graph_state(G, H))), "pass": True}
         argv = ("peps-check", "--graph", graph, "--hadamard", matrix)
         assert run(capsys, *argv) == (0, render_json(want) + "\n"), (graph, matrix)
 

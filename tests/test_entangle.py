@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gghs import (
-    apply_local,
     build,
     catalog,
     errors,
@@ -19,13 +18,11 @@ from gghs import (
     kraus_commutation_test,
     partial_transpose,
     reduced_density,
-    s_symmetries,
     schmidt_spectrum,
     validate,
-    verify_stabilizer,
 )
 from gghs import entangle
-from helpers import basis_state, connected_graphs, cut_rank, full_catalog
+from helpers import apply_local, basis_state, connected_graphs, cut_rank, full_catalog
 
 PI = math.pi
 
@@ -308,9 +305,8 @@ def test_graph_reduced_density_checks_in_graph_state_order():
         i6,
         lambda s: schmidt_spectrum(s, [0]),
         lambda s: reduced_density(s, [0]),
-        lambda s: verify_stabilizer(family("line", 3), s_symmetries(fourier(3))[1], 0, s),
     ],
-    ids=["i6", "schmidt_spectrum", "reduced_density", "verify_stabilizer"],
+    ids=["i6", "schmidt_spectrum", "reduced_density"],
 )
 def test_a_state_with_axes_of_unequal_length_is_a_dimension_mismatch(kernel):
     # n and d are read off the array's shape, so its axes must share one

@@ -1,8 +1,5 @@
 """The PEPS contraction oracle, helpers.peps_contract, against the encoding
 circuit: bond states, their norms, and fidelity 1 with graph_state.
-
-The file keeps the name of the deleted tensornet module, so that its test
-ids do not change.
 """
 
 import math
@@ -18,7 +15,6 @@ from gghs import (
     family,
     fourier,
     graph_state,
-    overlap,
     validate,
 )
 from helpers import connected_graphs, full_catalog, peps_contract
@@ -68,7 +64,7 @@ def test_contraction_matches_circuit(gname, G):
         ("h_alpha:pi/5", catalog("h_alpha", PI / 5)),
         ("h_d6", catalog("h_d6")),
     ]:
-        fid = abs(overlap(peps_contract(G, H), graph_state(G, H)))
+        fid = abs(np.vdot(peps_contract(G, H), graph_state(G, H)))
         assert fid >= 1.0 - 1e-9, (gname, label)
 
 
@@ -78,7 +74,7 @@ def test_contraction_carries_the_input_column():
     H = validate(D @ fourier(3).entries @ D)
     assert H.symmetric and not H.dephased
     for G in (family("triangle"), family("star", 4), build(3, [(0, 1)]), build(1, [])):
-        fid = abs(overlap(peps_contract(G, H), graph_state(G, H)))
+        fid = abs(np.vdot(peps_contract(G, H), graph_state(G, H)))
         assert fid >= 1.0 - 1e-9, G.edges
 
 
@@ -86,7 +82,7 @@ def test_isolated_vertex_factor():
     # degree-0 site carries the uniform qudit for a dephased matrix
     G = build(3, [(0, 1)])
     H = fourier(3)
-    fid = abs(overlap(peps_contract(G, H), graph_state(G, H)))
+    fid = abs(np.vdot(peps_contract(G, H), graph_state(G, H)))
     assert fid >= 1.0 - 1e-9
 
 

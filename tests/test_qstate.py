@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gghs import (
-    apply_local,
     build,
     build_code,
     catalog,
@@ -18,19 +17,16 @@ from gghs import (
     ghz,
     graph_state,
     hamiltonian_ground_check,
-    overlap,
     pauli_xz,
     reduced_density,
-    reorder_qudits,
-    s_symmetries,
     schmidt_spectrum,
     validate,
-    verify_stabilizer,
 )
 from gghs import qstate
 from gghs._limits import DENSE_AMP_CAP, _dense_size
 from helpers import (
     apply_ch,
+    apply_local,
     basis_state,
     connected_graphs,
     digits_to_index,
@@ -130,15 +126,11 @@ def test_non_finite_local_operator_is_refused_by_name(bad, consumer):
 # TypeError instead of being truncated to the site or digit below it.
 INDEX_ARGUMENTS = {
     "graph_state": lambda v: graph_state(family("line", 2), fourier(3), [0, v]),
-    "reorder_qudits": lambda v: reorder_qudits(ghz(2, 2), [v, 0]),
     "build_code": lambda v: build_code(family("line", 2), fourier(3), [(0, v), (2, 2)]),
     "reduced_density": lambda v: reduced_density(ghz(3, 2), [v]),
     "graph_reduced_density": lambda v: reduced_density((family("line", 3), fourier(2)), [v]),
     "schmidt_spectrum": lambda v: schmidt_spectrum(ghz(3, 2), [v]),
     "decoded_error": lambda v: decoded_error(family("line", 3), fourier(2), pauli_xz(2)[0], v),
-    "verify_stabilizer": lambda v: verify_stabilizer(
-        family("line", 3), s_symmetries(fourier(2))[1], v, ghz(3, 2)
-    ),
 }
 
 
@@ -276,7 +268,7 @@ def test_graph_state_input_digits_orthogonality():
     H = fourier(3)
     states = [graph_state(G, H, input_digits=(a, b, c))
               for a in range(3) for b in range(3) for c in range(3)]
-    gram = np.array([[overlap(x, y) for y in states] for x in states])
+    gram = np.array([[np.vdot(x, y) for y in states] for x in states])
     np.testing.assert_allclose(gram, np.eye(27), atol=1e-9)
 
 
@@ -288,7 +280,7 @@ def test_local_symmetry_on_edge_graph():
         u = H.entries / math.sqrt(d)
         t = apply_local(u, 0, s)
         t = apply_local(u.conj(), 1, t)
-        assert abs(abs(overlap(t, s)) - 1.0) <= 1e-9, label
+        assert abs(abs(np.vdot(t, s)) - 1.0) <= 1e-9, label
 
 
 def test_line3_closed_form():
@@ -345,52 +337,6 @@ def test_ghz_is_nonzero_only_at_repeated_digits():
             assert s.shape == (d,) * n
             for i in itertools.product(range(d), repeat=n):
                 assert s[i] == (1 / math.sqrt(d) if len(set(i)) == 1 else 0), (n, d, i)
-
-
-@given(perm=st.permutations(list(range(4))))
-@settings(max_examples=25)
-def test_reorder_qudits_is_a_transpose(perm):
-    rng = np.random.default_rng(4)
-    s = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
-    np.testing.assert_array_equal(reorder_qudits(s, perm), np.transpose(s, np.argsort(perm)))
-
-
-def test_overlap_examples():
-    s = ghz(3, 2)
-    assert abs(overlap(s, s) - 1.0) <= 1e-12
-    z = basis_state(3, 2, [0, 0, 0])
-    np.testing.assert_allclose(overlap(z, s), 1 / math.sqrt(2))
-    with pytest.raises(errors.DimensionMismatch):
-        overlap(ghz(2, 2), ghz(3, 2))
-
-
-def test_reorder_identity_and_swap():
-    s = graph_state(family("line", 3), fourier(2))
-    same = reorder_qudits(s, [0, 1, 2])
-    np.testing.assert_allclose(same.reshape(-1), s.reshape(-1))
-    sym = ghz(2, 5)
-    np.testing.assert_allclose(reorder_qudits(sym, [1, 0]).reshape(-1), sym.reshape(-1))
-    with pytest.raises(errors.BadPermutation):
-        reorder_qudits(s, [0, 0, 2])
-
-
-def test_reorder_moves_amplitudes():
-    s = basis_state(2, 3, [1, 2])
-    out = reorder_qudits(s, [1, 0])  # input qudit 0 -> output qudit 1
-    assert out.reshape(-1)[digits_to_index(3, (2, 1))] == 1.0
-
-
-@given(
-    perm=st.permutations(list(range(4))),
-    then=st.permutations(list(range(4))),
-)
-@settings(max_examples=25)
-def test_reorder_composition(perm, then):
-    s = graph_state(family("star", 4), fourier(2))
-    a = reorder_qudits(reorder_qudits(s, perm), then)
-    composed = [then[perm[k]] for k in range(4)]
-    b = reorder_qudits(s, composed)
-    np.testing.assert_allclose(a.reshape(-1), b.reshape(-1), atol=1e-12)
 
 
 # -------------------------------------------------- parent Hamiltonian check

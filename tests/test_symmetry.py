@@ -8,8 +8,8 @@ from gghs import (
     P_EQUIV,
     S_SYMMETRY,
     EquivalenceWitness,
-    apply_local,
     apply_witness,
+    bipartition,
     build,
     catalog,
     errors,
@@ -18,12 +18,11 @@ from gghs import (
     fourier,
     graph_state,
     lu_witness,
-    overlap,
     pauli_xz,
     s_symmetries,
-    verify_stabilizer,
 )
-from helpers import basis_state, connected_graphs, dense_stabilizer_deviation, df3d, full_catalog
+from gghs import qstate, symmetry
+from helpers import apply_local, connected_graphs, dense_stabilizer_deviation, df3d, full_catalog
 
 PI = math.pi
 
@@ -78,8 +77,8 @@ def test_qubit_graph_state_generators():
     for gname, G in [("triangle", family("triangle")), ("star:4", family("star", 4))]:
         psi = graph_state(G, fourier(2))
         for a in range(G.n):
-            ok, dev = verify_stabilizer(G, w, a, psi)
-            assert ok, (gname, a, dev)
+            dev = dense_stabilizer_deviation(G, w, a, psi)
+            assert dev <= 1e-9, (gname, a, dev)
 
 
 def test_h_alpha_symmetry_operators_fix_triangle_state():
@@ -88,8 +87,8 @@ def test_h_alpha_symmetry_operators_fix_triangle_state():
     psi = graph_state(family("triangle"), H)
     for w in syms:
         for a in range(3):
-            ok, dev = verify_stabilizer(family("triangle"), w, a, psi)
-            assert ok, (w.p1, a, dev)
+            dev = dense_stabilizer_deviation(family("triangle"), w, a, psi)
+            assert dev <= 1e-9, (w.p1, a, dev)
 
 
 def test_identity_witness_gives_identity_operator():
@@ -103,103 +102,7 @@ def test_identity_witness_gives_identity_operator():
     s = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
     s /= np.linalg.norm(s)
     for a in range(3):
-        assert verify_stabilizer(family("triangle"), ident, a, s) == (True, 0.0)
-
-
-def test_stabilizer_witness_validation():
-    G, H = family("triangle"), fourier(3)
-    psi = graph_state(G, H)
-    # P H D != H for this pair: it is not re-checked, and it moves the state.
-    bogus = EquivalenceWitness(
-        kind=S_SYMMETRY,
-        p1=(1, 2, 0),
-        d1=np.ones(3, dtype=np.complex128),
-    )
-    for a in range(3):
-        fixed, dev = verify_stabilizer(G, bogus, a, psi)
-        assert fixed is False
-        assert dev == pytest.approx(math.sqrt(2), abs=1e-12)
-    good = s_symmetries(H)[1]
-    with pytest.raises(errors.BadVertex, match="vertex 5 out of range for n=3"):
-        verify_stabilizer(G, good, 5, psi)
-    with pytest.raises(errors.InvalidWitness, match="expected an S-symmetry witness"):
-        verify_stabilizer(G, find_equivalence(H, H, P_EQUIV), 0, psi)
-
-
-def test_verify_stabilizer_detects_motion():
-    X, _ = pauli_xz(2)
-    w = EquivalenceWitness(kind=S_SYMMETRY, p1=(1, 0), d1=np.ones(2, dtype=np.complex128))
-    ok, dev = verify_stabilizer(build(1, []), w, 0, basis_state(1, 2, [0]))
-    assert not ok
-    assert abs(dev - math.sqrt(2)) <= 1e-12
-
-
-def test_verify_stabilizer_refuses_factors_of_another_shape():
-    """K_a has one factor per vertex: P at a, a power of D at each neighbour.
-    A graph of another n, or a witness whose P and D differ in length, gives
-    factors that do not fit the state."""
-    G, H = family("triangle"), fourier(3)
-    psi = graph_state(G, H)
-    w = s_symmetries(H)[1]
-    with pytest.raises(errors.DimensionMismatch, match="graph of n=4 vs state of n=3"):
-        verify_stabilizer(family("line", 4), w, 0, psi)
-    too_short = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1[:2], d1=w.d1)
-    too_long = EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1, d1=np.ones(4, dtype=np.complex128))
-    for bad, d in ((too_short, 2), (too_long, 4)):
-        with pytest.raises(errors.DimensionMismatch, match=f"witness of d={d} vs state of d=3"):
-            verify_stabilizer(G, bad, 0, psi)
-
-
-def test_verify_stabilizer_refuses_a_witness_of_another_d():
-    G, H = family("triangle"), fourier(3)
-    psi = graph_state(G, H)
-    for d in (2, 4):
-        with pytest.raises(errors.DimensionMismatch, match=f"witness of d={d} vs state of d=3"):
-            verify_stabilizer(G, s_symmetries(fourier(d))[1], 0, psi)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_verify_stabilizer_refuses_a_non_finite_phase(bad):
-    G, H = family("triangle"), fourier(3)
-    w = s_symmetries(H)[1]
-    phases = w.d1.copy()
-    phases[1] = bad
-    with pytest.raises(errors.NonFinite) as refusal:
-        verify_stabilizer(G, EquivalenceWitness(kind=S_SYMMETRY, p1=w.p1, d1=phases), 0,
-                          graph_state(G, H))
-    assert refusal.value.code == "non_finite"
-
-
-def test_verify_stabilizer_refuses_a_p1_that_is_not_a_permutation():
-    psi = graph_state(family("line", 2), fourier(2))
-    w = EquivalenceWitness(kind=S_SYMMETRY, p1=(0, 0), d1=np.ones(2, dtype=np.complex128))
-    with pytest.raises(errors.BadPermutation) as refusal:
-        verify_stabilizer(family("line", 2), w, 0, psi)
-    assert refusal.value.code == "bad_permutation"
-
-
-def test_verify_stabilizer_matches_the_dense_oracle_bit_for_bit():
-    """Gather and phase give the verdict and the deviation of the dense
-    einsum, bit for bit, for every S-symmetry generator on the test grid."""
-    for gname, G in connected_graphs(4):
-        for label, H in full_catalog():
-            if not H.symmetric:
-                continue
-            psi = graph_state(G, H)
-            for w in s_symmetries(H):
-                for a in range(G.n):
-                    dense = dense_stabilizer_deviation(G, w, a, psi)
-                    got = verify_stabilizer(G, w, a, psi)
-                    assert got == (dense <= 1e-9, dense), (gname, label, w.p1, a)
-
-
-@pytest.mark.parametrize("scale", [0.0, 1e-12])
-def test_verify_stabilizer_refuses_an_unnormalized_state(scale):
-    # K psi - psi scales with psi, so a tiny or zero state would pass any K.
-    G, H = family("triangle"), fourier(3)
-    psi = graph_state(G, H)
-    with pytest.raises(errors.NotNormalized):
-        verify_stabilizer(G, s_symmetries(H)[1], 0, psi * scale)
+        assert dense_stabilizer_deviation(family("triangle"), ident, a, s) == 0.0
 
 
 def test_a_witness_of_another_dimension_is_a_dimension_mismatch():
@@ -223,8 +126,8 @@ def test_stabilizer_suite_across_graphs():
             psi = graph_state(G, H)
             for w in syms:
                 for a in range(G.n):
-                    ok, dev = verify_stabilizer(G, w, a, psi)
-                    assert ok, (d, gname, w.p1, a, dev)
+                    dev = dense_stabilizer_deviation(G, w, a, psi)
+                    assert dev <= 1e-9, (d, gname, w.p1, a, dev)
 
 
 def test_h_alpha_symmetry_parts_commute():
@@ -276,10 +179,12 @@ def test_p_equiv_witness_kind_checked():
 
 
 def _maps_states(G, H1, w, unitaries):
+    """The dense oracle of lu_witness's check: both graph states built, the
+    unitaries applied site by site, and |overlap| = 1 within 1e-9."""
     built = graph_state(G, H1)
     for site, u in enumerate(unitaries):
         built = apply_local(u, site, built)
-    return abs(abs(overlap(built, graph_state(G, apply_witness(H1, w)))) - 1.0) <= 1e-9
+    return abs(abs(np.vdot(built, graph_state(G, apply_witness(H1, w)))) - 1.0) <= 1e-9
 
 
 def test_bipartite_witness_d3_pair_on_square():
@@ -326,17 +231,15 @@ def test_bipartite_witness_to_a_non_dephased_target():
     assert _maps_states(G, fourier(3), w, unitaries)
 
 
-def test_lu_witness_maps_every_grid_witness():
-    """Every P-equivalence and General witness between symmetric matrices of the
-    grid, on small graphs, disconnected ones among them: a General witness on a
-    graph with an odd cycle is refused, and every other witness maps the state."""
+def _grid_witnesses():
+    """(kind, H1, w, graph name, G) for every P-equivalence and General witness
+    w between symmetric matrices of the grid, on small graphs, disconnected
+    ones among them."""
     mats = [H for _, H in full_catalog() + [("df3d", df3d())] if H.symmetric]
     graphs = connected_graphs(4) + [
         ("2xline:2", build(4, [(0, 1), (2, 3)])),
         ("edge+isolated", build(3, [(0, 1)])),
     ]
-    odd = {"cycle:3", "complete:4"}
-    maps = refusals = 0
     for kind in (P_EQUIV, GENERAL):
         for A in mats:
             for B in mats:
@@ -344,16 +247,67 @@ def test_lu_witness_maps_every_grid_witness():
                 if w is None:
                     continue
                 for gname, G in graphs:
-                    if kind == GENERAL and gname in odd:
-                        with pytest.raises(errors.NotBipartite):
-                            lu_witness(G, B, w)
-                        refusals += 1
-                        continue
-                    unitaries = lu_witness(G, B, w)
-                    assert len(unitaries) == G.n, (kind, gname)
-                    assert _maps_states(G, B, w, unitaries), (kind, gname)
-                    maps += 1
+                    yield kind, B, w, gname, G
+
+
+def test_lu_witness_maps_every_grid_witness():
+    """Every witness of the grid: a General witness on a graph with an odd
+    cycle is refused, and every other witness maps the state."""
+    odd = {"cycle:3", "complete:4"}
+    maps = refusals = 0
+    for kind, B, w, gname, G in _grid_witnesses():
+        if kind == GENERAL and gname in odd:
+            with pytest.raises(errors.NotBipartite):
+                lu_witness(G, B, w)
+            refusals += 1
+            continue
+        unitaries = lu_witness(G, B, w)
+        assert len(unitaries) == G.n, (kind, gname)
+        assert _maps_states(G, B, w, unitaries), (kind, gname)
+        maps += 1
     assert maps > 0 and refusals > 0
+
+
+def test_lu_witness_builds_no_state(monkeypatch):
+    # The map is checked in closed form, so every grid witness is answered
+    # with the state kernel refused.
+    def refuse(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(qstate, "_encode", refuse)
+    maps = 0
+    for kind, B, w, gname, G in _grid_witnesses():
+        if kind == P_EQUIV or bipartition(G) is not None:
+            assert len(lu_witness(G, B, w)) == G.n, (kind, gname)
+            maps += 1
+    assert maps > 0
+
+
+def test_the_closed_check_refuses_exactly_where_the_dense_oracle_does():
+    """Each grid map broken at one random site, once by a random phase on one
+    column and once by two swapped columns: symmetry._check_map raises
+    InvalidWitness exactly on the broken maps that _maps_states refuses."""
+    rng = np.random.default_rng(41)
+    verdicts = []
+    for kind, B, w, gname, G in _grid_witnesses():
+        if kind == GENERAL and bipartition(G) is None:
+            continue
+        unitaries = lu_witness(G, B, w)
+        site = rng.integers(G.n)
+        j, k = rng.choice(B.d, 2, replace=False)
+        phased = [u.copy() for u in unitaries]
+        phased[site][:, j] *= np.exp(1j * rng.uniform(0.1, 2 * PI - 0.1))
+        swapped = [u.copy() for u in unitaries]
+        swapped[site][:, [j, k]] = swapped[site][:, [k, j]]
+        for broken in (phased, swapped):
+            maps = _maps_states(G, B, w, broken)
+            if maps:
+                symmetry._check_map(G, B, apply_witness(B, w), broken)
+            else:
+                with pytest.raises(errors.InvalidWitness, match="witness maps with phase deviation"):
+                    symmetry._check_map(G, B, apply_witness(B, w), broken)
+            verdicts.append(maps)
+    assert verdicts.count(False) > 0
 
 
 # ----------------------------------------------------- weighted-edge relation
