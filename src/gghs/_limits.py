@@ -10,7 +10,7 @@ from . import errors
 TOL_ENTRY = 1e-9           # entrywise checks on unimodular entries, witnesses, flags
 TOL_NORM = 1e-6            # how far a state's norm may be off 1
 DENSE_AMP_CAP = 2**24      # most entries of a dense array an input sizes (256 MiB of complex128)
-MAX_SITES = 32             # largest n: one tensor axis per site, numpy 1.x's axis limit
+MAX_SITES = 32             # most sites of a state or graph, one axis each: numpy 1.x's axis limit
 GRAM_BLOCK = 2**20         # most entries in one temporary of the Gram check or the forced-column search
 GRAPH_EDGE_CAP = 2**16     # most edges a named family may build
 SEARCH_CAPS = {"General": 6, "PEquiv": 8}  # largest d of each permutation search, by kind
@@ -22,8 +22,8 @@ def _dense_size(n: int, d: int, axes: int = 1) -> int:
     passes DENSE_AMP_CAP.
 
     The product stops at the first factor past the cap, so a huge n never
-    builds a huge integer. n itself is capped at MAX_SITES, which binds only
-    for d = 1.
+    builds a huge integer. n is capped at MAX_SITES, which binds here only
+    for d = 1; qstate's pair gate checks it for every (graph, matrix) pair.
     """
     size = 1
     for _ in range(n if d > 1 else 0):

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import errors
-from ._limits import DENSE_AMP_CAP, TOL_ENTRY, _dense_size
+from ._limits import TOL_ENTRY, _dense_size
 from .graphs import Graph, neighbourhood
 from .hadamard import HadamardMatrix, _gram_deviation
 from .qstate import _check_graph_state, _check_operator, _encode
@@ -23,8 +23,9 @@ def build_code(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     over 0..d-1 of one length n, no word twice): slice [..., j] is
     graph_state(G, H, input_digits=words[j]), the circuit of H as given, each
     slice normalized on its own. The words are checked in order (length,
-    digits, repeats) before the code length is matched to G, and the d**n * K
-    amplitudes are capped before any is built.
+    digits, repeats) before the code length is matched to G, then the pair
+    gate runs, and _encode caps d**n and the d**n * K amplitudes before it
+    builds any.
     """
     words = tuple(map(tuple, words))
     if not words:
@@ -43,10 +44,6 @@ def build_code(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     if m != n:
         raise errors.DimensionMismatch(f"code length {m} != vertex count {n}")
     _check_graph_state(G, H)
-    if d**n * K > DENSE_AMP_CAP:
-        raise errors.TooLarge(
-            f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}"
-        )
     T = _encode(G, H, words)
     V = T.reshape(-1, K)  # a view: columns are normalized in T
     for col in V.T:
@@ -170,9 +167,9 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
     Site operator, factorization and residual are read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
-    E is checked first (d x d, finite), then graph_state's checks (H must be
-    symmetric), then the site. M is capped as the whole-register operator it
-    stands for, (d**n)**2 <= DENSE_AMP_CAP.
+    E is checked first (d x d, finite), then the pair gate (H must be
+    symmetric, n <= MAX_SITES), then the site. Then M_loc, the only operator
+    built, is capped: (d**m)**2 <= DENSE_AMP_CAP.
     An operator whose entries overflow float64 raises Overflow.
     """
     n, d = G.n, H.d
@@ -181,8 +178,8 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
     site = operator.index(site)
     if not (0 <= site < n):
         raise errors.SiteOutOfRange(f"site {site} out of range for n={n}")
-    _dense_size(n, d, axes=2)
     hood, local = neighbourhood(G, [site])
+    _dense_size(local.n, d, axes=2)
     at = hood.index(site)
     pre = d**at
     post = d ** (local.n - at - 1)

@@ -36,9 +36,9 @@ State = Union[np.ndarray, Tuple[Graph, HadamardMatrix]]
 
 def _shape(s: State) -> Tuple[int, int]:
     """(n, d) of s, an array whose axes share one length, of norm 1 within
-    1e-6; for a (G, H) pair graph_state's checks run first, so its errors come
-    before any site check. Each kernel runs this once, then _reduced, so a
-    pair is checked once per call."""
+    1e-6; a (G, H) pair passes the pair gate, which sizes no register, before
+    any site check. Each kernel runs this once, then _reduced, so a pair is
+    checked once per call."""
     if isinstance(s, np.ndarray):
         _check_normalized(s)
         return s.ndim, (s.shape or (1,))[0]  # a state on no sites has one amplitude
@@ -96,8 +96,8 @@ def reduced_density(s: State, keep: Sequence[int]) -> np.ndarray:
     """The reduced state on the m sites `keep` (ascending), a (d**m, d**m)
     array capped before it is built. An array must have axes of one length
     and norm 1 within 1e-6; a (G, H) pair is read in closed form from the
-    edges at keep, after graph_state's checks (the d**n cap among them) and
-    without building its d**n state."""
+    edges at keep, after the pair gate (symmetry, n <= MAX_SITES), and its
+    d**n state is neither built nor sized."""
     _shape(s)
     return _reduced(s, keep)
 
@@ -138,20 +138,22 @@ def schmidt_spectrum(s: State, part: Sequence[int]) -> List[float]:
     part (the other edges are local unitaries). rho_part and rho_rest share
     their nonzero spectrum, so the eigenvalues read are padded with exact
     zeros; a part no edge crosses is a product state, [1, 0, ...]. An
-    eigenvalue below 0 is round-off of a PSD spectrum and prints as 0.
+    eigenvalue below 0 is round-off of a PSD spectrum and prints as 0. The
+    d**|part| output is capped before any work.
     """
     n, d = _shape(s)
     part = sorted(set(map(operator.index, part)))
     if not part or len(part) >= n:
         raise errors.BadPartition("part must be a proper nonempty site subset")
     _check_keep(part, n)  # BadSite, as reduced_density(s, part) would raise it
+    size = _dense_size(len(part), d)
     side = part if 2 * len(part) <= n else [k for k in range(n) if k not in part]
     if not isinstance(s, np.ndarray):
         cut = build(n, [(a, b) for a, b in s[0].edges if (a in part) != (b in part)])
         ends = {v for edge in cut.edges for v in edge}
         side, s = min(ends & set(part), ends - set(part), key=len), (cut, s[1])
     rho = _reduced(s, side) if side else np.ones((1, 1))
-    vals = np.zeros(d ** len(part))
+    vals = np.zeros(size)
     top = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[::-1]
     vals[: len(top)] = np.maximum(top, 0)
     return [float(x) for x in vals]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import errors
-from ._limits import TOL_NORM, _dense_size
+from ._limits import DENSE_AMP_CAP, MAX_SITES, TOL_NORM, _dense_size
 from .graphs import Graph
 from .hadamard import HadamardMatrix
 
@@ -65,9 +65,13 @@ def _encode(G: Graph, H: HadamardMatrix, words) -> np.ndarray:
     psi_w(i) = prod_k u[i_k, w_k] * prod_{(a,b) in E} h[i_a, i_b] at digits i:
     every site carries column w_k of u and every edge gate multiplies in
     h[i_a, i_b]. Returns the unnormalized (d,)*n + (K,) tensor, the word on
-    the trailing axis. Callers check symmetry, digits and the size cap.
+    the trailing axis. Callers check symmetry and digits; d**n and then d**n * K
+    are capped here.
     """
-    u = H.entries / math.sqrt(H.d)
+    n, d, K = G.n, H.d, len(words)
+    if _dense_size(n, d) * K > DENSE_AMP_CAP:
+        raise errors.TooLarge(f"d**n * K with n={n}, d={d}, K={K} exceeds the cap {DENSE_AMP_CAP}")
+    u = H.entries / math.sqrt(d)
     words = np.asarray(words, dtype=np.intp)
     T = np.ones(len(words), np.complex128)
     for c in words.T:
@@ -88,19 +92,19 @@ def pauli_xz(d: int) -> Tuple[np.ndarray, np.ndarray]:
 def _check_graph_state(
     G: Graph, H: HadamardMatrix, input_digits: Optional[Sequence[int]] = None
 ) -> Tuple[int, ...]:
-    """The checks of graph_state, in its order: symmetry, digits, the d**n cap.
+    """The pair gate every (G, H) kernel runs first: symmetry, digits, n <= MAX_SITES.
 
-    Returns the input digits; the default, all zeros, cannot fail the digit
-    check and is built after the cap. Kernels that read the state on a few
-    sites run them first, so they refuse what graph_state refuses, with the
-    same error.
+    It sizes no register: each kernel caps the arrays it builds, _encode the
+    d**n register. Returns the input digits; the default, all zeros, cannot
+    fail the digit check and is built after the n cap.
     """
     if not H.symmetric:
         raise errors.NotSymmetric("graph states need a symmetric matrix")
     if input_digits is not None:
         input_digits = tuple(input_digits)
         _check_digits(G.n, H.d, input_digits)
-    _dense_size(G.n, H.d)
+    if G.n > MAX_SITES:
+        raise errors.TooLarge(f"n={G.n} sites exceeds the cap {MAX_SITES}")
     return (0,) * G.n if input_digits is None else input_digits
 
 
@@ -149,7 +153,8 @@ def hamiltonian_ground_check(G: Graph, H: HadamardMatrix):
     factor within [(1 - eps)^|E|, (1 + eps)^|E|]. Neither U, the
     Hamiltonian nor the state is built.
     """
-    _check_graph_state(G, H)  # the register it stands for is capped as a state
+    _check_graph_state(G, H)
+    _dense_size(G.n, H.d)  # the answer is about the whole register, so d**n is capped as a state
     fidelity = (float(np.linalg.norm(H.entries[:, 0])) / math.sqrt(H.d)) ** G.n
     gap = 1.0 if H.d > 1 else float("inf")
     return gap, 1, fidelity

@@ -76,8 +76,8 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
     P1 * diag(conj(H1'[:, p2[0]]))^deg and the other P2^T *
     diag(conj(H1'[:, P1^{-1}(0)]))^deg. Diagonal corrections splice in when
     either matrix is not dephased. Both matrices must be symmetric, the pair
-    must pass graph_state's checks, and the composite is checked in closed
-    form (_check_map) before it is returned.
+    must pass the pair gate (n <= MAX_SITES; no d**n is sized), and the map
+    is checked in closed form (_check_map) before it is returned.
     """
     if w.kind == P_EQUIV:
         M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
@@ -104,6 +104,6 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
         if not H2.dephased:
             site = np.diag(H2.entries[:, 0] ** (g + 1)) @ site
         unitaries.append(site)
-    _check_graph_state(G, H1)  # the register gate, where building the states ran it
+    _check_graph_state(G, H1)  # the pair gate, where building the states ran it
     _check_map(G, H1, H2, unitaries)
     return unitaries

@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from gghs import catalog, errors, family, fourier, pauli_xz, validate
+from gghs import catalog, codes, entangle, errors, family, fourier, pauli_xz, qstate, validate
 from gghs._limits import _dense_size
 from gghs.cli import main
 from gghs.graphs import Graph
@@ -298,6 +298,20 @@ def cli_stdout(argv) -> Tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def small_registers_only(monkeypatch) -> None:
+    """Wrap _encode, in each module that imports it, so that it refuses a
+    register of more than 2**12 amplitudes: a kernel that answers under it
+    on a large graph built no register past that size."""
+    encode = qstate._encode
+
+    def small(G, H, words):
+        assert H.d**G.n * len(words) <= 2**12, f"a register of {H.d}**{G.n} amplitudes"
+        return encode(G, H, words)
+
+    for module in (qstate, entangle, codes):
+        monkeypatch.setattr(module, "_encode", small)
 
 
 def python_process(*args) -> subprocess.CompletedProcess:

@@ -67,7 +67,7 @@ FILES = {
     ' [[1, 1], [-2, 0], [0, 0.25]]]}',
     "single_op.json": '{"d": 3, "entries": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]],'
     ' [[0, 0], [0, 0], [0, 0]]]}',
-    # 10**6 vertices in 29 bytes: refused by the d**n cap before anything n-sized is built.
+    # 10**6 vertices in 29 bytes: refused by the n cap before anything n-sized is built.
     "huge_n.json": '{"n": 1000000, "edges": []}',
     # Complex parts that are not JSON numbers, and an integer past the float range.
     "string_parts.json": '{"d": 2, "entries": [[["1", "0"], [true, false]], [[1, 0], ["-1", 0]]]}',
@@ -150,6 +150,15 @@ CUTS = [
      ",".join(map(str, range(12)))],
 ]
 
+# Local kernels past d**n = 2**24, each reading only the edges at its sites.
+PAST_GATE = [
+    ["invariant", "--graph", "line:30", "--hadamard", "fourier:3", "--i6"],
+    ["invariant", "--graph", "line:30", "--hadamard", "fourier:3", "--rdm", "17"],
+    ["invariant", "--graph", "line:32", "--hadamard", "fourier:2", "--schmidt", "0,1,2"],
+    ["stabilizers", "--graph", "line:30", "--hadamard", "fourier:2"],
+    ["decode-error", "--graph", "line:13", "--hadamard", "fourier:2", "--site", "0", "--op", "X"],
+]
+
 # One request for each error code the CLI prints.
 ERRORS = [
     ["equiv", "fourier:2", "fourier:3"],  # dimension_mismatch
@@ -170,7 +179,8 @@ ERRORS = [
     ["decode-error", *PAIR, "--site", "7", "--op", "Z"],  # site_out_of_range
     ["state", "--graph", "cycle:13", "--hadamard", "fourier:4"],  # too_large
     ["symmetries", "fourier:257"],  # too_large, before the S-symmetry search allocates
-    # too_large, the register checked before the S-symmetry search (which refuses d = 257 too)
+    # The pair gate sizes no register: d**n = 256**13 answers, and d = 257
+    # is refused by the S-symmetry search's cap.
     ["stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:256"],
     ["stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:257"],
     ["invariant", *PAIR, "--rdm", "7"],  # bad_site
@@ -181,6 +191,12 @@ ERRORS = [
     ["invariant", "--state", "unnormalized.json"],  # not_normalized
     ["state", "--graph", "huge_n.json", "--hadamard", "fourier:2"],  # too_large
     ["invariant", "--graph", "huge_n.json", "--hadamard", "fourier:2", "--i6"],  # too_large
+    # too_large, each local kernel capping what it builds: the operator on
+    # N[0], 12 sites; the d**|part| Schmidt output, 2**25 entries; the n cap.
+    ["decode-error", "--graph", "star:12", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"],
+    ["invariant", "--graph", "line:30", "--hadamard", "fourier:2", "--schmidt",
+     ",".join(map(str, range(25)))],
+    ["invariant", "--graph", "line:33", "--hadamard", "fourier:2", "--i6"],
     # malformed_input: each complex part must be a JSON number
     ["validate", "string_parts.json"],
     ["validate", "null_part.json"],
@@ -192,7 +208,8 @@ ERRORS = [
 
 def requests():
     """Every argv, in order, each once."""
-    argvs = [job["argv"] for job in workloads.reference_jobs()] + FIXED + SHAPES + CUTS + ERRORS
+    argvs = ([job["argv"] for job in workloads.reference_jobs()]
+             + FIXED + SHAPES + CUTS + PAST_GATE + ERRORS)
     return list({tuple(argv): argv for argv in argvs}.values())
 
 

@@ -32,6 +32,7 @@ from helpers import (
     matrix_json,
     peps_contract,
     skewed_f3,
+    small_registers_only,
 )
 
 PI = math.pi
@@ -386,7 +387,6 @@ def test_huge_register_is_too_large(tmp_path, capsys):
     for argv in (
         ("invariant", "--state", "ghz:20000:2"),
         ("state", "--graph", "star:20000", "--hadamard", "fourier:2"),
-        ("decode-error", "--graph", "line:7", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"),
         ("state", "--graph", "line:1000000000", "--hadamard", "fourier:2"),
         ("state", "--graph", "complete:1000000", "--hadamard", "fourier:2"),
         ("state", "--graph", "line:65", "--hadamard", "fourier:1"),
@@ -403,13 +403,20 @@ def test_huge_register_is_too_large(tmp_path, capsys):
         ("invariant", "--graph", "triangle", "--hadamard", "fourier:256", "--i6"),
         ("invariant", "--state", "ghz:3:256", "--i6"),
         ("invariant", "--state", "ghz:1:4097", "--rdm", "0"),
-        # The register is checked before the S-symmetry search, which takes seconds at d = 256.
-        ("stabilizers", "--graph", "cycle:13", "--hadamard", "fourier:256"),
+        # Each local kernel caps what it builds: decode-error the operator on
+        # N[0], 12 sites here; --schmidt its d**|part| output, 2**25 entries.
+        ("decode-error", "--graph", "star:12", "--hadamard", "fourier:4", "--site", "0", "--op", "Z"),
+        ("invariant", "--graph", "line:30", "--hadamard", "fourier:2",
+         "--schmidt", ",".join(map(str, range(25)))),
+        # The n cap is checked before any site is read, and before the
+        # S-symmetry search, which takes seconds at d = 256.
+        ("invariant", "--graph", "line:33", "--hadamard", "fourier:2", "--i6"),
+        ("stabilizers", "--graph", "line:33", "--hadamard", "fourier:256"),
         ("state", *huge_pair),
         ("invariant", *huge_pair, "--i6"),
         ("stabilizers", *huge_pair),
         ("peps-check", *huge_pair),
-        ("state", "--graph", str(huge), "--hadamard", "fourier:1"),  # only MAX_SITES binds
+        ("state", "--graph", str(huge), "--hadamard", "fourier:1"),  # the n cap, whatever d
     ):
         start = time.perf_counter()
         code, obj = run_json(capsys, *argv)
@@ -547,7 +554,7 @@ def test_stabilizers_answer_without_apply_local(monkeypatch, capsys):
 
 
 def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
-    """Symmetry and the d**n cap are checked before the sites are parsed or
+    """Symmetry and the n cap are checked before the sites are parsed or
     checked, as when the whole state was built first."""
     F = fourier(4).entries[[1, 0, 2, 3]]
     p = tmp_path / "nonsym.json"
@@ -556,8 +563,8 @@ def test_invariant_graph_errors_keep_their_precedence(tmp_path, capsys):
         ("line:3", str(p), ["--schmidt", "x"], "not_symmetric"),
         ("line:3", str(p), ["--schmidt", "0,1,2"], "not_symmetric"),
         ("line:2", str(p), ["--i6"], "not_symmetric"),
-        ("cycle:13", "fourier:4", ["--schmidt", "x"], "too_large"),
-        ("cycle:13", "fourier:4", ["--rdm", "99"], "too_large"),
+        ("line:33", "fourier:4", ["--schmidt", "x"], "too_large"),
+        ("line:33", "fourier:4", ["--rdm", "99"], "too_large"),
         ("line:3", "fourier:4", ["--schmidt", "0,1,2"], "bad_partition"),
         ("line:3", "fourier:4", ["--schmidt", "0,7"], "bad_site"),
         ("line:3", "fourier:4", ["--rdm", "3"], "bad_site"),
@@ -630,6 +637,28 @@ def test_stabilizers_all_symmetries(capsys):
     assert code == 0
     assert len(obj["checked"]) == 3
     assert obj["all_verified"] is True
+
+
+def test_stabilizers_answer_as_on_the_smallest_line(tmp_path, monkeypatch, capsys):
+    # Each deviation is |1 - D_0| on any graph, so line:30 (d**n = 2**30)
+    # gives the deviations that line:3's built state gives, site by site
+    # (its end sites for line:30's, its middle one for the rest). This
+    # matrix's second symmetry has D_0 = -1. No register past 2**12
+    # amplitudes is built.
+    small_registers_only(monkeypatch)
+    m = tmp_path / "neg_d0.json"
+    m.write_text(matrix_json([[1, -1], [-1, -1]]))
+    H, G3 = resolve_matrix(str(m)), family("line", 3)
+    psi = graph_state(G3, H)
+    argv = ["stabilizers", "--graph", "line:30", "--hadamard", str(m), "--all-symmetries"]
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    assert len(obj["checked"]) == 2
+    for checked, w in zip(obj["checked"], s_symmetries(H)):
+        dense = [dense_stabilizer_deviation(G3, w, a, psi) for a in (0, 1, 2)]
+        want = [dense[0]] + [dense[1]] * 28 + [dense[2]]
+        assert [g["deviation"] for g in checked["generators"]] == pytest.approx(want, abs=1e-12)
+    assert [g["deviation"] for g in obj["checked"][1]["generators"]] == [2] * 30
 
 
 def test_stabilizers_build_no_state(monkeypatch, capsys):

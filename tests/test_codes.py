@@ -33,6 +33,7 @@ from helpers import (
     full_catalog,
     index_to_digits,
     kron_circuit_unitary,
+    small_registers_only,
     weyl_operators,
 )
 
@@ -535,10 +536,37 @@ def test_decoded_error_site_range():
         decoded_error(family("triangle"), fourier(2), np.eye(2), 4)
 
 
-def test_decoded_error_cap_is_kept():
-    # The neighbourhood of site 0 is two sites, but the d**n cap still applies.
-    with pytest.raises(errors.TooLarge):
-        decoded_error(family("line", 7), fourier(4), np.eye(4), 0)
+def test_decoded_error_cap_is_kept(monkeypatch):
+    # The operator built is the one on N[k], so (d**|N[k]|)**2 is capped,
+    # whatever n is: N[0] of star:12 holds 12 sites, 4**24 entries, and is
+    # refused before any factor is built; a leaf's N[k] holds 2.
+    G, H = family("star", 12), fourier(4)
+    assert decoded_error(G, H, np.eye(4), 1)[0]
+
+    def refuse(*args):
+        raise AssertionError("a factor was built past the cap")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(errors.TooLarge, match=r"\(d\*\*n\)\*\*2 with n=12, d=4"):
+        decoded_error(G, H, np.eye(4), 0)
+
+
+def test_decoded_error_answers_past_the_old_register_gate(monkeypatch):
+    # Site 0 of line:13 (d**n = 2**13) and of line:2 has the same
+    # neighbourhood, one edge to site 1, and so does site 12 with site 1 of
+    # line:2: the answers are equal bit for bit, and line:2's is the whole
+    # register's. No register past 2**12 amplitudes is built.
+    small_registers_only(monkeypatch)
+    H = fourier(2)
+    X, Z = pauli_xz(2)
+    U = kron_circuit_unitary(family("line", 2), H)
+    for E in (X, Z, X @ Z, np.array([[0.5, 2j], [-1, 3]])):
+        for far, near in ((0, 0), (12, 1)):
+            ok, S, residual = decoded_error(family("line", 13), H, E, far)
+            want = decoded_error(family("line", 2), H, E, near)
+            assert (ok, residual) == want[::2]
+            assert (S is None and want[1] is None) or np.array_equal(S, want[1])
+            assert abs(residual - _whole_register_decoded(U, 2, 2, E, near)[2]) <= 1e-12
 
 
 def _whole_register_decoded(U, n, d, E, site):

@@ -22,7 +22,14 @@ from gghs import (
     validate,
 )
 from gghs import entangle
-from helpers import apply_local, basis_state, connected_graphs, cut_rank, full_catalog
+from helpers import (
+    apply_local,
+    basis_state,
+    connected_graphs,
+    cut_rank,
+    full_catalog,
+    small_registers_only,
+)
 
 PI = math.pi
 
@@ -292,11 +299,40 @@ def test_graph_reduced_density_checks_in_graph_state_order():
     with pytest.raises(errors.NotSymmetric):
         schmidt_spectrum((G, nonsym), [0, 1, 2])
     with pytest.raises(errors.TooLarge):
-        reduced_density((family("line", 13), fourier(4)), [99])
+        reduced_density((family("line", 33), fourier(4)), [99])
     with pytest.raises(errors.EmptyKeep):
         reduced_density((G, fourier(2)), [])
     with pytest.raises(errors.BadSite):
         reduced_density((G, fourier(2)), [0, 3])
+
+
+def test_pair_kernels_answer_as_on_the_smallest_line_with_the_same_neighbourhood(monkeypatch):
+    # A pair's reduced state depends only on the edges at its sites, so on a
+    # line of 30 or 32 sites (d**n past 2**24) each kernel answers as the
+    # dense path does on the smallest line where those sites see the same
+    # edges; no register past 2**12 amplitudes is built on either.
+    small_registers_only(monkeypatch)
+    F2, F3 = fourier(2), fourier(3)
+    line3 = graph_state(family("line", 3), F3)
+    assert abs(i6(line3) - 1 / 9) <= 1e-12
+    assert abs(i6((family("line", 30), F3)) - 1 / 9) <= 1e-12
+    rdm = reduced_density((family("line", 30), F3), [17])
+    assert np.max(np.abs(rdm - reduced_density(line3, [1]))) <= 1e-12
+    spectrum = schmidt_spectrum((family("line", 32), F2), [0, 1, 2])
+    dense = schmidt_spectrum(graph_state(family("line", 4), F2), [0, 1, 2])
+    assert spectrum == pytest.approx(dense, abs=1e-12)
+    assert len(spectrum) == 8
+
+
+def test_the_schmidt_output_is_capped_before_any_work(monkeypatch):
+    # d**|part| = 2**25 coefficients: refused before the cut is read.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the output cap")
+
+    monkeypatch.setattr(entangle, "_reduced", refuse)
+    monkeypatch.setattr(entangle, "build", refuse)
+    with pytest.raises(errors.TooLarge, match=r"d\*\*n with n=25, d=2"):
+        schmidt_spectrum((family("line", 30), fourier(2)), range(25))
 
 
 @pytest.mark.parametrize(

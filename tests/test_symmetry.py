@@ -20,9 +20,17 @@ from gghs import (
     lu_witness,
     pauli_xz,
     s_symmetries,
+    validate,
 )
 from gghs import qstate, symmetry
-from helpers import apply_local, connected_graphs, dense_stabilizer_deviation, df3d, full_catalog
+from helpers import (
+    apply_local,
+    connected_graphs,
+    dense_stabilizer_deviation,
+    df3d,
+    full_catalog,
+    small_registers_only,
+)
 
 PI = math.pi
 
@@ -281,6 +289,27 @@ def test_lu_witness_builds_no_state(monkeypatch):
             assert len(lu_witness(G, B, w)) == G.n, (kind, gname)
             maps += 1
     assert maps > 0
+
+
+def test_lu_witness_on_a_long_line_matches_the_short_one(monkeypatch):
+    """On line:25 at d = 2 (d**n = 2**25) each site's unitary depends only
+    on its degree (and, for a General witness, its part), so it has the
+    bytes of the matching site of a short line, whose map the dense oracle
+    checks: line:3 for a P-equivalence, line:4 for a General witness. No
+    register past 2**12 amplitudes is built."""
+    small_registers_only(monkeypatch)
+    F2 = fourier(2)
+    target = validate(np.array([[1, -1], [-1, -1]]))  # not dephased
+    G = family("line", 25)
+    for kind, short, match in (
+        (P_EQUIV, 3, lambda v: 0 if v in (0, 24) else 1),
+        (GENERAL, 4, lambda v: 0 if v in (0, 24) else 2 - v % 2),
+    ):
+        w = find_equivalence(target, F2, kind)
+        small = lu_witness(family("line", short), F2, w)
+        assert _maps_states(family("line", short), F2, w, small)
+        for v, u in enumerate(lu_witness(G, F2, w)):
+            assert u.tobytes() == small[match(v)].tobytes(), (kind, v)
 
 
 def test_the_closed_check_refuses_exactly_where_the_dense_oracle_does():
