@@ -19,7 +19,7 @@ _EXPORTS = {
     "codes": ("build_code", "decoded_error", "kl_distance", "weight_enumerators"),
     "entangle": ("i6", "kraus_commutation_test", "partial_transpose", "reduced_density",
                  "schmidt_spectrum"),
-    "graphs": ("Graph", "bipartition", "build", "family", "neighbourhood"),
+    "graphs": ("Graph", "bipartition", "build", "family"),
     "hadamard": ("GENERAL", "P_EQUIV", "S_SYMMETRY", "EquivalenceWitness", "HadamardMatrix",
                  "apply_witness", "catalog", "check_witness", "dephase", "find_equivalence",
                  "fourier", "s_symmetries", "tensor_product", "validate"),

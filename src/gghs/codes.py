@@ -13,7 +13,7 @@ import numpy as np
 
 from . import errors
 from ._limits import TOL_ENTRY, _dense_size
-from .graphs import Graph, neighbourhood
+from .graphs import Graph
 from .hadamard import HadamardMatrix, _gram_deviation
 from .qstate import _check_graph_state, _check_operator, _encode
 
@@ -162,8 +162,9 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
     the edge gates are diagonal, so
         M_loc = sum_{E_ab != 0} E_ab (u^dagger |a><b| u)
                 (x) (x)_{v in N(k)} u^dagger diag(conj(H[a, :]) H[b, :]) u,
-    the factors in the vertex order of N[k]: one Kronecker product of
-    d^(2m) entries per nonzero E_ab (at most d for a diagonal E), m = |N[k]|.
+    the factors in the vertex order of N[k], N(k) = G.neighbors(k). Per
+    nonzero E_ab (at most d for a diagonal E) the neighbour factor is built
+    once and one Kronecker product of d^(2m) entries formed, m = deg k + 1.
     Site operator, factorization and residual are read off M_loc. This is
     exact when u is unitary and the edge entries are unimodular; a matrix
     that `validate` admits within ~1e-9 can move the residual by that order.
@@ -178,21 +179,17 @@ def decoded_error(G: Graph, H: HadamardMatrix, E: np.ndarray, site: int):
     site = operator.index(site)
     if not (0 <= site < n):
         raise errors.SiteOutOfRange(f"site {site} out of range for n={n}")
-    hood, local = neighbourhood(G, [site])
-    _dense_size(local.n, d, axes=2)
-    at = hood.index(site)
-    pre = d**at
-    post = d ** (local.n - at - 1)
+    nbrs = G.neighbors(site)
+    m, at = len(nbrs) + 1, sum(v < site for v in nbrs)
+    _dense_size(m, d, axes=2)
+    pre, post = d**at, d ** (m - at - 1)
     h, u = H.entries, H.entries / math.sqrt(d)
     M = np.zeros((pre * d * post,) * 2, dtype=np.complex128)
     # An overflow is raised as Overflow below, not printed as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(*np.nonzero(Em)):
-            factors = [
-                Em[a, b] * np.outer(u[a].conj(), u[b]) if v == at
-                else (u.conj().T * (h[a].conj() * h[b])) @ u
-                for v in range(local.n)
-            ]
+            factors = [(u.conj().T * (h[a].conj() * h[b])) @ u] * m
+            factors[at] = Em[a, b] * np.outer(u[a].conj(), u[b])
             M += reduce(np.kron, factors)
         Mt = M.reshape(pre, d, post, pre, d, post)
         S = np.einsum("paqpbq->ab", Mt) / (pre * post)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import errors
 from ._limits import TOL_ENTRY, _dense_size
-from .graphs import Graph, build, neighbourhood
+from .graphs import Graph, build
 from .hadamard import HadamardMatrix, dephase
 from .qstate import _check_graph_state, _check_normalized, _encode
 
@@ -59,9 +59,10 @@ def _reduced(s: State, keep: Sequence[int]) -> np.ndarray:
     induced on S, and one factor per boundary vertex v in N(S) - S:
         rho_S(i, i') = phi_S(i) conj(phi_S(i')) prod_v kappa_v(i, i'),
         kappa_v(i, i') = (1/d) sum_x prod_{a in S, a~v} h[i_a, x] conj(h[i'_a, x]),
-    divided by its trace as graph_state divides by the norm. This is exact
-    when u is unitary and the entries are unimodular, within validation's
-    tolerance.
+    divided by its trace as graph_state divides by the norm. One pass over
+    G.edges finds each v's S-neighbours; kappa_v is built once per distinct
+    set and multiplied in once per v, ascending. This is exact when u is
+    unitary and the entries are unimodular, within validation's tolerance.
     """
     array = isinstance(s, np.ndarray)
     keep = _check_keep(keep, s.ndim if array else s[0].n)
@@ -71,22 +72,27 @@ def _reduced(s: State, keep: Sequence[int]) -> np.ndarray:
         rest = [a for a in range(s.ndim) if a not in keep]
         return np.tensordot(s, s.conj(), axes=(rest, rest)).reshape(dk, dk)
     G, H = s
-    hood, local = neighbourhood(G, keep)
-    axis = {hood.index(k): j for j, k in enumerate(keep)}  # local vertex -> axis of phi_S
-    inner = build(m, [(axis[a], axis[b]) for a, b in local.edges if a in axis and b in axis])
+    axis = {k: j for j, k in enumerate(keep)}  # site -> axis of phi_S
+    inner = build(m, [(axis[a], axis[b]) for a, b in G.edges if a in axis and b in axis])
     phi = _encode(inner, H, [[0] * m]).reshape(-1)
     T = np.multiply.outer(phi, phi.conj()).reshape((d,) * (2 * m))
-    h = H.entries
-    for v in range(local.n):
-        if v in axis:
-            continue
-        P = np.ones(d, np.complex128)  # P[i_a1, ..., i_ar, x] = prod_j h[i_aj, x]
-        shape = [1] * (2 * m)
-        for a in local.neighbors(v):
-            P = P[..., None, :] * h
-            shape[axis[a]] = shape[m + axis[a]] = d
-        P = P.reshape(-1, d)
-        T *= (P @ P.conj().T / d).reshape(shape)
+    boundary = {}  # v -> its S-neighbours, ascending as G.edges is sorted
+    for a, b in G.edges:
+        if (a in axis) != (b in axis):
+            v, k = (b, a) if a in axis else (a, b)
+            boundary.setdefault(v, []).append(k)
+    h, kappa = H.entries, {}  # S-neighbours -> their factor, built once
+    for v in sorted(boundary):
+        hood = tuple(boundary[v])
+        if hood not in kappa:
+            P = np.ones(d, np.complex128)  # P[i_a1, ..., i_ar, x] = prod_j h[i_aj, x]
+            shape = [1] * (2 * m)
+            for a in hood:
+                P = P[..., None, :] * h
+                shape[axis[a]] = shape[m + axis[a]] = d
+            P = P.reshape(-1, d)
+            kappa[hood] = (P @ P.conj().T / d).reshape(shape)
+        T *= kappa[hood]
     rho = T.reshape(dk, dk)
     rho /= np.trace(rho).real
     return rho

@@ -29,19 +29,6 @@ class Graph:
         return len(self.neighbors(v))
 
 
-def neighbourhood(G: Graph, S) -> Tuple[Tuple[int, ...], Graph]:
-    """The closed neighbourhood N[S] in vertex order, and the graph on it.
-
-    Vertex j of the local graph is hood[j]; only the edges of G with an end
-    in S are kept, so edges between two neighbours of S drop out.
-    """
-    S = set(S)
-    hood = sorted(S.union(*(G.neighbors(v) for v in S)))
-    index = {v: j for j, v in enumerate(hood)}
-    local = [(index[a], index[b]) for a, b in G.edges if a in S or b in S]
-    return tuple(hood), build(len(hood), local)
-
-
 def build(n: int, edges) -> Graph:
     n = operator.index(n)
     if n < 1:

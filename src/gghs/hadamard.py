@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,6 +110,7 @@ def fourier(d: int) -> HadamardMatrix:
 
     Raises TooLarge for d**2 > DENSE_AMP_CAP (d > 4096) before any allocation.
     """
+    d = operator.index(d)
     if d < 1:
         raise errors.BadSize("d must be >= 1")
     if d * d > DENSE_AMP_CAP:
@@ -340,6 +342,13 @@ def s_symmetries(H: HadamardMatrix) -> list:
     candidates cost d**4 multiply-adds over d**3 overlaps, held one block of
     at most GRAM_BLOCK entries at a time; d**3 > DENSE_AMP_CAP (d > 256)
     bounds that work and raises TooLarge before any of it.
+
+    The pairs pin a graph state iff there are d of them: on any graph, the
+    states fixed as K psi = psi / D_0 by every pair's generator K (P at a
+    vertex, D at its neighbours) span (d/|Gamma|)^n dimensions, Gamma this
+    list. The edge gates turn each K into its bare P, Gamma acts freely on
+    the digits (p(0) forces the pair), so the character 1/D_0 of P on
+    H[:, 0] recurs d/|Gamma| times in each site's permutation representation.
     """
     if H.d**3 > DENSE_AMP_CAP:
         raise errors.TooLarge(f"S-symmetry search d={H.d} exceeds the cap d**3 <= {DENSE_AMP_CAP}")

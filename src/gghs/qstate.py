@@ -124,6 +124,7 @@ def graph_state(
 
 
 def ghz(n: int, d: int) -> np.ndarray:
+    n, d = operator.index(n), operator.index(d)
     if n < 1 or d < 2:
         raise errors.BadSize("ghz needs n >= 1 and d >= 2")
     psi = np.zeros(_dense_size(n, d), dtype=np.complex128).reshape((d,) * n)

@@ -75,10 +75,11 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
     bipartition(G): the part holding each component's lowest vertex carries
     P1 * diag(conj(H1'[:, p2[0]]))^deg and the other P2^T *
     diag(conj(H1'[:, P1^{-1}(0)]))^deg. Diagonal corrections splice in when
-    either matrix is not dephased. Both matrices must be symmetric, the pair
-    must pass the pair gate (n <= MAX_SITES; no d**n is sized), and the map
-    is checked in closed form (_check_map) before it is returned.
+    either matrix is not dephased. The pair gate (H1 symmetric, n <=
+    MAX_SITES; no d**n is sized) runs before the witness is read, and the
+    map is checked in closed form (_check_map) before it is returned.
     """
+    _check_graph_state(G, H1)
     if w.kind == P_EQUIV:
         M = np.eye(len(w.p1), dtype=np.complex128)[:, list(w.p1)]
         factors = [(M, w.p1.index(0))] * G.n
@@ -92,7 +93,7 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
     else:
         raise errors.InvalidWitness("expected a P-equivalence or a General witness")
     H2 = apply_witness(H1, w)
-    if not H2.symmetric or not H1.symmetric:
+    if not H2.symmetric:
         raise errors.NotSymmetric("graph-state witnesses need symmetric matrices")
     H1d = H1 if H1.dephased else dephase(H1)[2]
     unitaries = []
@@ -104,6 +105,5 @@ def lu_witness(G: Graph, H1: HadamardMatrix, w: EquivalenceWitness) -> List[np.n
         if not H2.dephased:
             site = np.diag(H2.entries[:, 0] ** (g + 1)) @ site
         unitaries.append(site)
-    _check_graph_state(G, H1)  # the pair gate, where building the states ran it
     _check_map(G, H1, H2, unitaries)
     return unitaries

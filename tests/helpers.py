@@ -19,7 +19,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from gghs import catalog, codes, entangle, errors, family, fourier, pauli_xz, qstate, validate
+from gghs import (catalog, codes, entangle, errors, family, fourier, pauli_xz, qstate,
+                  s_symmetries, validate)
 from gghs._limits import _dense_size
 from gghs.cli import main
 from gghs.graphs import Graph
@@ -244,20 +245,41 @@ def s_symmetries_by_permutations(H: HadamardMatrix) -> List[Tuple[Tuple[int, ...
     return out
 
 
-def dense_stabilizer_deviation(G, w: EquivalenceWitness, a: int, s: np.ndarray) -> float:
-    """||K_a psi - psi|| for the generator of the S-symmetry w = (P, D) at
-    vertex a of G, built as n dense d x d site factors (P at a, D at each
-    neighbour of a, the identity elsewhere), each applied by apply_local:
-    the oracle of the deviation |1 - D_0| that `gghs stabilizers` prints."""
+def _generator_factors(G, w: EquivalenceWitness, a: int) -> List[np.ndarray]:
+    """The n dense d x d site factors of the generator K_a of the
+    S-symmetry w = (P, D) at vertex a of G: P at a, D at each neighbour of
+    a, the identity elsewhere."""
     eye = np.eye(len(w.p1), dtype=np.complex128)
     factors = [eye] * G.n
     factors[a] = eye[:, list(w.p1)]  # P|i> = |p[i]>
     for b in G.neighbors(a):
         factors[b] = np.diag(w.d1)
+    return factors
+
+
+def dense_stabilizer_deviation(G, w: EquivalenceWitness, a: int, s: np.ndarray) -> float:
+    """||K_a psi - psi|| for the generator of the S-symmetry w = (P, D) at
+    vertex a of G, each of its site factors applied by apply_local: the
+    oracle of the deviation |1 - D_0| that `gghs stabilizers` prints."""
     out = s
-    for site, f in enumerate(factors):
+    for site, f in enumerate(_generator_factors(G, w, a)):
         out = apply_local(f, site, out)
     return float(np.linalg.norm(out - s))
+
+
+def stabilized_dimension(G, H: HadamardMatrix) -> int:
+    """The dimension of the space that the local symmetries of G's graph
+    states over H fix: the states psi with K_a psi = psi / D_0 for the
+    generator K_a of every S-symmetry (P, D) at every vertex a, read
+    densely as the number of singular values of the stacked K_a - I / D_0
+    below 1e-8."""
+    blocks = []
+    for w in s_symmetries(H):
+        for a in range(G.n):
+            K = reduce(np.kron, _generator_factors(G, w, a))
+            blocks.append(K - np.eye(len(K)) / w.d1[0])
+    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return int(np.sum(sv < 1e-8))
 
 
 def dense_witness_rhs(H: HadamardMatrix, w: EquivalenceWitness) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gghs import bipartition, build, errors, family, neighbourhood
+from gghs import bipartition, build, errors, family
 from gghs._limits import GRAPH_EDGE_CAP
 
 
@@ -27,21 +27,6 @@ def test_build_rejects_out_of_range():
 def test_single_vertex():
     G = build(1, [])
     assert G.n == 1 and G.edges == ()
-
-
-def test_neighbourhood_keeps_only_edges_touching_s():
-    hood, local = neighbourhood(family("complete", 4), [0])
-    assert hood == (0, 1, 2, 3)
-    assert local.edges == ((0, 1), (0, 2), (0, 3))
-
-    G = build(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 5), (0, 6), (5, 6)])
-    hood, local = neighbourhood(G, [1, 3])
-    assert hood == (0, 1, 2, 3, 4, 5)
-    # (0, 2) joins two neighbours of S; (0, 6) and (5, 6) leave N[S]
-    assert local.edges == ((0, 1), (1, 2), (1, 5), (2, 3), (3, 4))
-
-    hood, local = neighbourhood(build(3, [(0, 1)]), [2])
-    assert hood == (2,) and local.n == 1 and local.edges == ()
 
 
 def test_build_and_family_refuse_non_integers():

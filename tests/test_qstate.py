@@ -121,10 +121,13 @@ def test_non_finite_local_operator_is_refused_by_name(bad, consumer):
         OPERATOR_CONSUMERS[consumer](E)
 
 
-# Each site, vertex or digit argument is read with operator.index, as
+# Each site, vertex, digit or size argument is read with operator.index, as
 # graphs.build reads vertices: numpy integers pass, and a float raises
-# TypeError instead of being truncated to the site or digit below it.
+# TypeError instead of being truncated to the integer below it.
 INDEX_ARGUMENTS = {
+    "fourier": lambda v: fourier(2 * v),
+    "ghz": lambda v: ghz(3, 2 * v),
+    "ghz sites": lambda v: ghz(3 * v, 2),
     "graph_state": lambda v: graph_state(family("line", 2), fourier(3), [0, v]),
     "build_code": lambda v: build_code(family("line", 2), fourier(3), [(0, v), (2, 2)]),
     "reduced_density": lambda v: reduced_density(ghz(3, 2), [v]),

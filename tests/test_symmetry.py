@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gghs import (
     lu_witness,
     pauli_xz,
     s_symmetries,
+    tensor_product,
     validate,
 )
 from gghs import qstate, symmetry
@@ -29,7 +31,9 @@ from helpers import (
     dense_stabilizer_deviation,
     df3d,
     full_catalog,
+    skewed_f3,
     small_registers_only,
+    stabilized_dimension,
 )
 
 PI = math.pi
@@ -97,6 +101,22 @@ def test_h_alpha_symmetry_operators_fix_triangle_state():
         for a in range(3):
             dev = dense_stabilizer_deviation(family("triangle"), w, a, psi)
             assert dev <= 1e-9, (w.p1, a, dev)
+
+
+def test_the_local_symmetries_fix_a_space_of_dimension_d_over_gamma_to_the_n():
+    """Gamma = s_symmetries(H) fixes a (d/|Gamma|)**n-dimensional space, read
+    densely: 1 whenever |Gamma| = d, so the graph state is the one state its
+    S-symmetries fix, 8 at h_alpha:pi/5 (|Gamma| = 2), 27 at df3d and 216 at
+    h_d6 (|Gamma| = 1)."""
+    extra = [df3d(), tensor_product(fourier(2), fourier(3))]
+    mats = [H for H in [H for _, H in full_catalog()] + extra if H.symmetric]
+    dims = set()
+    for G in (family("line", 3), family("star", 3)):
+        for H in mats:
+            dim = stabilized_dimension(G, H)
+            assert dim == (H.d // len(s_symmetries(H))) ** 3, H.entries
+            dims.add(dim)
+    assert dims == {1, 8, 27, 216}
 
 
 def test_identity_witness_gives_identity_operator():
@@ -210,6 +230,29 @@ def test_bipartite_witness_rejects_odd_cycle():
     for G in (family("triangle"), family("cycle", 5)):
         with pytest.raises(errors.NotBipartite):
             lu_witness(G, F3, w)
+
+
+def test_lu_witness_runs_the_pair_gate_first():
+    """The pair gate (H1 symmetric, n <= 32) comes before anything n-sized is
+    built and before the witness is read, so it beats a wrong witness kind,
+    an odd cycle and a witness of another dimension."""
+    F3 = fourier(3)
+    p_equiv = find_equivalence(fourier(2), fourier(2), P_EQUIV)
+    start = time.perf_counter()
+    with pytest.raises(errors.TooLarge, match="n=100000 sites"):
+        lu_witness(build(10**5, []), fourier(2), p_equiv)
+    assert time.perf_counter() - start < 0.5
+    skewed = validate(skewed_f3())
+    wrong = [
+        (family("cycle", 33), s_symmetries(F3)[1]),
+        (family("cycle", 33), find_equivalence(catalog("qutrit_h2"), F3, GENERAL)),
+        (family("line", 33), find_equivalence(fourier(4), fourier(4), P_EQUIV)),
+    ]
+    for G, w in wrong:
+        with pytest.raises(errors.TooLarge):
+            lu_witness(G, F3, w)
+        with pytest.raises(errors.NotSymmetric):
+            lu_witness(family("triangle"), skewed, w)
 
 
 def test_bipartite_witness_non_dephased_target():
